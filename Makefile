@@ -37,7 +37,11 @@
 #                       fast path must stay allocation-free (PR 5 contract) —
 #                       then re-run the end-to-end attack benchmark and fail
 #                       if it regresses past the throughput floor / alloc
-#                       ceiling recorded in BENCH_hotpath.json
+#                       ceiling recorded in BENCH_hotpath.json, then mine an
+#                       8 MiB dump at 0.3 % flips once and fail if B/op
+#                       exceeds 6x the dump size — the near-duplicate merge
+#                       index must stay sized to the canonical keys, not to
+#                       every decayed group
 
 GO ?= go
 
@@ -96,7 +100,9 @@ bench-hotpath:
 # The guarded benchmarks drive the full telemetry hook surface (spans,
 # counters, histograms, progress) through the Nop tracer inside the scan
 # hot loops; a single iteration is enough because allocs/op must be
-# exactly zero, not merely small.
+# exactly zero, not merely small. The mining ceiling sits between the
+# ~5.4x of the 8 MiB dump that the canonical-sized merge index allocates
+# and the ~6.9x of an index sized for every decayed group.
 bench-guard:
 	@set -e; \
 	for spec in \
@@ -111,3 +117,13 @@ bench-guard:
 	done; \
 	echo "bench-guard: all hot-path benchmarks allocation-free"
 	$(GO) run ./cmd/encbench -guard BENCH_hotpath.json
+	@set -e; \
+	out=$$($(GO) test ./internal/core -run '^$$' -bench '^BenchmarkMineKeysDecayed$$' -benchtime 1x -benchmem) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk -v ceil=6 ' \
+		/^BenchmarkMineKeysDecayed/ { for (i = 2; i <= NF; i++) if ($$i == "B/op") bop = $$(i-1) + 0; seen = 1 } \
+		END { \
+			if (!seen) { print "bench-guard: BenchmarkMineKeysDecayed did not run"; exit 1 } \
+			limit = ceil * 8 * 1024 * 1024; \
+			if (bop > limit) { printf "bench-guard: mining allocates %d B/op, over %d (%gx the 8 MiB dump)\n", bop, limit, ceil; exit 1 } \
+			printf "bench-guard: mining allocates %d B/op, within %gx the 8 MiB dump\n", bop, ceil }'

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"coldboot/internal/bitutil"
@@ -224,28 +227,37 @@ func (m *miner) growProbe() {
 // representatives — and returns the completed result. The output is
 // bit-identical to the straightforward map-and-rescan aggregation (the
 // parity tests pin this), but the near-duplicate search is segment-indexed
-// instead of quadratic and positions are partitioned in one counting pass.
+// instead of quadratic, majority votes are tallied only at the bits decay
+// flipped, and positions are partitioned in one counting pass.
 func (m *miner) finish() *MineResult {
 	res := m.res
 	nGroups := len(m.hashes)
 	// Process groups by (count desc, rep asc) so canonicals are the
-	// least-decayed representatives.
-	order := make([]int32, nGroups)
-	for i := range order {
-		order[i] = int32(i)
+	// least-decayed representatives. The big-endian first 8 bytes order
+	// like the representative itself, so bytes.Compare only runs on ties.
+	type groupKey struct {
+		prefix uint64
+		count  int32
+		g      int32
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if m.counts[a] != m.counts[b] {
-			return m.counts[a] > m.counts[b]
+	order := make([]groupKey, nGroups)
+	for g := range order {
+		order[g] = groupKey{binary.BigEndian.Uint64(m.rep(int32(g))), m.counts[g], int32(g)}
+	}
+	slices.SortFunc(order, func(a, b groupKey) int {
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
 		}
-		return bytes.Compare(m.rep(a), m.rep(b)) < 0
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return bytes.Compare(m.rep(a.g), m.rep(b.g))
 	})
 
-	cm := newCanonMerger(m.opt.MergeDistance, nGroups)
+	cm := newCanonMerger(m.opt.MergeDistance)
 	groupCanon := make([]int32, nGroups)
-	for _, g := range order {
-		groupCanon[g] = cm.add(m.rep(g), int(m.counts[g]))
+	for _, k := range order {
+		groupCanon[k.g] = cm.add(m.rep(k.g), k.count)
 	}
 
 	// Partition the observation log by canonical key. The log is in scan
@@ -267,8 +279,9 @@ func (m *miner) finish() *MineResult {
 		fill[c]++
 	}
 
-	// Emit keys: single-group canonicals ARE their representative; merged
-	// ones take the per-bit weighted majority. Key bytes share one slab.
+	// Emit keys: a canonical starts as its representative, and only bits
+	// some merged sighting disagreed on can lose the weighted majority.
+	// Key bytes share one slab.
 	nFinal := 0
 	for c := 0; c < nCanon; c++ {
 		if canonTotal[c] >= m.opt.MinCount {
@@ -284,20 +297,25 @@ func (m *miner) finish() *MineResult {
 		}
 		base := len(keySlab)
 		e := &cm.canon[c]
-		if e.votes == nil {
-			keySlab = append(keySlab, e.rep...)
-		} else {
-			for bit := 0; bit < BlockBytes*8; bit++ {
-				if bit%8 == 0 {
-					keySlab = append(keySlab, 0)
-				}
-				if 2*int(e.votes[bit]) > total {
-					keySlab[base+bit/8] |= 1 << uint(bit%8)
-				}
+		keySlab = append(keySlab, e.rep...)
+		key := keySlab[base : base+BlockBytes : base+BlockBytes]
+		for bit, dis := range e.dis {
+			if dis == 0 {
+				continue
+			}
+			mask := byte(1) << uint(bit%8)
+			ones := int(dis)
+			if e.rep[bit/8]&mask != 0 {
+				ones = total - ones
+			}
+			if 2*ones > total {
+				key[bit/8] |= mask
+			} else {
+				key[bit/8] &^= mask
 			}
 		}
 		res.Keys = append(res.Keys, MinedKey{
-			Key:       keySlab[base : base+BlockBytes : base+BlockBytes],
+			Key:       key,
 			Count:     total,
 			Positions: posSlab[offsets[c]:offsets[c+1]:offsets[c+1]],
 		})
@@ -326,35 +344,32 @@ type canonMerger struct {
 	segs  int
 	canon []canonEntry
 	// segTable is open-addressed with packed entries:
-	// uint64(segHash) | uint64(canonIdx+1)<<32. Zero = empty. Sized for
-	// every group becoming a canonical, so it never grows.
+	// uint64(segHash) | uint64(canonIdx+1)<<32. Zero = empty. Only
+	// canonicals are inserted, so it starts small and doubles to keep the
+	// load factor under 1/2.
 	segTable []uint64
 	// linear falls back to the reference scan when segments would be
 	// narrower than one byte (enormous MergeDistance).
 	linear bool
 }
 
-// canonEntry is one canonical key: votes stays nil until a second distinct
-// content merges in (the overwhelmingly common case is exactly one), at
-// which point the per-bit tally is materialized from the representative.
+// canonEntry is one canonical key. dis counts, per bit, the sightings that
+// disagree with the representative; it stays nil until a second distinct
+// content merges in (the common undecayed case is exactly one). A merged
+// group differs from rep in at most MergeDistance bits, so the tally is
+// only touched at those bits.
 type canonEntry struct {
-	rep    []byte
-	repN   int32 // sighting count of the first (representative) group
-	votes  []int32
-	merged bool
+	rep []byte
+	dis []int32
 }
 
-func newCanonMerger(mergeDistance, nGroups int) *canonMerger {
+func newCanonMerger(mergeDistance int) *canonMerger {
 	cm := &canonMerger{md: mergeDistance, segs: mergeDistance + 1}
 	if cm.segs > BlockBytes || cm.segs < 1 {
 		cm.linear = true
 		return cm
 	}
-	size := 1024
-	for size < nGroups*cm.segs*2 {
-		size *= 2
-	}
-	cm.segTable = make([]uint64, size)
+	cm.segTable = make([]uint64, 1024)
 	return cm
 }
 
@@ -376,34 +391,29 @@ func segHash(s int, seg []byte) uint32 {
 	return uint32(h ^ h>>32)
 }
 
-// add merges one group (processed in reference order) and returns its
-// canonical index.
-func (cm *canonMerger) add(rep []byte, n int) int32 {
+// add merges one group of n sightings (processed in reference order) and
+// returns its canonical index.
+func (cm *canonMerger) add(rep []byte, n int32) int32 {
 	c := cm.lookup(rep)
 	if c < 0 {
 		c = int32(len(cm.canon))
-		cm.canon = append(cm.canon, canonEntry{rep: rep, repN: int32(n)})
-		cm.insertSegs(rep, c)
+		cm.canon = append(cm.canon, canonEntry{rep: rep})
+		if !cm.linear {
+			cm.insertSegs(rep, c)
+		}
 		return c
 	}
 	e := &cm.canon[c]
-	if e.votes == nil {
-		// Second distinct content: materialize the tally from the
-		// representative's own sightings before adding the newcomer's.
-		e.votes = make([]int32, BlockBytes*8)
-		addVotes(e.votes, e.rep, e.repN)
+	if e.dis == nil {
+		e.dis = make([]int32, BlockBytes*8)
 	}
-	addVotes(e.votes, rep, int32(n))
-	e.merged = true
-	return c
-}
-
-func addVotes(votes []int32, rep []byte, n int32) {
-	for bit := 0; bit < BlockBytes*8; bit++ {
-		if rep[bit/8]&(1<<uint(bit%8)) != 0 {
-			votes[bit] += n
+	for w := 0; w < BlockBytes; w += 8 {
+		x := binary.LittleEndian.Uint64(e.rep[w:]) ^ binary.LittleEndian.Uint64(rep[w:])
+		for ; x != 0; x &= x - 1 {
+			e.dis[w*8+bits.TrailingZeros64(x)] += n
 		}
 	}
+	return c
 }
 
 // lookup returns the lowest canonical index within MergeDistance of rep,
@@ -417,11 +427,16 @@ func (cm *canonMerger) lookup(rep []byte) int32 {
 		}
 		return -1
 	}
+	// Hash every segment before probing, so the table loads (mostly cache
+	// misses) issue back to back instead of each waiting behind a hash.
+	var hs [BlockBytes]uint32
+	for s := range hs[:cm.segs] {
+		lo, hi := cm.segBounds(s)
+		hs[s] = segHash(s, rep[lo:hi])
+	}
 	best := int32(-1)
 	mask := uint32(len(cm.segTable) - 1)
-	for s := 0; s < cm.segs; s++ {
-		lo, hi := cm.segBounds(s)
-		h := segHash(s, rep[lo:hi])
+	for _, h := range hs[:cm.segs] {
 		for i := h & mask; cm.segTable[i] != 0; i = (i + 1) & mask {
 			if uint32(cm.segTable[i]) != h {
 				continue
@@ -438,17 +453,32 @@ func (cm *canonMerger) lookup(rep []byte) int32 {
 	return best
 }
 
+// insertSegs indexes canonical c's segments, doubling the table first if
+// they would push its load factor to 1/2.
 func (cm *canonMerger) insertSegs(rep []byte, c int32) {
-	mask := uint32(len(cm.segTable) - 1)
+	if (int(c)+1)*cm.segs*2 >= len(cm.segTable) {
+		old := cm.segTable
+		cm.segTable = make([]uint64, len(old)*2)
+		for _, e := range old {
+			if e != 0 {
+				cm.place(e)
+			}
+		}
+	}
 	for s := 0; s < cm.segs; s++ {
 		lo, hi := cm.segBounds(s)
-		h := segHash(s, rep[lo:hi])
-		i := h & mask
-		for cm.segTable[i] != 0 {
-			i = (i + 1) & mask
-		}
-		cm.segTable[i] = uint64(h) | uint64(c+1)<<32
+		cm.place(uint64(segHash(s, rep[lo:hi])) | uint64(c+1)<<32)
 	}
+}
+
+// place stores a packed entry in the first free slot of its probe chain.
+func (cm *canonMerger) place(e uint64) {
+	mask := uint32(len(cm.segTable) - 1)
+	i := uint32(e) & mask
+	for cm.segTable[i] != 0 {
+		i = (i + 1) & mask
+	}
+	cm.segTable[i] = e
 }
 
 // InferStride estimates the key-reuse period, in blocks, from the positions

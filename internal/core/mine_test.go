@@ -238,3 +238,21 @@ func BenchmarkMineKeys1MB(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMineKeysDecayed mines an 8 MiB light-system dump with 0.3 % of
+// its bits flipped, the benchmark's decay regime: most sightings of a key
+// are distinct decayed copies, so the near-duplicate merge in finish does
+// most of the work. The undecayed BenchmarkMineKeys1MB barely merges.
+func BenchmarkMineKeysDecayed(b *testing.B) {
+	const size = 8 << 20
+	dump, _, _ := buildScrambledDump(b, size, 17, workload.LightSystem)
+	decayBits(dump, 1017, size*8*3/1000)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MineKeys(dump, MineOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

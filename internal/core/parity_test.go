@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"coldboot/internal/aes"
 	"coldboot/internal/bitutil"
+	"coldboot/internal/scramble"
 	"coldboot/internal/workload"
 )
 
@@ -38,9 +40,17 @@ func TestMineKeysParity(t *testing.T) {
 		{"merge_distance_4", 256 << 10, 14, 256 << 10 / 50, MineOptions{MergeDistance: 4}},
 		{"min_count_3", 256 << 10, 15, 256 << 10 / 100, MineOptions{MinCount: 3}},
 		{"max_bytes_cap", 512 << 10, 16, 512 << 10 / 200, MineOptions{MaxBytes: 128 << 10}},
+		// Decayed groups far outnumber the 4096 canonicals, so the segment
+		// index grows from its initial size many times over.
+		{"decay_0.3pct_4MiB", 4 << 20, 18, 4 << 20 * 8 * 3 / 1000, MineOptions{}},
+		// Segments narrower than a byte: the linear canonical scan.
+		{"merge_distance_64_linear", 256 << 10, 19, 256 << 10 * 8 * 3 / 1000, MineOptions{MergeDistance: 64}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.size > 1<<20 {
+				t.Skip("serial differential oracle: the quadratic reference merge is too slow under the race detector")
+			}
 			dump := buildAttackDump(t, tc.size, tc.seed, workload.LightSystem,
 				testMaster(tc.seed*7, 32), 100*BlockBytes)
 			if tc.decay > 0 {
@@ -50,20 +60,106 @@ func TestMineKeysParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := refMineKeys(dump, tc.opt)
-			if got.BlocksScanned != want.BlocksScanned || got.BlocksPassed != want.BlocksPassed {
-				t.Fatalf("counters: got (%d scanned, %d passed), want (%d, %d)",
-					got.BlocksScanned, got.BlocksPassed, want.BlocksScanned, want.BlocksPassed)
-			}
-			if len(got.Keys) != len(want.Keys) {
-				t.Fatalf("key count: got %d, want %d", len(got.Keys), len(want.Keys))
-			}
-			for i := range want.Keys {
-				if !reflect.DeepEqual(got.Keys[i], want.Keys[i]) {
-					t.Fatalf("key %d differs:\n got  %+v\n want %+v", i, got.Keys[i], want.Keys[i])
-				}
-			}
+			assertMineParity(t, got, refMineKeys(dump, tc.opt))
 		})
+	}
+}
+
+// TestMineKeysParityPrefixTies plants groups with equal sighting counts
+// whose merge depends on the order the sort puts them in. Each key K is
+// planted as A = K, B = A plus 2 flips and C = B plus 2 more flips past the
+// first 8 bytes. With MergeDistance 3, A and C are too far apart to merge,
+// so whichever of the three comes first decides how they fold into
+// canonicals. B and C always share their first 8 bytes, so only the
+// full-representative tie-break orders them; for odd keys B's flips fall
+// in the first 8 bytes, so the prefix orders A against B and C.
+func TestMineKeysParityPrefixTies(t *testing.T) {
+	const copies = 3
+	opt := MineOptions{MergeDistance: 3}
+	s := scramble.NewSkylakeDDR4(23)
+	rng := rand.New(rand.NewSource(23))
+	dump := make([]byte, 1024*BlockBytes)
+	rng.Read(dump)
+	pos := rng.Perm(len(dump) / BlockBytes)
+	flipped := func(v []byte, bits ...int) []byte {
+		v = append([]byte(nil), v...)
+		for _, bit := range bits {
+			v[bit/8] ^= 1 << uint(bit%8)
+		}
+		return v
+	}
+	for k := 0; k < 32; k++ {
+		a := s.KeyAt(uint64(k) * BlockBytes)
+		past := rng.Perm(BlockBytes*8 - 64) // distinct bits past the prefix
+		b := flipped(a, 64+past[0], 64+past[1])
+		if k%2 == 1 {
+			first := rng.Perm(64)
+			b = flipped(a, first[0], first[1])
+		}
+		c := flipped(b, 64+past[2], 64+past[3])
+		for _, v := range [][]byte{a, b, c} {
+			if !PassesKeyLitmus(v, DefaultLitmusTolerance) {
+				t.Fatalf("key %d: planted variant fails the litmus", k)
+			}
+			for i := 0; i < copies; i++ {
+				copy(dump[pos[0]*BlockBytes:], v)
+				pos = pos[1:]
+			}
+		}
+	}
+	got, err := MineKeys(dump, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMineParity(t, got, refMineKeys(dump, opt))
+}
+
+// cancelAfterSource serves a dump through ReadBlocks only and cancels its
+// context once the reads-th read has been served.
+type cancelAfterSource struct {
+	BlockSource
+	reads  int
+	cancel context.CancelFunc
+}
+
+func (s *cancelAfterSource) ReadBlocks(first int, buf []byte) error {
+	if s.reads--; s.reads == 0 {
+		s.cancel()
+	}
+	return s.BlockSource.ReadBlocks(first, buf)
+}
+
+// TestMineKeysParityCancelled: a mine cancelled mid-scan must return
+// exactly what the reference mines from the prefix it scanned.
+func TestMineKeysParityCancelled(t *testing.T) {
+	const reads = 3
+	dump := buildAttackDump(t, 512<<10, 21, workload.LightSystem, testMaster(147, 32), 100*BlockBytes)
+	decayBits(dump, 1021, len(dump)*8*3/1000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := MineKeysSource(ctx, &cancelAfterSource{BytesSource(dump), reads, cancel}, MineOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if want := reads * mineCancelInterval; got.BlocksScanned != want {
+		t.Fatalf("scanned %d blocks, want %d", got.BlocksScanned, want)
+	}
+	assertMineParity(t, got, refMineKeys(dump, MineOptions{MaxBytes: got.BlocksScanned * BlockBytes}))
+}
+
+func assertMineParity(t *testing.T, got, want *MineResult) {
+	t.Helper()
+	if got.BlocksScanned != want.BlocksScanned || got.BlocksPassed != want.BlocksPassed {
+		t.Fatalf("counters: got (%d scanned, %d passed), want (%d, %d)",
+			got.BlocksScanned, got.BlocksPassed, want.BlocksScanned, want.BlocksPassed)
+	}
+	if len(got.Keys) != len(want.Keys) {
+		t.Fatalf("key count: got %d, want %d", len(got.Keys), len(want.Keys))
+	}
+	for i := range want.Keys {
+		if !reflect.DeepEqual(got.Keys[i], want.Keys[i]) {
+			t.Fatalf("key %d differs:\n got  %+v\n want %+v", i, got.Keys[i], want.Keys[i])
+		}
 	}
 }
 
