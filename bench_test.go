@@ -95,14 +95,15 @@ func BenchmarkKeyfindScanParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(keyfind.Scan(img, aes.AES256, 0)) != 1 {
+		if fs, err := keyfind.Scan(context.Background(), img, aes.AES256, 0, 0, nil); err != nil || len(fs) != 1 {
 			b.Fatal("planted key not found")
 		}
 	}
 }
 
-// BenchmarkKeyfindScanSerial is the single-worker reference for the
-// parallel-scan speedup factor recorded in BENCH_hotpath.json.
+// BenchmarkKeyfindScanSerial is the single-worker reference (Scan with
+// workers=1) for the parallel-scan speedup factor recorded in
+// BENCH_hotpath.json.
 func BenchmarkKeyfindScanSerial(b *testing.B) {
 	img := make([]byte, 4<<20)
 	if err := workload.Fill(img, 5, workload.LoadedSystem); err != nil {
@@ -115,7 +116,7 @@ func BenchmarkKeyfindScanSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(keyfind.ScanSerial(img, aes.AES256, 0)) != 1 {
+		if fs, err := keyfind.Scan(context.Background(), img, aes.AES256, 0, 1, nil); err != nil || len(fs) != 1 {
 			b.Fatal("planted key not found")
 		}
 	}
@@ -139,7 +140,7 @@ func BenchmarkAttackDump(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Attack(dump, core.Config{Workers: runtime.NumCPU()})
+		res, err := core.Attack(context.Background(), dump, core.Config{Workers: runtime.NumCPU()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +275,7 @@ func BenchmarkKeyIdea1KeyMining(b *testing.B) {
 	b.SetBytes(int64(len(dump)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.MineKeys(dump, core.MineOptions{})
+		res, err := core.MineKeys(context.Background(), dump, core.MineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func BenchmarkKeyIdea1KeyMining(b *testing.B) {
 // to end (victim + VeraCrypt + reboot capture + full pipeline + unlock).
 func BenchmarkSectionIIICDiskKeyRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := Run(Scenario{Seed: int64(i) + 1, SameMachineReboot: true})
+		out, err := Run(context.Background(), Scenario{Seed: int64(i) + 1, SameMachineReboot: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -313,7 +314,7 @@ func BenchmarkSectionIIICScanThroughput(b *testing.B) {
 	b.SetBytes(int64(len(dump)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Attack(dump, core.Config{})
+		res, err := core.Attack(context.Background(), dump, core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

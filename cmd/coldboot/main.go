@@ -143,7 +143,7 @@ func main() {
 		return
 	}
 
-	out, err := coldboot.RunContext(ctx, scenario)
+	out, err := coldboot.Run(ctx, scenario)
 	if err != nil {
 		if out == nil {
 			log.Fatal(err)

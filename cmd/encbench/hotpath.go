@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -156,7 +157,7 @@ func attackDump() ([]byte, error) {
 // the shared fixture.
 func attackRow(dump []byte) HotpathResult {
 	return row("attack_dump_2MiB", int64(len(dump)), func() {
-		res, err := core.Attack(dump, core.Config{})
+		res, err := core.Attack(context.Background(), dump, core.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -217,12 +218,12 @@ func writeHotpath(path string) error {
 	)
 
 	serial := row("keyfind_scan_serial_4MiB", int64(len(img)), func() {
-		if len(keyfind.ScanSerial(img, aes.AES256, 0)) != 1 {
+		if fs, err := keyfind.Scan(context.Background(), img, aes.AES256, 0, 1, nil); err != nil || len(fs) != 1 {
 			log.Fatal("planted key not found")
 		}
 	})
 	parallel := row("keyfind_scan_parallel_4MiB", int64(len(img)), func() {
-		if len(keyfind.Scan(img, aes.AES256, 0)) != 1 {
+		if fs, err := keyfind.Scan(context.Background(), img, aes.AES256, 0, 0, nil); err != nil || len(fs) != 1 {
 			log.Fatal("planted key not found")
 		}
 	})

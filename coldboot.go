@@ -194,15 +194,10 @@ const secretPayload = "TOP-SECRET: the cold boot attack recovered this sector."
 
 // Run executes the full experiment: build the victim, mount the volume,
 // fill memory, freeze/transfer/dump, attack, and attempt to unlock the
-// volume with the recovered keys.
-func Run(s Scenario) (*Outcome, error) {
-	return RunContext(context.Background(), s)
-}
-
-// RunContext is Run with cancellation: the attack's scan loops poll ctx
-// every chunk, so a timed-out or cancelled run stops promptly. The partial
+// volume with the recovered keys. The attack's scan loops poll ctx every
+// chunk, so a timed-out or cancelled run stops promptly; the partial
 // Outcome accumulated so far is returned together with ctx.Err().
-func RunContext(ctx context.Context, s Scenario) (*Outcome, error) {
+func Run(ctx context.Context, s Scenario) (*Outcome, error) {
 	dump, out, vol, cpu, err := capture(s)
 	if err != nil {
 		return nil, err
@@ -371,11 +366,11 @@ func analyze(ctx context.Context, s Scenario, dump []byte, out *Outcome, vol *ve
 		// Halderman scan (internal/keyfind) finds the same keys on clean
 		// dumps; the anchored hunt adds the decay-tolerant window
 		// consensus.
-		keys, err := core.MineDDR3KeysContext(ctx, dump)
+		keys, err := core.MineDDR3Keys(ctx, dump)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.AttackContext(ctx, dump, core.Config{
+		res, err := core.Attack(ctx, dump, core.Config{
 			RepairFlips: s.RepairFlips,
 			KeysForBlock: func(b int) [][]byte {
 				return [][]byte{keys[b%core.DDR3KeyCount]}
@@ -394,15 +389,15 @@ func analyze(ctx context.Context, s Scenario, dump []byte, out *Outcome, vol *ve
 		}
 		// Cross-check with the prior-art scan on the descrambled image
 		// (adds any finding the anchored hunt missed).
-		if plainDump, err := core.DescrambleDDR3Context(ctx, dump, keys); err == nil {
-			if fs, err := keyfind.ScanTraced(ctx, plainDump, aes.AES256, keyfind.DefaultTolerance, 0, tracer); err == nil {
+		if plainDump, err := core.DescrambleDDR3(ctx, dump, keys); err == nil {
+			if fs, err := keyfind.Scan(ctx, plainDump, aes.AES256, keyfind.DefaultTolerance, 0, tracer); err == nil {
 				for _, f := range fs {
 					out.RecoveredMasters = append(out.RecoveredMasters, f.Master)
 				}
 			}
 		}
 	} else {
-		res, err := core.AttackContext(ctx, dump, core.Config{
+		res, err := core.Attack(ctx, dump, core.Config{
 			RepairFlips: s.RepairFlips,
 			GroundDump:  out.GroundDump,
 			Formats:     s.Formats,
@@ -426,8 +421,8 @@ func analyze(ctx context.Context, s Scenario, dump []byte, out *Outcome, vol *ve
 	// it wins outright whenever the dump is effectively plaintext — the
 	// scrambler disabled, or a seed-reusing BIOS whose reboot descrambles
 	// its own memory (§III-B observation 2).
-	scanTimer := tracer.StageStart("halderman-scan")
-	findings, err := keyfind.ScanTraced(ctx, dump, aes.AES256, keyfind.DefaultTolerance, 0, tracer)
+	scanTimer := tracer.StartSpan("halderman-scan")
+	findings, err := keyfind.Scan(ctx, dump, aes.AES256, keyfind.DefaultTolerance, 0, tracer)
 	scanTimer.End()
 	for _, f := range findings {
 		out.RecoveredMasters = append(out.RecoveredMasters, f.Master)
@@ -439,7 +434,7 @@ func analyze(ctx context.Context, s Scenario, dump []byte, out *Outcome, vol *ve
 
 	// Endgame: unlock the volume with the recovered keys — no password.
 	if len(out.RecoveredMasters) > 0 {
-		unlockTimer := tracer.StageStart("unlock")
+		unlockTimer := tracer.StartSpan("unlock")
 		if m2, err := vol.MountWithRecoveredKeys(out.RecoveredMasters, nil, 0); err == nil {
 			out.VolumeUnlocked = true
 			buf := make([]byte, veracrypt.SectorSize)
@@ -479,15 +474,10 @@ func dedupKeys(keys [][]byte) [][]byte {
 
 // AttackDump runs the DDR4 attack pipeline directly on a raw scrambled
 // memory dump and returns any recovered AES master keys — the entry point
-// for dumps obtained outside the Scenario plumbing.
-func AttackDump(dump []byte, repairFlips int) ([][]byte, error) {
-	return AttackDumpContext(context.Background(), dump, repairFlips, nil)
-}
-
-// AttackDumpContext is AttackDump with cancellation and tracing: a
+// for dumps obtained outside the Scenario plumbing. tracer may be nil. A
 // cancelled attack returns the masters recovered so far with ctx.Err().
-func AttackDumpContext(ctx context.Context, dump []byte, repairFlips int, tracer obs.Tracer) ([][]byte, error) {
-	res, err := core.AttackContext(ctx, dump, core.Config{RepairFlips: repairFlips, Tracer: tracer})
+func AttackDump(ctx context.Context, dump []byte, repairFlips int, tracer obs.Tracer) ([][]byte, error) {
+	res, err := core.Attack(ctx, dump, core.Config{RepairFlips: repairFlips, Tracer: tracer})
 	if res == nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package coldboot_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 // DIMM, move it to a second (still scrambled) machine, dump, mine the
 // scrambler keys, recover the XTS-AES-256 masters, unlock the volume.
 func Example() {
-	out, err := coldboot.Run(coldboot.Scenario{
+	out, err := coldboot.Run(context.Background(), coldboot.Scenario{
 		CPU:          "i5-6600K",
 		FreezeTempC:  -50,
 		TransferTime: 2 * time.Second,
@@ -34,7 +35,7 @@ func Example() {
 // ExampleRun_defense shows the Section IV defense: the same attack against
 // ChaCha8-encrypted memory recovers nothing.
 func ExampleRun_defense() {
-	out, err := coldboot.Run(coldboot.Scenario{
+	out, err := coldboot.Run(context.Background(), coldboot.Scenario{
 		Seed:              2,
 		Protection:        coldboot.EncryptedChaCha8,
 		SameMachineReboot: true,
@@ -59,7 +60,7 @@ func ExampleCapture() {
 		return
 	}
 	fmt.Println("dump bytes:", len(dump))
-	keys, err := coldboot.AttackDump(dump, 0)
+	keys, err := coldboot.AttackDump(context.Background(), dump, 0, nil)
 	if err != nil {
 		fmt.Println(err)
 		return

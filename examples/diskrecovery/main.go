@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -73,7 +74,7 @@ func main() {
 
 	// --- Analysis ----------------------------------------------------------
 	fmt.Println("\nstep 1: mining scrambler keys with the litmus test...")
-	res, err := core.Attack(dump, core.Config{RepairFlips: 1})
+	res, err := core.Attack(context.Background(), dump, core.Config{RepairFlips: 1})
 	check(err)
 	fmt.Printf("  %d keys mined from %d passing blocks (stride %d, coverage %.1f%%)\n",
 		len(res.Mine.Keys), res.Mine.BlocksPassed, res.Stride, res.Coverage*100)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 		{"ChaCha8 encrypted memory", coldboot.EncryptedChaCha8},
 		{"AES-128 CTR encrypted memory", coldboot.EncryptedAES128},
 	} {
-		out, err := coldboot.Run(coldboot.Scenario{
+		out, err := coldboot.Run(context.Background(), coldboot.Scenario{
 			Seed: 3, Protection: p.prot, SameMachineReboot: true,
 		})
 		if err != nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	check(m.Boot())
 	dump, err := m.Dump()
 	check(err)
-	keys, err := coldboot.AttackDump(dump, 0)
+	keys, err := coldboot.AttackDump(context.Background(), dump, 0, nil)
 	check(err)
 	fmt.Printf("attack recovered %d master key halves from the scrambled dump\n", len(keys))
 

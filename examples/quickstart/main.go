@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,7 +17,7 @@ import (
 )
 
 func main() {
-	out, err := coldboot.Run(coldboot.Scenario{
+	out, err := coldboot.Run(context.Background(), coldboot.Scenario{
 		CPU:          "i5-6600K",
 		Password:     "correct horse battery staple",
 		FreezeTempC:  -50, // inverted-canister spray (Halderman et al.)

@@ -264,16 +264,12 @@ func AttackStages() []Stage {
 // keys. The dump may be single- or double-scrambled (victim-only, or victim
 // XOR attacker keystream — the litmus invariants survive both) and may
 // contain bit decay.
-func Attack(dump []byte, cfg Config) (*Result, error) {
-	return AttackContext(context.Background(), dump, cfg)
-}
-
-// AttackContext is Attack with cancellation: every long loop (the mining
-// scan and each hunt worker) checks ctx at least once per scan chunk, so a
-// cancelled attack stops mid-scan within one chunk of work. On
-// cancellation the partial Result assembled from the work already done is
-// returned together with ctx.Err().
-func AttackContext(ctx context.Context, dump []byte, cfg Config) (*Result, error) {
+//
+// Every long loop (the mining scan and each hunt worker) checks ctx at
+// least once per scan chunk, so a cancelled attack stops mid-scan within
+// one chunk of work. On cancellation the partial Result assembled from the
+// work already done is returned together with ctx.Err().
+func Attack(ctx context.Context, dump []byte, cfg Config) (*Result, error) {
 	privateCache := cfg.ScheduleCache == nil
 	cfg = cfg.withDefaults()
 	if privateCache {
@@ -350,7 +346,7 @@ func (mineStage) Run(ctx context.Context, run *AttackRun) error {
 		run.tracer.Count("mine.keys", int64(len(pre.Keys)))
 		return nil
 	}
-	mine, err := MineKeysContext(ctx, run.Dump, MineOptions{
+	mine, err := MineKeys(ctx, run.Dump, MineOptions{
 		Tolerance:     run.Cfg.LitmusTolerance,
 		MergeDistance: run.Cfg.MergeDistance,
 		MaxBytes:      run.Cfg.MineMaxBytes,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"coldboot/internal/aes"
@@ -21,7 +22,7 @@ func BenchmarkAttackDump2MiB(b *testing.B) {
 	b.SetBytes(int64(len(dump)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Attack(dump, Config{})
+		res, err := Attack(context.Background(), dump, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

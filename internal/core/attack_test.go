@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestAttackRecoversAES256Key(t *testing.T) {
 	// Table at an arbitrary word-aligned offset, not block aligned.
 	const tableStart = 3*4096*64/2 + 36 // odd-ish placement, word aligned
 	dump := buildAttackDump(t, 2<<20, 1, workload.LightSystem, master, tableStart)
-	res, err := Attack(dump, Config{})
+	res, err := Attack(context.Background(), dump, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestAttackRecoversAES128Key(t *testing.T) {
 	master := testMaster(101, 16)
 	const tableStart = 4096*64 + 512 + 8
 	dump := buildAttackDump(t, 2<<20, 2, workload.LightSystem, master, tableStart)
-	res, err := Attack(dump, Config{Variant: aes.AES128})
+	res, err := Attack(context.Background(), dump, Config{Variant: aes.AES128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAttackRecoversAES192Key(t *testing.T) {
 	master := testMaster(102, 24)
 	const tableStart = 4096 * 64 * 2
 	dump := buildAttackDump(t, 2<<20, 3, workload.LightSystem, master, tableStart)
-	res, err := Attack(dump, Config{Variant: aes.AES192})
+	res, err := Attack(context.Background(), dump, Config{Variant: aes.AES192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestAttackDoubleScrambledDump(t *testing.T) {
 	doubled := make([]byte, len(dump))
 	attackerSide.Scramble(doubled, dump, 0)
 
-	res, err := Attack(doubled, Config{})
+	res, err := Attack(context.Background(), doubled, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestAttackWithBitDecay(t *testing.T) {
 		bit := rng.Intn(len(dump) * 8)
 		dump[bit/8] ^= 1 << uint(bit%8)
 	}
-	res, err := Attack(dump, Config{RepairFlips: 1})
+	res, err := Attack(context.Background(), dump, Config{RepairFlips: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestAttackRepairFixesCorruptedWindow(t *testing.T) {
 		pos := tableStart + blk*64
 		dump[pos] ^= 1 << 5
 	}
-	noRepair, err := Attack(dump, Config{})
+	noRepair, err := Attack(context.Background(), dump, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withRepair, err := Attack(dump, Config{RepairFlips: 1})
+	withRepair, err := Attack(context.Background(), dump, Config{RepairFlips: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestAttackExhaustiveModeWithInjectedDirectory(t *testing.T) {
 	for idx := uint64(0); idx < 64; idx++ {
 		keys = append(keys, decoy.KeyAt(idx*BlockBytes))
 	}
-	res, err := Attack(dump, Config{KeysForBlock: func(int) [][]byte { return keys }})
+	res, err := Attack(context.Background(), dump, Config{KeysForBlock: func(int) [][]byte { return keys }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestAttackFindsBothXTSKeys(t *testing.T) {
 	dump := make([]byte, size)
 	s.Scramble(dump, plain, 0)
 
-	res, err := Attack(dump, Config{})
+	res, err := Attack(context.Background(), dump, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestAttackNoFalsePositivesOnKeylessDump(t *testing.T) {
 	s := scramble.NewSkylakeDDR4(999)
 	dump := make([]byte, len(plain))
 	s.Scramble(dump, plain, 0)
-	res, err := Attack(dump, Config{})
+	res, err := Attack(context.Background(), dump, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestAttackNoFalsePositivesOnKeylessDump(t *testing.T) {
 }
 
 func TestAttackRejectsUnalignedDump(t *testing.T) {
-	if _, err := Attack(make([]byte, 100), Config{}); err == nil {
+	if _, err := Attack(context.Background(), make([]byte, 100), Config{}); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -264,7 +265,7 @@ func TestVerifyScheduleScores(t *testing.T) {
 	master := testMaster(109, 32)
 	const tableStart = 4096 * 64
 	dump := buildAttackDump(t, 2<<20, 11, workload.LightSystem, master, tableStart)
-	mine, _ := MineKeys(dump, MineOptions{})
+	mine, _ := MineKeys(context.Background(), dump, MineOptions{})
 	dir := ResidueDirectory(mine, mine.InferStride())
 	right := VerifySchedule(dump, dir, master, tableStart, aes.AES256)
 	if right < 0.999 {
@@ -311,7 +312,7 @@ func BenchmarkAttackScanThroughput(b *testing.B) {
 	b.SetBytes(int64(len(dump)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Attack(dump, Config{}); err != nil {
+		if _, err := Attack(context.Background(), dump, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,7 +344,7 @@ func TestAttackSurvivesPermutedKeyMapping(t *testing.T) {
 	dump := make([]byte, size)
 	s.Scramble(dump, plain, 0)
 
-	res, err := Attack(dump, Config{Exhaustive: true})
+	res, err := Attack(context.Background(), dump, Config{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,13 @@ shardLoop:
 			colVols = append(colVols, sr.Volumes...)
 			pairs += sr.Pairs
 			done++
-			doneBlk += sh.Blocks
+			// Count only the blocks this shard owns: the overlap tail
+			// belongs to the next shard, which counts it itself.
+			owned := totalBlocks - sh.FirstBlock
+			if sh.Index+1 < len(plan.Shards) {
+				owned = plan.Shards[sh.Index+1].FirstBlock - sh.FirstBlock
+			}
+			doneBlk += owned
 			if cfg.OnProgress != nil {
 				cfg.OnProgress(Progress{
 					DoneShards: done, TotalShards: len(plan.Shards),
@@ -298,7 +304,7 @@ func shardMineView(mine *MineResult, sh Shard) *MineResult {
 // surfaces the partial findings together with ctx.Err().
 func scanShard(ctx context.Context, sub []byte, sh Shard, mine *MineResult, directory KeyDirectory, cfg Config, span obs.Span) (ShardResult, error) {
 	shiftedDir := func(b int) [][]byte { return directory(b + sh.FirstBlock) }
-	res, err := AttackContext(ctx, sub, Config{
+	res, err := Attack(ctx, sub, Config{
 		Variant:         cfg.Variant,
 		Formats:         cfg.Formats,
 		LitmusTolerance: cfg.LitmusTolerance,

@@ -43,19 +43,21 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 	const tableStart = 4096*64 + 96
 	dump := buildAttackDump(t, 2<<20, 30, workload.LightSystem, master, tableStart)
 
-	single, err := Attack(dump, Config{})
+	single, err := Attack(context.Background(), dump, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var progressCalls int
+	var last Progress
 	camp, err := RunCampaign(context.Background(), dump, CampaignConfig{
 		ShardBlocks: 4096, // 256 KiB shards: the table straddles boundaries
 		Parallel:    4,
 		OnProgress: func(p Progress) {
 			progressCalls++
-			if p.TotalBlocks != len(dump)/64 {
-				t.Errorf("bad progress total: %+v", p)
+			if p.TotalBlocks != len(dump)/64 || p.DoneBlocks > p.TotalBlocks || p.DoneBlocks <= last.DoneBlocks {
+				t.Errorf("bad progress %+v after %+v", p, last)
 			}
+			last = p
 		},
 	})
 	if err != nil {
@@ -72,6 +74,11 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 	}
 	if progressCalls == 0 {
 		t.Error("no progress reported")
+	}
+	// Overlap blocks are scanned twice but owned once: the final report
+	// lands exactly on the total.
+	if last.DoneBlocks != last.TotalBlocks || last.DoneShards != last.TotalShards {
+		t.Errorf("final progress %+v, want every block and shard done", last)
 	}
 }
 

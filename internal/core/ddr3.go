@@ -24,18 +24,12 @@ const DDR3KeyCount = 16
 // context polls: 16 Ki blocks = 1 MiB, a few hundred microseconds of work.
 const ddr3PollBlocks = 1 << 14
 
-// MineDDR3Keys is MineDDR3KeysContext without cancellation, kept for
-// callers that have no context to thread.
-func MineDDR3Keys(dump []byte) ([DDR3KeyCount][]byte, error) {
-	return MineDDR3KeysContext(context.Background(), dump)
-}
-
-// MineDDR3KeysContext recovers the 16 per-class scrambler keys from a
+// MineDDR3Keys recovers the 16 per-class scrambler keys from a
 // scrambled DDR3 dump by frequency analysis: for each block-index residue
 // class modulo 16, the most common stored 64-byte value is
 // (zero XOR key) = key. The pass over the dump polls ctx every
 // ddr3PollBlocks blocks; a cancelled mine returns ctx.Err().
-func MineDDR3KeysContext(ctx context.Context, dump []byte) ([DDR3KeyCount][]byte, error) {
+func MineDDR3Keys(ctx context.Context, dump []byte) ([DDR3KeyCount][]byte, error) {
 	var keys [DDR3KeyCount][]byte
 	if len(dump)%BlockBytes != 0 {
 		return keys, fmt.Errorf("core: dump length %d not block aligned", len(dump))
@@ -69,17 +63,12 @@ func MineDDR3KeysContext(ctx context.Context, dump []byte) ([DDR3KeyCount][]byte
 	return keys, nil
 }
 
-// UniversalRebootKey is UniversalRebootKeyContext without cancellation.
-func UniversalRebootKey(xorDump []byte) ([]byte, error) {
-	return UniversalRebootKeyContext(context.Background(), xorDump)
-}
-
-// UniversalRebootKeyContext recovers the single 64-byte key that a DDR3
+// UniversalRebootKey recovers the single 64-byte key that a DDR3
 // reboot XOR image is scrambled with (Figure 3c): the most frequent 64-byte
 // block value in xorDump. For unchanged memory regions the data cancels
 // exactly, so the universal key appears wherever content was stable across
 // boots. The frequency pass polls ctx every ddr3PollBlocks blocks.
-func UniversalRebootKeyContext(ctx context.Context, xorDump []byte) ([]byte, error) {
+func UniversalRebootKey(ctx context.Context, xorDump []byte) ([]byte, error) {
 	if len(xorDump)%BlockBytes != 0 || len(xorDump) == 0 {
 		return nil, fmt.Errorf("core: bad XOR dump length %d", len(xorDump))
 	}
@@ -101,17 +90,12 @@ func UniversalRebootKeyContext(ctx context.Context, xorDump []byte) ([]byte, err
 	return []byte(best), nil
 }
 
-// DescrambleDDR3 is DescrambleDDR3Context without cancellation.
-func DescrambleDDR3(dump []byte, keys [DDR3KeyCount][]byte) ([]byte, error) {
-	return DescrambleDDR3Context(context.Background(), dump, keys)
-}
-
-// DescrambleDDR3Context applies the recovered 16-key pool to a scrambled
+// DescrambleDDR3 applies the recovered 16-key pool to a scrambled
 // dump, returning the plaintext memory image ready for a conventional
 // (Halderman-style) key scan. The descramble pass polls ctx every
 // ddr3PollBlocks blocks; on cancellation the partial output is discarded
 // and ctx.Err() returned.
-func DescrambleDDR3Context(ctx context.Context, dump []byte, keys [DDR3KeyCount][]byte) ([]byte, error) {
+func DescrambleDDR3(ctx context.Context, dump []byte, keys [DDR3KeyCount][]byte) ([]byte, error) {
 	if len(dump)%BlockBytes != 0 {
 		return nil, fmt.Errorf("core: dump length %d not block aligned", len(dump))
 	}

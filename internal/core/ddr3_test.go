@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"coldboot/internal/bitutil"
@@ -23,7 +24,7 @@ func buildDDR3Dump(t testing.TB, size int, seed int64, p workload.Profile) ([]by
 
 func TestMineDDR3KeysByFrequency(t *testing.T) {
 	dump, _, s := buildDDR3Dump(t, 1<<20, 1, workload.LightSystem)
-	keys, err := MineDDR3Keys(dump)
+	keys, err := MineDDR3Keys(context.Background(), dump)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +38,11 @@ func TestMineDDR3KeysByFrequency(t *testing.T) {
 
 func TestDescrambleDDR3RecoversPlaintext(t *testing.T) {
 	dump, plain, _ := buildDDR3Dump(t, 1<<20, 2, workload.LightSystem)
-	keys, err := MineDDR3Keys(dump)
+	keys, err := MineDDR3Keys(context.Background(), dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DescrambleDDR3(dump, keys)
+	got, err := DescrambleDDR3(context.Background(), dump, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestUniversalRebootKey(t *testing.T) {
 	s1.Scramble(d1, plain, 0)
 	s2.Scramble(d2, plain, 0)
 	x := bitutil.XORNew(d1, d2)
-	uni, err := UniversalRebootKey(x)
+	uni, err := UniversalRebootKey(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestUniversalKeyDoesNotExistOnDDR4(t *testing.T) {
 	s1.Scramble(d1, plain, 0)
 	s2.Scramble(d2, plain, 0)
 	x := bitutil.XORNew(d1, d2)
-	uni, err := UniversalRebootKey(x)
+	uni, err := UniversalRebootKey(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,26 +111,26 @@ func TestUniversalKeyDoesNotExistOnDDR4(t *testing.T) {
 }
 
 func TestMineDDR3KeysErrors(t *testing.T) {
-	if _, err := MineDDR3Keys(make([]byte, 100)); err == nil {
+	if _, err := MineDDR3Keys(context.Background(), make([]byte, 100)); err == nil {
 		t.Error("unaligned dump accepted")
 	}
 }
 
 func TestDescrambleDDR3Errors(t *testing.T) {
 	var keys [DDR3KeyCount][]byte
-	if _, err := DescrambleDDR3(make([]byte, 1024), keys); err == nil {
+	if _, err := DescrambleDDR3(context.Background(), make([]byte, 1024), keys); err == nil {
 		t.Error("nil keys accepted")
 	}
 	for i := range keys {
 		keys[i] = make([]byte, 64)
 	}
-	if _, err := DescrambleDDR3(make([]byte, 100), keys); err == nil {
+	if _, err := DescrambleDDR3(context.Background(), make([]byte, 100), keys); err == nil {
 		t.Error("unaligned dump accepted")
 	}
 }
 
 func TestUniversalRebootKeyErrors(t *testing.T) {
-	if _, err := UniversalRebootKey(nil); err == nil {
+	if _, err := UniversalRebootKey(context.Background(), nil); err == nil {
 		t.Error("empty dump accepted")
 	}
 }
@@ -139,7 +140,7 @@ func BenchmarkDDR3FrequencyAttack(b *testing.B) {
 	b.SetBytes(int64(len(dump)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineDDR3Keys(dump); err != nil {
+		if _, err := MineDDR3Keys(context.Background(), dump); err != nil {
 			b.Fatal(err)
 		}
 	}

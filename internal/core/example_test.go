@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"coldboot/internal/aes"
@@ -24,7 +25,7 @@ func ExampleAttack() {
 	dump := make([]byte, len(plain))
 	s.Scramble(dump, plain, 0)
 
-	res, err := core.Attack(dump, core.Config{})
+	res, err := core.Attack(context.Background(), dump, core.Config{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -15,15 +15,15 @@ import (
 // The native AES-schedule hunt (anchored litmus + verify/repair/refine
 // over the attack's key directory) stays inside this package and answers
 // to the name FormatAESXTS; every other format plugs in as a
-// format.BlockProber probed over each freshly descrambled block in the
+// format.Scanner probed over each freshly descrambled block in the
 // same single pass. "luks2" is a hybrid: its header recognition is a
 // prober, while its VMK keys come from the native AES hunt — two ADJACENT
 // schedules (dm-crypt's XTS data+tweak pair) get re-tagged as luks2 and
 // stamped with the sighted header's UUID at assemble time.
 
 // FormatAESXTS names the built-in AES key-schedule hunt (the
-// VeraCrypt/TrueCrypt XTS posture). It exists even with an empty format
-// registry.
+// VeraCrypt/TrueCrypt XTS posture). It is never registered: the name
+// exists even with an empty format registry.
 const FormatAESXTS = "aesxts"
 
 // FormatLUKS2 names the LUKS2 VMK format; the core only knows it to apply
@@ -54,9 +54,9 @@ type resolvedFormats struct {
 	luks2 bool
 	// enabled is the set of formats whose keys survive the final filter.
 	enabled map[string]bool
-	// probers are the registered block probers to run per descrambled
-	// block, in name order.
-	probers []format.BlockProber
+	// probers are the registered scanners to run per descrambled block,
+	// in name order.
+	probers []format.Scanner
 	// names is the sorted enabled-format list (for per-format counters).
 	names []string
 }
@@ -85,8 +85,8 @@ func resolveFormats(names []string) (resolvedFormats, error) {
 			rf.aes = true
 			rf.luks2 = true
 		}
-		if p, ok := s.(format.BlockProber); ok {
-			rf.probers = append(rf.probers, p)
+		if registered {
+			rf.probers = append(rf.probers, s)
 		}
 	}
 	sort.Strings(rf.names)

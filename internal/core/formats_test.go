@@ -9,7 +9,6 @@ import (
 
 	"coldboot/internal/aes"
 	"coldboot/internal/chacha"
-	"coldboot/internal/format"
 	_ "coldboot/internal/format/all" // register every built-in scanner
 	"coldboot/internal/format/luks2"
 	"coldboot/internal/scramble"
@@ -57,7 +56,7 @@ func TestRegistryAESOnlyParity(t *testing.T) {
 			dump, cfg := sc.build(t)
 			restricted := cfg
 			restricted.Formats = []string{FormatAESXTS}
-			got, err := AttackContext(context.Background(), dump, restricted)
+			got, err := Attack(context.Background(), dump, restricted)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,37 +81,6 @@ func TestRegistryAESOnlyParity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAESXTSScannerMatchesKeyfind: the whole-image aesxts scanner is the
-// extracted keyfind scan — identical offsets, masters and distances.
-func TestAESXTSScannerMatchesKeyfind(t *testing.T) {
-	image := make([]byte, 256<<10)
-	if err := workload.Fill(image, 77, workload.LightSystem); err != nil {
-		t.Fatal(err)
-	}
-	master := testMaster(770, 32)
-	sched := aes.ExpandKeyBytes(master)
-	copy(image[100*BlockBytes+16:], sched)
-
-	s, ok := format.Get(FormatAESXTS)
-	if !ok {
-		t.Fatal("aesxts not registered")
-	}
-	got, err := s.ScanContext(context.Background(), image, format.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("findings: got %d, want 1 (%+v)", len(got), got)
-	}
-	f := got[0]
-	if f.Offset != 100*BlockBytes+16 || !bytes.Equal(f.Key, master) || f.Format != FormatAESXTS {
-		t.Fatalf("finding mismatch: %+v", f)
-	}
-	if v := s.Verify(image, f); v < 0.999 {
-		t.Fatalf("Verify = %f, want ~1.0", v)
 	}
 }
 
@@ -184,7 +152,7 @@ func TestAttackMultiFormatSinglePass(t *testing.T) {
 	// those two targets model intact page-cache/state pages).
 	decayBits(dump, 903, len(dump)*8/5000)
 
-	res, err := Attack(dump, Config{RepairFlips: 1})
+	res, err := Attack(context.Background(), dump, Config{RepairFlips: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +231,7 @@ func TestAttackFormatFilter(t *testing.T) {
 	ck := testMaster(9204, 32)
 	dump := buildMultiFormatDump(t, 2<<20, 92, vera, ld, lt, ck)
 
-	res, err := Attack(dump, Config{Formats: []string{"chacha20"}})
+	res, err := Attack(context.Background(), dump, Config{Formats: []string{"chacha20"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +239,7 @@ func TestAttackFormatFilter(t *testing.T) {
 		t.Fatalf("chacha20-only keys: %+v", res.Keys)
 	}
 
-	res, err = Attack(dump, Config{Formats: []string{FormatLUKS2}})
+	res, err = Attack(context.Background(), dump, Config{Formats: []string{FormatLUKS2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +256,7 @@ func TestAttackFormatFilter(t *testing.T) {
 // TestResolveFormats: unknown names fail fast; KnownFormats covers the
 // registry plus the built-in hunt.
 func TestResolveFormats(t *testing.T) {
-	if _, err := Attack(make([]byte, 64), Config{Formats: []string{"nope"}}); err == nil {
+	if _, err := Attack(context.Background(), make([]byte, 64), Config{Formats: []string{"nope"}}); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 	known := map[string]bool{}

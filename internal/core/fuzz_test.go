@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"coldboot/internal/aes"
@@ -53,7 +54,7 @@ func FuzzMineKeys(f *testing.F) {
 		if len(dump) == 0 {
 			return
 		}
-		res, err := MineKeys(dump, MineOptions{})
+		res, err := MineKeys(context.Background(), dump, MineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

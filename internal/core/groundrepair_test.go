@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"coldboot/internal/aes"
@@ -76,7 +77,7 @@ func TestGroundRepairDirect(t *testing.T) {
 	// it is detected), and repair the head... rather: anchor at the head
 	// block itself with flips in non-prediction-feeding words, then repair.
 	dump, groundDump, master, tableStart := buildGroundScenario(t, 2)
-	mine, err := MineKeys(dump, MineOptions{})
+	mine, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestGroundRepairDirect(t *testing.T) {
 
 func TestGroundRepairViaAttack(t *testing.T) {
 	dump, groundDump, master, _ := buildGroundScenario(t, 2)
-	res, err := Attack(dump, Config{GroundDump: groundDump})
+	res, err := Attack(context.Background(), dump, Config{GroundDump: groundDump})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestGroundRepairViaAttack(t *testing.T) {
 
 func TestGroundDumpLengthValidated(t *testing.T) {
 	dump := make([]byte, 1024)
-	if _, err := Attack(dump, Config{GroundDump: make([]byte, 64)}); err == nil {
+	if _, err := Attack(context.Background(), dump, Config{GroundDump: make([]byte, 64)}); err == nil {
 		t.Error("mismatched ground dump accepted")
 	}
 }

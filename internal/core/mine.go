@@ -64,14 +64,11 @@ type MineResult struct {
 // and aggregates the sightings into distinct keys. Repeated sightings of
 // the same (possibly decayed) key are merged by bitwise majority vote,
 // which is the paper's "filter out modest bit flips with minimal effort".
-func MineKeys(dump []byte, opt MineOptions) (*MineResult, error) {
-	return MineKeysContext(context.Background(), dump, opt)
-}
-
-// MineKeysContext is MineKeys with cancellation: the block scan checks ctx
-// every mineCancelInterval blocks. A cancelled mine returns the result
-// aggregated from the blocks scanned so far together with ctx.Err().
-func MineKeysContext(ctx context.Context, dump []byte, opt MineOptions) (*MineResult, error) {
+//
+// The block scan checks ctx every mineCancelInterval blocks. A cancelled
+// mine returns the result aggregated from the blocks scanned so far
+// together with ctx.Err().
+func MineKeys(ctx context.Context, dump []byte, opt MineOptions) (*MineResult, error) {
 	if len(dump)%BlockBytes != 0 {
 		return nil, fmt.Errorf("core: dump length %d not block aligned", len(dump))
 	}
@@ -83,8 +80,8 @@ func MineKeysContext(ctx context.Context, dump []byte, opt MineOptions) (*MineRe
 const mineCancelInterval = 1024
 
 // MineKeysSource is the streaming miner: it reads the image window by
-// window from src, so multi-GB dumps mine in constant memory. MineKeys and
-// MineKeysContext are thin wrappers over an in-memory source.
+// window from src, so multi-GB dumps mine in constant memory. MineKeys is
+// a thin wrapper over an in-memory source.
 func MineKeysSource(ctx context.Context, src BlockSource, opt MineOptions) (*MineResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil dump source")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func buildScrambledDump(t testing.TB, size int, seed int64, p workload.Profile) 
 
 func TestMineKeysFindsTrueKeys(t *testing.T) {
 	dump, plain, s := buildScrambledDump(t, 2<<20, 1, workload.LightSystem)
-	res, err := MineKeys(dump, MineOptions{})
+	res, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestMineKeysUnder16MB(t *testing.T) {
 	// At simulation scale: a 4 MB loaded-system dump must cover (nearly)
 	// every one of the 4096 address classes.
 	dump, _, _ := buildScrambledDump(t, 4<<20, 2, workload.LoadedSystem)
-	res, err := MineKeys(dump, MineOptions{MaxBytes: 4 << 20})
+	res, err := MineKeys(context.Background(), dump, MineOptions{MaxBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMineKeysUnder16MB(t *testing.T) {
 
 func TestMineStrideInference(t *testing.T) {
 	dump, _, _ := buildScrambledDump(t, 1<<20, 3, workload.LightSystem)
-	res, err := MineKeys(dump, MineOptions{})
+	res, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestMineStrideInference(t *testing.T) {
 
 func TestMineKeysByResidue(t *testing.T) {
 	dump, plain, s := buildScrambledDump(t, 1<<20, 4, workload.LightSystem)
-	res, _ := MineKeys(dump, MineOptions{})
+	res, _ := MineKeys(context.Background(), dump, MineOptions{})
 	stride := res.InferStride()
 	byRes := res.KeysByResidue(stride)
 	// For every residue with a zero block, the residue's key list must
@@ -147,7 +148,7 @@ func TestMineMajorityVoteRepairsDecay(t *testing.T) {
 		rng.Read(noise)
 		copy(dump[b*BlockBytes:], noise)
 	}
-	res, err := MineKeys(dump, MineOptions{})
+	res, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +169,8 @@ func TestMineMajorityVoteRepairsDecay(t *testing.T) {
 
 func TestMineMinCountFilters(t *testing.T) {
 	dump, _, _ := buildScrambledDump(t, 2<<20, 6, workload.LightSystem)
-	all, _ := MineKeys(dump, MineOptions{MinCount: 1})
-	frequent, _ := MineKeys(dump, MineOptions{MinCount: 4})
+	all, _ := MineKeys(context.Background(), dump, MineOptions{MinCount: 1})
+	frequent, _ := MineKeys(context.Background(), dump, MineOptions{MinCount: 4})
 	if len(frequent.Keys) >= len(all.Keys) {
 		t.Errorf("MinCount filter did not reduce keys: %d vs %d", len(frequent.Keys), len(all.Keys))
 	}
@@ -182,14 +183,14 @@ func TestMineMinCountFilters(t *testing.T) {
 
 func TestMineMaxBytesLimitsScan(t *testing.T) {
 	dump, _, _ := buildScrambledDump(t, 1<<20, 7, workload.LightSystem)
-	res, _ := MineKeys(dump, MineOptions{MaxBytes: 256 << 10})
+	res, _ := MineKeys(context.Background(), dump, MineOptions{MaxBytes: 256 << 10})
 	if res.BlocksScanned != (256<<10)/BlockBytes {
 		t.Errorf("scanned %d blocks, want %d", res.BlocksScanned, (256<<10)/BlockBytes)
 	}
 }
 
 func TestMineRejectsUnalignedDump(t *testing.T) {
-	if _, err := MineKeys(make([]byte, 100), MineOptions{}); err == nil {
+	if _, err := MineKeys(context.Background(), make([]byte, 100), MineOptions{}); err == nil {
 		t.Error("expected error for unaligned dump")
 	}
 }
@@ -198,7 +199,7 @@ func TestMineOnHostileWorkload(t *testing.T) {
 	// Almost no zeros: mining finds few keys, coverage is poor — the
 	// honest failure mode.
 	dump, _, _ := buildScrambledDump(t, 1<<20, 8, workload.HostileSystem)
-	res, _ := MineKeys(dump, MineOptions{})
+	res, _ := MineKeys(context.Background(), dump, MineOptions{})
 	stride := res.InferStride()
 	if stride != 0 {
 		if cov := res.Coverage(stride); cov > 0.5 {
@@ -209,7 +210,7 @@ func TestMineOnHostileWorkload(t *testing.T) {
 
 func TestMineKeysSortedByCount(t *testing.T) {
 	dump, _, _ := buildScrambledDump(t, 1<<20, 9, workload.LightSystem)
-	res, _ := MineKeys(dump, MineOptions{})
+	res, _ := MineKeys(context.Background(), dump, MineOptions{})
 	for i := 1; i < len(res.Keys); i++ {
 		if res.Keys[i].Count > res.Keys[i-1].Count {
 			t.Fatal("keys not sorted by count descending")
@@ -233,7 +234,7 @@ func BenchmarkMineKeys1MB(b *testing.B) {
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineKeys(dump, MineOptions{}); err != nil {
+		if _, err := MineKeys(context.Background(), dump, MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,7 +252,7 @@ func BenchmarkMineKeysDecayed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineKeys(dump, MineOptions{}); err != nil {
+		if _, err := MineKeys(context.Background(), dump, MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ func TestMineKeysParity(t *testing.T) {
 			if tc.decay > 0 {
 				decayBits(dump, tc.seed+1000, tc.decay)
 			}
-			got, err := MineKeys(dump, tc.opt)
+			got, err := MineKeys(context.Background(), dump, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestMineKeysParityPrefixTies(t *testing.T) {
 			}
 		}
 	}
-	got, err := MineKeys(dump, opt)
+	got, err := MineKeys(context.Background(), dump, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestVerifyRepairParity(t *testing.T) {
 		t.Skip("serial differential oracle: nothing for the race detector, and the reference search is too slow under it")
 	}
 	dump, groundDump, master, tableStart := buildGroundScenario(t, 2)
-	mine, err := MineKeys(dump, MineOptions{})
+	mine, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestAttackPipelineParity(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			dump, cfg := sc.build(t)
-			got, err := AttackContext(context.Background(), dump, cfg)
+			got, err := Attack(context.Background(), dump, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,6 @@ type huntCancelTracer struct {
 	total    int64
 }
 
-func (h *huntCancelTracer) StageStart(string) obs.StageTimer       { return obs.Nop.StageStart("") }
 func (h *huntCancelTracer) StartSpan(string, ...obs.Attr) obs.Span { return obs.Nop.StartSpan("") }
 func (h *huntCancelTracer) Count(string, int64)                    {}
 func (h *huntCancelTracer) Observe(string, int64)                  {}
@@ -49,7 +48,7 @@ func TestAttackMidScanCancellation(t *testing.T) {
 	defer cancel()
 	tr := &huntCancelTracer{cancel: cancel}
 
-	res, err := AttackContext(ctx, dump, Config{Workers: 1, Tracer: tr})
+	res, err := Attack(ctx, dump, Config{Workers: 1, Tracer: tr})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -173,7 +172,7 @@ func (s sliceReaderAt) ReadAt(p []byte, off int64) (int, error) {
 func TestAttackStagesTraced(t *testing.T) {
 	dump := buildAttackDump(t, 1<<20, 44, workload.LightSystem, testMaster(404, 32), 4096*64)
 	col := obs.NewCollector()
-	if _, err := Attack(dump, Config{Tracer: col}); err != nil {
+	if _, err := Attack(context.Background(), dump, Config{Tracer: col}); err != nil {
 		t.Fatal(err)
 	}
 	rep := col.Report()
@@ -219,7 +218,7 @@ func TestAttackStagesTraced(t *testing.T) {
 func TestAttackSpanTree(t *testing.T) {
 	dump := buildAttackDump(t, 1<<20, 44, workload.LightSystem, testMaster(404, 32), 4096*64)
 	col := obs.NewCollector()
-	if _, err := AttackContext(context.Background(), dump, Config{Tracer: col, Workers: 2}); err != nil {
+	if _, err := Attack(context.Background(), dump, Config{Tracer: col, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	spans := col.Spans()

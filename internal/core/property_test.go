@@ -4,6 +4,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,7 +111,7 @@ func TestPropertyMasterRecoveryComposition(t *testing.T) {
 // the invariant space when sightings are genuine).
 func TestPropertyMinedKeysSatisfyLitmus(t *testing.T) {
 	dump, _, _ := buildScrambledDump(t, 512<<10, 77, workloadLight())
-	res, err := MineKeys(dump, MineOptions{})
+	res, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestPropertyMinedKeysSatisfyLitmus(t *testing.T) {
 // TestPropertyVerifyScoreBounds: VerifySchedule is always within [0, 1].
 func TestPropertyVerifyScoreBounds(t *testing.T) {
 	dump, _, _ := buildScrambledDump(t, 256<<10, 78, workloadLight())
-	mine, _ := MineKeys(dump, MineOptions{})
+	mine, _ := MineKeys(context.Background(), dump, MineOptions{})
 	dir := AllKeysDirectory(mine)
 	f := func(master [32]byte, start uint16) bool {
 		s := VerifySchedule(dump, dir, master[:], int(start), aes.AES256)

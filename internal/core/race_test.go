@@ -49,7 +49,7 @@ func TestAttackWorkerPoolRace(t *testing.T) {
 	master := testMaster(777, 32)
 	const tableStart = 64*4096 + 128
 	dump := buildAttackDump(t, 1<<20, 9, workload.LightSystem, master, tableStart)
-	ref, err := Attack(dump, Config{Workers: 1})
+	ref, err := Attack(context.Background(), dump, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAttackWorkerPoolRace(t *testing.T) {
 		wg.Add(1)
 		go func(workers int) {
 			defer wg.Done()
-			res, err := Attack(dump, Config{Workers: workers})
+			res, err := Attack(context.Background(), dump, Config{Workers: workers})
 			if err != nil {
 				t.Error(err)
 				return
@@ -92,7 +92,7 @@ func TestCampaignParallelShardRace(t *testing.T) {
 	master := testMaster(778, 32)
 	const tableStart = 2*4096*64 + 640
 	dump := buildAttackDump(t, 2<<20, 10, workload.LightSystem, master, tableStart)
-	direct, err := Attack(dump, Config{})
+	direct, err := Attack(context.Background(), dump, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

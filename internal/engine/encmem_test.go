@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"coldboot/internal/aes"
@@ -110,7 +111,7 @@ func TestColdBootAttackFailsAgainstEncryptedMemory(t *testing.T) {
 	dump := make([]byte, len(plain))
 	s.Scramble(dump, plain, 0)
 
-	res, err := core.Attack(dump, core.Config{})
+	res, err := core.Attack(context.Background(), dump, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@
 package all
 
 import (
-	_ "coldboot/internal/format/aesxts"
 	_ "coldboot/internal/format/chacha20"
 	_ "coldboot/internal/format/luks2"
 )

@@ -15,7 +15,6 @@
 package chacha20
 
 import (
-	"context"
 	"encoding/binary"
 	"math/bits"
 
@@ -47,12 +46,6 @@ func (Scanner) Name() string { return Name }
 
 // Width returns the candidate width in bytes (the 64-byte state).
 func (Scanner) Width() int { return StateBytes }
-
-// ScanContext scans an unscrambled image for ChaCha states using the
-// shared chunked block driver.
-func (s Scanner) ScanContext(ctx context.Context, image []byte, cfg format.Config) ([]format.Finding, error) {
-	return format.ScanBlocks(ctx, s, image, cfg)
-}
 
 // ProbeBlock probes one descrambled 64-byte block for state starts at
 // every word alignment. tolerance <= 0 selects DefaultTolerance. The
@@ -101,18 +94,4 @@ func tryState(block []byte, o, absOff int, view format.View, tol int, emit func(
 		Score:    1 - float64(d)/128,
 		Distance: d,
 	})
-}
-
-// Verify re-scores a finding by re-measuring the sigma-word distance at
-// f.Offset in the (unscrambled) image.
-func (Scanner) Verify(image []byte, f format.Finding) float64 {
-	if f.Offset < 0 || f.Offset+StateBytes > len(image) {
-		return 0
-	}
-	st := image[f.Offset:]
-	d := 0
-	for i := 0; i < 4; i++ {
-		d += bits.OnesCount32(binary.LittleEndian.Uint32(st[4*i:]) ^ sigma[i])
-	}
-	return 1 - float64(d)/128
 }

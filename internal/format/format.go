@@ -1,39 +1,22 @@
 // Package format defines the pluggable target-format subsystem: the
-// Scanner interface every key-material detector implements, the registry
-// the pipeline resolves format names against, and the shared chunked
-// block-scan driver.
+// Scanner interface every key-material detector implements and the
+// registry the pipeline resolves format names against.
 //
 // The paper's attack methodology (Section IV) is format-agnostic —
 // descramble, then hunt for key material in the plaintext — so the hunt
 // machinery in internal/core and the daemon in internal/service carry no
-// knowledge of any particular target. Each format (the VeraCrypt/XTS AES
-// schedule hunt, LUKS2 volume-key detection, raw ChaCha20 states, ...)
-// lives in its own subpackage, registers itself by name, and is selected
-// per attack through core.Config.Formats / coldbootd's ?formats=.
+// knowledge of any particular target. Each format (LUKS2 volume-header
+// detection, raw ChaCha20 states, ...) lives in its own subpackage,
+// registers itself by name, and is selected per attack through
+// core.Config.Formats / coldbootd's ?formats=. The AES key-schedule hunt
+// ("aesxts") is built into internal/core: it needs the attack's key
+// directory and pooled scratch, so it has no scanner here.
 //
-// Two capability levels exist:
-//
-//   - Scanner: a whole-image scan over UNSCRAMBLED memory (the prior-art
-//     Halderman posture). ScanContext is chunked, cancellable and traced.
-//
-//   - BlockProber (optional, extends Scanner): a per-block hunt the core
-//     attack drives over each freshly descrambled 64-byte block, sharing
-//     the descramble work of the single pass across every enabled format.
-//     Reads beyond the block go through the attack's View.
+// A Scanner is a per-block hunt: the core attack drives it over each
+// freshly descrambled 64-byte block, sharing the descramble work of the
+// single pass across every enabled format. Reads beyond the block go
+// through the attack's View.
 package format
-
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"coldboot/internal/obs"
-)
-
-// BlockBytes is the scrambler block size probers operate on — one 64-byte
-// DRAM burst, the same granularity as core.BlockBytes.
-const BlockBytes = 64
 
 // Finding is one located key-material candidate (or, for volume-header
 // formats, one recognized volume sighting with a nil Key).
@@ -64,140 +47,27 @@ type Volume struct {
 	KeyBits int    `json:"key_bits,omitempty"`
 }
 
-// Config tunes a whole-image scan.
-type Config struct {
-	// Tolerance is the scanner's bit-flip budget (0 = the scanner's
-	// default).
-	Tolerance int
-	// Workers is the scan parallelism (0 = one per CPU).
-	Workers int
-	// Tracer observes the scan: per-chunk latency under
-	// "format.<name>.chunk_ns" and progress under "format.<name>". Nil
-	// means no tracing.
-	Tracer obs.Tracer
-}
-
-// Scanner is one target format's whole-image detector over unscrambled
-// memory.
+// Scanner is one target format's per-block detector. The core attack
+// calls ProbeBlock once per freshly descrambled 64-byte block so every
+// enabled format shares a single descramble pass.
 type Scanner interface {
-	// Name is the registered format name ("aesxts", "luks2", "chacha20").
+	// Name is the registered format name ("luks2", "chacha20").
 	Name() string
 	// Width is the candidate width in bytes: how many image bytes one
 	// finding spans (used for overlap/alias suppression).
 	Width() int
-	// ScanContext scans an unscrambled image, honouring ctx at chunk
-	// granularity. Findings are returned in ascending offset order.
-	ScanContext(ctx context.Context, image []byte, cfg Config) ([]Finding, error)
-	// Verify re-scores a finding against the image (the litmus hook):
-	// 1.0 is a perfect match, values near 0.5 mean chance.
-	Verify(image []byte, f Finding) float64
+	// ProbeBlock probes one descrambled block. block is never retained,
+	// absOff is its byte offset in the image, and view reaches
+	// neighbouring descrambled bytes for candidates whose tail crosses the
+	// block boundary. Hits are delivered through emit; implementations
+	// must not allocate on the no-hit path (the pooled-scratch contract).
+	ProbeBlock(block []byte, absOff int, view View, tolerance int, emit func(Finding))
 }
 
 // View is random access to descrambled image bytes beyond the block a
-// prober was handed. ReadDescrambled fills buf with the descrambled bytes
+// scanner was handed. ReadDescrambled fills buf with the descrambled bytes
 // at off, returning false when the range is outside the image or no
 // scrambler key is known for a touched block.
 type View interface {
 	ReadDescrambled(off int, buf []byte) bool
-}
-
-// BlockProber extends Scanner with a per-block hunt: the core attack calls
-// ProbeBlock once per freshly descrambled 64-byte block so every enabled
-// format shares a single descramble pass. block is the descrambled block
-// (never retained), absOff its byte offset in the image, and view reaches
-// neighbouring descrambled bytes for candidates whose tail crosses the
-// block boundary. Hits are delivered through emit; implementations must
-// not allocate on the no-hit path (the pooled-scratch contract).
-type BlockProber interface {
-	Scanner
-	ProbeBlock(block []byte, absOff int, view View, tolerance int, emit func(Finding))
-}
-
-// IdentityView adapts an unscrambled image as a View (the descrambled
-// bytes ARE the image bytes).
-type IdentityView []byte
-
-// ReadDescrambled copies image bytes at off into buf.
-func (v IdentityView) ReadDescrambled(off int, buf []byte) bool {
-	if off < 0 || off+len(buf) > len(v) {
-		return false
-	}
-	copy(buf, v[off:])
-	return true
-}
-
-// minChunkBlocks is the smallest per-worker chunk worth dispatching.
-const minChunkBlocks = 1024
-
-// ScanBlocks is the shared chunked scan driver behind the prober-backed
-// scanners' ScanContext: it walks an unscrambled image one 64-byte block
-// at a time, fanning contiguous chunks out over a worker pool, probing
-// each block with p, and merging per-chunk findings back in offset order.
-// Each worker polls ctx between chunks and records per-chunk latency into
-// "format.<name>.chunk_ns" plus progress under "format.<name>".
-func ScanBlocks(ctx context.Context, p BlockProber, image []byte, cfg Config) ([]Finding, error) {
-	tr := obs.OrNop(cfg.Tracer)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	nBlocks := len(image) / BlockBytes
-	if nBlocks == 0 {
-		return nil, ctx.Err()
-	}
-	chunkLen := nBlocks / (workers * 4)
-	if chunkLen < minChunkBlocks {
-		chunkLen = minChunkBlocks
-	}
-	nChunks := (nBlocks + chunkLen - 1) / chunkLen
-	if workers > nChunks {
-		workers = nChunks
-	}
-	histName := "format." + p.Name() + ".chunk_ns"
-	progName := "format." + p.Name()
-
-	results := make([][]Finding, nChunks)
-	jobs := make(chan int)
-	var doneBlocks atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			view := IdentityView(image)
-			var chunk []Finding
-			emit := func(f Finding) { chunk = append(chunk, f) }
-			for c := range jobs {
-				if ctx.Err() != nil {
-					continue // drain the queue without scanning
-				}
-				lo := c * chunkLen
-				hi := lo + chunkLen
-				if hi > nBlocks {
-					hi = nBlocks
-				}
-				chunk = nil
-				start := obs.Now()
-				for b := lo; b < hi; b++ {
-					p.ProbeBlock(image[b*BlockBytes:(b+1)*BlockBytes], b*BlockBytes, view, cfg.Tolerance, emit)
-				}
-				tr.Observe(histName, obs.Since(start))
-				tr.Progress(progName, doneBlocks.Add(int64(hi-lo)), int64(nBlocks))
-				results[c] = chunk
-			}
-		}()
-	}
-	for c := 0; c < nChunks; c++ {
-		jobs <- c
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []Finding
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out, nil
 }

@@ -9,13 +9,8 @@
 package luks2
 
 import (
-	"context"
-	"math/bits"
-	"sort"
-
 	"coldboot/internal/aes"
 	"coldboot/internal/format"
-	"coldboot/internal/keyfind"
 )
 
 // Name is the registered format name.
@@ -26,10 +21,10 @@ const Name = "luks2"
 const probeJSONBytes = 4 << 10
 
 // Scanner locates LUKS2 VMKs (adjacent AES-XTS schedule pairs) and LUKS2
-// headers. It implements format.BlockProber for the header-recognition
-// half; the schedule hunt over scrambled dumps rides the core attack's
-// native AES hunt, which the core tags as "luks2" when it pairs up next
-// to a sighted header.
+// headers. Its ProbeBlock is the header-recognition half; the schedule
+// hunt over scrambled dumps rides the core attack's native AES hunt,
+// which the core tags as "luks2" when it pairs up next to a sighted
+// header.
 type Scanner struct{}
 
 func init() { format.Register(Scanner{}) }
@@ -76,84 +71,4 @@ func tryHeader(absOff int, view format.View, emit func(format.Finding)) {
 		return
 	}
 	emit(format.Finding{Format: Name, Offset: absOff, Score: 1, Volume: h.UUID})
-}
-
-// ScanContext scans an unscrambled image: header recognition through the
-// shared block driver, plus an AES-256 schedule scan whose ADJACENT pairs
-// (second schedule exactly ScheduleBytes after the first — the dm-crypt
-// XTS layout) become VMK findings tagged with the sighted header's UUID.
-// Lone schedules are not emitted; they are the aesxts scanner's business.
-func (s Scanner) ScanContext(ctx context.Context, image []byte, cfg format.Config) ([]format.Finding, error) {
-	out, err := format.ScanBlocks(ctx, s, image, cfg)
-	if err != nil {
-		return nil, err
-	}
-	uuid := ""
-	if len(out) > 0 {
-		uuid = out[0].Volume
-	}
-	v := aes.AES256
-	fs, err := keyfind.ScanTraced(ctx, image, v, cfg.Tolerance, cfg.Workers, cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	schedBytes := v.ScheduleBytes()
-	tailBits := 8 * (schedBytes - v.KeyBytes())
-	at := make(map[int]int, len(fs))
-	for i, f := range fs {
-		at[f.Offset] = i
-	}
-	emitted := make(map[int]bool)
-	for i, f := range fs {
-		j, ok := at[f.Offset+schedBytes]
-		if !ok {
-			continue
-		}
-		for _, k := range []int{i, j} {
-			if emitted[k] {
-				continue
-			}
-			emitted[k] = true
-			g := fs[k]
-			out = append(out, format.Finding{
-				Format:   Name,
-				Offset:   g.Offset,
-				Key:      g.Master,
-				Distance: g.Distance,
-				Score:    1 - float64(g.Distance)/float64(tailBits),
-				Volume:   uuid,
-			})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Offset < out[b].Offset })
-	return out, nil
-}
-
-// Verify re-scores a finding: header sightings (nil Key) re-parse the
-// header at the offset, key findings re-expand the master and measure the
-// schedule match fraction.
-func (Scanner) Verify(image []byte, f format.Finding) float64 {
-	if f.Key == nil {
-		if f.Offset < 0 || f.Offset+BinHeaderBytes > len(image) {
-			return 0
-		}
-		if _, err := ParseHeader(image[f.Offset:]); err != nil {
-			return 0
-		}
-		return 1
-	}
-	v := aes.AES256
-	if len(f.Key) != v.KeyBytes() {
-		return 0
-	}
-	schedBytes := v.ScheduleBytes()
-	if f.Offset < 0 || f.Offset+schedBytes > len(image) {
-		return 0
-	}
-	sched := aes.ExpandKeyBytes(f.Key)
-	d := 0
-	for i := 0; i < schedBytes; i++ {
-		d += bits.OnesCount8(sched[i] ^ image[f.Offset+i])
-	}
-	return 1 - float64(d)/float64(8*schedBytes)
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // The registry maps format names to their Scanner implementations. Leaf
-// packages (format/aesxts, format/chacha20, format/luks2) self-register in
-// their init functions; importing coldboot/internal/format/all pulls in
-// every built-in. The pipeline layers (core, service, cmds) resolve names
+// packages (format/chacha20, format/luks2) self-register in their init
+// functions; importing coldboot/internal/format/all pulls in every
+// built-in. The pipeline layers (core, service, cmds) resolve names
 // against this registry only — they never import a leaf directly, so a
-// binary's format set is exactly its import set.
+// binary's format set is exactly its import set (plus core's built-in
+// "aesxts" hunt, which needs no registration).
 
 var (
 	regMu  sync.RWMutex

@@ -39,55 +39,23 @@ const DefaultTolerance = 16
 const minChunkBytes = 64 << 10
 
 // Scan searches image for in-memory AES key schedules of the given variant,
-// fanning the offset range out over one worker per CPU. Every byte offset
-// is tried, as in the original tool: real schedules are at least word
-// aligned, but memory images can have arbitrary framing.
+// fanning the offset range out over workers goroutines (0 or negative
+// selects runtime.NumCPU()). Every byte offset is tried, as in the original
+// tool: real schedules are at least word aligned, but memory images can
+// have arbitrary framing.
 //
-// Findings are returned in ascending offset order, exactly as the serial
-// scan produces them (see ScanParallel).
-func Scan(image []byte, v aes.Variant, tolerance int) []Finding {
-	out, _ := ScanContext(context.Background(), image, v, tolerance, 0)
-	return out
-}
-
-// ScanContext is Scan with cancellation: each worker polls ctx between
-// chunks (chunks are at most a few hundred microseconds of scanning). A
-// cancelled scan returns nil findings together with ctx.Err().
-func ScanContext(ctx context.Context, image []byte, v aes.Variant, tolerance, workers int) ([]Finding, error) {
-	return scanParallelCtx(ctx, image, v, tolerance, workers, obs.Nop)
-}
-
-// ScanTraced is ScanContext with telemetry: each completed chunk records
-// its scan latency into the "keyfind.chunk_ns" histogram and advances the
-// "keyfind" progress (in candidate offsets) on tr. The Nop tracer makes it
-// identical to ScanContext.
-func ScanTraced(ctx context.Context, image []byte, v aes.Variant, tolerance, workers int, tr obs.Tracer) ([]Finding, error) {
-	return scanParallelCtx(ctx, image, v, tolerance, workers, obs.OrNop(tr))
-}
-
-// ScanSerial is the single-threaded scan: one worker, no goroutines. It is
-// the ordering/content reference for ScanParallel.
-//
-//lint:ignore ctxthread serial parity reference for the tests; cancellable scans go through ScanContext
-func ScanSerial(image []byte, v aes.Variant, tolerance int) []Finding {
-	if tolerance <= 0 {
-		tolerance = DefaultTolerance
-	}
-	return scanRange(image, v, tolerance, 0, len(image))
-}
-
-// ScanParallel scans with an explicit worker count (0 or negative selects
-// runtime.NumCPU()). The image is cut into contiguous offset chunks, each
-// chunk is scanned independently, and the per-chunk findings — already in
-// ascending offset order — are concatenated in chunk order, so the merged
-// output is deterministic and byte-identical to ScanSerial's regardless of
-// worker count or scheduling.
-func ScanParallel(image []byte, v aes.Variant, tolerance int, workers int) []Finding {
-	out, _ := scanParallelCtx(context.Background(), image, v, tolerance, workers, obs.Nop)
-	return out
-}
-
-func scanParallelCtx(ctx context.Context, image []byte, v aes.Variant, tolerance, workers int, tr obs.Tracer) ([]Finding, error) {
+// The image is cut into contiguous offset chunks, each chunk is scanned
+// independently, and the per-chunk findings — already in ascending offset
+// order — are concatenated in chunk order, so the output is deterministic
+// and byte-identical to a serial left-to-right scan regardless of worker
+// count or scheduling. Each worker polls ctx between chunks (chunks are at
+// most a few hundred microseconds of scanning); a cancelled scan returns
+// nil findings together with ctx.Err(). Each completed chunk records its
+// scan latency into the "keyfind.chunk_ns" histogram and advances the
+// "keyfind" progress (in candidate offsets) on tr; a nil tr means no
+// tracing.
+func Scan(ctx context.Context, image []byte, v aes.Variant, tolerance, workers int, tr obs.Tracer) ([]Finding, error) {
+	tr = obs.OrNop(tr)
 	if tolerance <= 0 {
 		tolerance = DefaultTolerance
 	}

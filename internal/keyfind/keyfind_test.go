@@ -2,6 +2,7 @@ package keyfind
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,11 +22,21 @@ func imageWithKey(t testing.TB, size int, seed int64, v aes.Variant, off int) ([
 	return img, key
 }
 
+// mustScan runs Scan with no tracer and fails t on error.
+func mustScan(t testing.TB, img []byte, v aes.Variant, tolerance, workers int) []Finding {
+	t.Helper()
+	out, err := Scan(context.Background(), img, v, tolerance, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestScanFindsPlantedKeys(t *testing.T) {
 	for _, v := range []aes.Variant{aes.AES128, aes.AES192, aes.AES256} {
 		const off = 123457 // deliberately unaligned
 		img, key := imageWithKey(t, 1<<20, 7, v, off)
-		finds := Scan(img, v, 0)
+		finds := mustScan(t, img, v, 0, 0)
 		if len(finds) != 1 {
 			t.Fatalf("%v: %d findings, want 1", v, len(finds))
 		}
@@ -41,7 +52,7 @@ func TestScanToleratesDecay(t *testing.T) {
 	// Flip a couple of bits in the schedule TAIL (not the master bytes).
 	img[off+100] ^= 0x01
 	img[off+200] ^= 0x80
-	finds := Scan(img, aes.AES256, DefaultTolerance)
+	finds := mustScan(t, img, aes.AES256, DefaultTolerance, 0)
 	if len(finds) != 1 || !bytes.Equal(finds[0].Master, key) {
 		t.Fatalf("decayed schedule not found: %+v", finds)
 	}
@@ -55,7 +66,7 @@ func TestScanNoFalsePositives(t *testing.T) {
 	if err := workload.Fill(img, 9, workload.LoadedSystem); err != nil {
 		t.Fatal(err)
 	}
-	if finds := Scan(img, aes.AES256, DefaultTolerance); len(finds) != 0 {
+	if finds := mustScan(t, img, aes.AES256, DefaultTolerance, 0); len(finds) != 0 {
 		t.Errorf("%d phantom keys found", len(finds))
 	}
 }
@@ -69,7 +80,7 @@ func TestScanMultipleKeys(t *testing.T) {
 	rand.New(rand.NewSource(2)).Read(k2)
 	copy(img[1000:], aes.ExpandKeyBytes(k1))
 	copy(img[200000:], aes.ExpandKeyBytes(k2))
-	finds := Scan(img, aes.AES256, 0)
+	finds := mustScan(t, img, aes.AES256, 0, 0)
 	if len(finds) != 2 {
 		t.Fatalf("%d findings, want 2", len(finds))
 	}
@@ -88,7 +99,7 @@ func TestScanAdjacentXTSSchedules(t *testing.T) {
 	rand.New(rand.NewSource(4)).Read(k2)
 	copy(img[5000:], aes.ExpandKeyBytes(k1))
 	copy(img[5240:], aes.ExpandKeyBytes(k2))
-	finds := Scan(img, aes.AES256, 0)
+	finds := mustScan(t, img, aes.AES256, 0, 0)
 	if len(finds) != 2 {
 		t.Fatalf("%d findings, want 2", len(finds))
 	}
@@ -102,7 +113,7 @@ func TestScanFailsOnScrambledImage(t *testing.T) {
 	for i := range img {
 		img[i] ^= byte(0xA5 ^ (i >> 6)) // per-block-varying mask
 	}
-	if finds := Scan(img, aes.AES256, DefaultTolerance); len(finds) != 0 {
+	if finds := mustScan(t, img, aes.AES256, DefaultTolerance, 0); len(finds) != 0 {
 		t.Errorf("scan found %d keys in scrambled image", len(finds))
 	}
 }
@@ -112,6 +123,6 @@ func BenchmarkScan1MB(b *testing.B) {
 	b.SetBytes(int64(len(img)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Scan(img, aes.AES256, DefaultTolerance)
+		mustScan(b, img, aes.AES256, DefaultTolerance, 0)
 	}
 }

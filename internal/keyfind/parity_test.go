@@ -2,6 +2,7 @@ package keyfind
 
 import (
 	"bytes"
+	"context"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -12,8 +13,8 @@ import (
 )
 
 // seedScan is a verbatim copy of the pre-optimization serial scan (byte
-// loads per offset, no worker pool). It is the ground truth both the
-// rolling-word serial scan and the parallel scan must reproduce exactly.
+// loads per offset, no worker pool). It is the ground truth Scan must
+// reproduce exactly at every worker count.
 func seedScan(image []byte, v aes.Variant, tolerance int) []Finding {
 	if tolerance <= 0 {
 		tolerance = DefaultTolerance
@@ -70,10 +71,10 @@ func sameFindings(a, b []Finding) bool {
 	return true
 }
 
-// TestScanParityWithSeedImplementation proves the optimized serial scan and
-// the parallel scan both return exactly the seed implementation's findings,
-// in the same order, across variants, key placements (including chunk
-// boundaries), tolerances, and worker counts.
+// TestScanParityWithSeedImplementation proves Scan returns exactly the seed
+// implementation's findings, in the same order, across variants, key
+// placements (including chunk boundaries), tolerances, and worker counts
+// (workers=1 is the serial path, 0 the per-CPU default).
 func TestScanParityWithSeedImplementation(t *testing.T) {
 	const size = 1 << 19
 	img := make([]byte, size)
@@ -102,17 +103,11 @@ func TestScanParityWithSeedImplementation(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("%v: seed scan found nothing; test is vacuous", v)
 			}
-			if got := ScanSerial(img, v, tolerance); !sameFindings(got, want) {
-				t.Errorf("%v tol=%d: ScanSerial diverged from seed scan", v, tolerance)
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				if got := ScanParallel(img, v, tolerance, workers); !sameFindings(got, want) {
-					t.Errorf("%v tol=%d workers=%d: ScanParallel diverged from seed scan",
+			for _, workers := range []int{0, 1, 2, 3, 8} {
+				if got := mustScan(t, img, v, tolerance, workers); !sameFindings(got, want) {
+					t.Errorf("%v tol=%d workers=%d: Scan diverged from seed scan",
 						v, tolerance, workers)
 				}
-			}
-			if got := Scan(img, v, tolerance); !sameFindings(got, want) {
-				t.Errorf("%v tol=%d: Scan diverged from seed scan", v, tolerance)
 			}
 		}
 	}
@@ -127,23 +122,25 @@ func TestScanParityTinyImages(t *testing.T) {
 		img := make([]byte, size)
 		rng.Read(img)
 		want := seedScan(img, v, 0)
-		if got := ScanParallel(img, v, 0, 4); !sameFindings(got, want) {
-			t.Errorf("size %d: parity broken", size)
+		for _, workers := range []int{1, 4} {
+			if got := mustScan(t, img, v, 0, workers); !sameFindings(got, want) {
+				t.Errorf("size %d workers=%d: parity broken", size, workers)
+			}
 		}
 	}
 	// An image that IS a schedule should be found at offset 0.
 	key := make([]byte, v.KeyBytes())
 	rng.Read(key)
 	img := aes.ExpandKeyBytes(key)
-	finds := ScanParallel(img, v, 0, 4)
+	finds := mustScan(t, img, v, 0, 4)
 	if len(finds) != 1 || finds[0].Offset != 0 {
 		t.Fatalf("exact-schedule image: %+v", finds)
 	}
 }
 
-// TestScanParallelRace hammers the worker pool: many concurrent ScanParallel
-// calls over a shared image, each with multiple workers. Run under -race by
-// the Makefile's race gate.
+// TestScanParallelRace hammers the worker pool: many concurrent Scan calls
+// over a shared image, each with multiple workers. Run under -race by the
+// Makefile's race gate.
 func TestScanParallelRace(t *testing.T) {
 	img := make([]byte, 1<<19)
 	if err := workload.Fill(img, 24, workload.LoadedSystem); err != nil {
@@ -152,15 +149,16 @@ func TestScanParallelRace(t *testing.T) {
 	key := make([]byte, 32)
 	rand.New(rand.NewSource(25)).Read(key)
 	copy(img[300000:], aes.ExpandKeyBytes(key))
-	want := ScanSerial(img, aes.AES256, 0)
+	want := mustScan(t, img, aes.AES256, 0, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(workers int) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				if got := ScanParallel(img, aes.AES256, 0, workers); !sameFindings(got, want) {
-					t.Errorf("workers=%d rep=%d: findings diverged", workers, rep)
+				got, err := Scan(context.Background(), img, aes.AES256, 0, workers, nil)
+				if err != nil || !sameFindings(got, want) {
+					t.Errorf("workers=%d rep=%d: findings diverged (err %v)", workers, rep, err)
 				}
 			}
 		}(i%4 + 1)

@@ -6,7 +6,7 @@ import (
 )
 
 // allocloopRule guards the zero-alloc hot loops: inside a dump-block loop
-// in the scan packages (keyfind.Scan*'s scanRange, core's hunt workers and
+// in the scan packages (keyfind.Scan's scanRange, core's hunt workers and
 // verification walks), a make() or an append onto a fresh composite literal
 // allocates once per block — millions of times per gigabyte — where the
 // pooled and stack buffers PR 1 introduced must be reused instead.
@@ -31,9 +31,8 @@ func (allocloopRule) Doc() string {
 // per-block hot path. The daemon layers (jobs, service) are included: any
 // dump-block loop that grows there (result post-processing, upload
 // validation) is on the serving hot path just as much as the scan itself.
-// The format subsystem's block drivers and probers are included: ProbeBlock
-// implementations promise an allocation-free no-hit path, and ScanBlocks
-// walks whole images block by block. The distribution layers (wal, fleet)
+// The format subsystem's scanners are included: ProbeBlock
+// implementations promise an allocation-free no-hit path. The distribution layers (wal, fleet)
 // are included: the coordinator and workers sit between the scheduler and
 // the scan kernels, so a per-block allocation there taxes every shard of
 // every campaign.
@@ -45,7 +44,6 @@ var allocloopPackages = map[string]bool{
 	"internal/wal":             true,
 	"internal/fleet":           true,
 	"internal/format":          true,
-	"internal/format/aesxts":   true,
 	"internal/format/chacha20": true,
 	"internal/format/luks2":    true,
 }

@@ -10,13 +10,9 @@ import (
 // in the attack-pipeline packages whose call graph reaches a loop over dump
 // blocks must accept a context.Context, and a function that was handed a
 // context must not manufacture its own with context.Background() or
-// context.TODO().
-//
-// The one sanctioned exception is the documented compat-wrapper ("bridge")
-// shape — a body of at most two statements whose only call delegates to a
-// context-taking sibling with context.Background() as the first argument
-// (e.g. Attack -> AttackContext). Anything else needs an explicit
-// //lint:ignore with a reason.
+// context.TODO(). There is no compat-wrapper exemption: an exported
+// function without a context that merely forwards context.Background() to a
+// context-taking sibling is a finding like any other.
 type ctxthreadRule struct{}
 
 func (ctxthreadRule) ID() string { return "ctxthread" }
@@ -29,8 +25,8 @@ func (ctxthreadRule) Doc() string {
 // APIs. internal/service is included for its handler-rooted paths: an HTTP
 // handler that reaches a dump-block loop must scan under the request's
 // context (r.Context()), not a manufactured one.
-// The format subsystem is included: ScanContext drives whole-image block
-// scans, so an exported scan entry point there must be cancellable too.
+// The format subsystem is included so that an exported whole-image scan
+// entry point added there must be cancellable too.
 // The fleet is included: Coordinator.Run and Worker.Run drive whole
 // campaigns across machines and must stay cancellable end to end.
 var ctxthreadPackages = map[string]bool{
@@ -40,7 +36,6 @@ var ctxthreadPackages = map[string]bool{
 	"internal/service":         true,
 	"internal/fleet":           true,
 	"internal/format":          true,
-	"internal/format/aesxts":   true,
 	"internal/format/chacha20": true,
 	"internal/format/luks2":    true,
 }
@@ -74,9 +69,6 @@ func (r ctxthreadRule) Check(m *Module, p *Package) []Finding {
 							Msg:  fn.Name() + " handles an *http.Request whose r.Context() carries cancellation, but manufactures context.Background()/TODO() for a dump-block scan",
 						})
 					}
-					continue
-				}
-				if isContextBridge(info, fd) {
 					continue
 				}
 				out = append(out, Finding{
@@ -145,50 +137,6 @@ func hasRequestParam(fn *types.Func) bool {
 	return false
 }
 
-// isContextBridge recognizes the sanctioned compat-wrapper shape: at most
-// two body statements, delegating to a function whose first parameter is a
-// context.Context with context.Background() passed for it.
-func isContextBridge(info *types.Info, fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) > 2 {
-		return false
-	}
-	bridged := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		calleeSig := calleeSignature(info, call)
-		if calleeSig == nil || calleeSig.Params().Len() == 0 || !isContextType(calleeSig.Params().At(0).Type()) {
-			return true
-		}
-		if argCall, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
-			if fn := staticCallee(info, argCall); fn != nil && fn.Pkg() != nil &&
-				fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO") {
-				bridged = true
-				return false
-			}
-		}
-		return true
-	})
-	return bridged
-}
-
-func calleeSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
-	if fn := staticCallee(info, call); fn != nil {
-		if sig, ok := fn.Type().(*types.Signature); ok {
-			return sig
-		}
-	}
-	// Function-typed variables and fields.
-	if tv, ok := info.Types[call.Fun]; ok && tv.Type != nil {
-		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			return sig
-		}
-	}
-	return nil
-}
-
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -201,9 +149,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// callsBackgroundContext finds a context.Background()/TODO() call in body,
-// excluding those blessed by the bridge shape (the caller checks that
-// separately).
+// callsBackgroundContext finds a context.Background()/TODO() call in body.
 func callsBackgroundContext(info *types.Info, body *ast.BlockStmt) (pos token.Pos, found bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {

@@ -32,7 +32,6 @@ var hotxorPackages = map[string]bool{
 	"internal/chacha":          true,
 	"internal/dram":            true,
 	"internal/format":          true,
-	"internal/format/aesxts":   true,
 	"internal/format/chacha20": true,
 	"internal/format/luks2":    true,
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // noprintRule keeps the library packages silent and clock-free: PR 2 routed
-// all pipeline instrumentation through internal/obs (tracers, stage timers,
+// all pipeline instrumentation through internal/obs (tracers, spans,
 // counters), so internal/* packages must not print to the process's streams
 // (fmt.Print*) or log (log.*), and must not read the wall clock (time.Now)
 // — timing is the tracer's job, and hidden clock reads make the simulation

@@ -25,9 +25,10 @@ func ScanAllContext(ctx context.Context, dump []byte) (int, error) {
 	return total, nil
 }
 
-// ScanCompat is the sanctioned compat bridge — delegates to the Context
-// sibling with context.Background() as the first argument. Not a finding.
-func ScanCompat(dump []byte) int {
+// ScanCompat is a compat bridge — it delegates to the Context sibling with
+// context.Background() as the first argument. Bridges get no exemption:
+// the context-free twin is itself the finding.
+func ScanCompat(dump []byte) int { // want ctxthread
 	out, _ := ScanAllContext(context.Background(), dump)
 	return out
 }

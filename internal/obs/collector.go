@@ -123,10 +123,6 @@ func (c *Collector) touch(now int64) {
 	}
 }
 
-func (c *Collector) StageStart(name string) StageTimer {
-	return c.startSpan(name, 0, 0, nil)
-}
-
 func (c *Collector) StartSpan(name string, attrs ...Attr) Span {
 	return c.startSpan(name, 0, 0, attrs)
 }

@@ -162,8 +162,6 @@ func (j *Journal) LastSeq() uint64 {
 
 // Journal implements Tracer by recording each hook as an Event.
 
-func (j *Journal) StageStart(name string) StageTimer { return j.span(name, 0, nil) }
-
 func (j *Journal) StartSpan(name string, attrs ...Attr) Span { return j.span(name, 0, attrs) }
 
 func (j *Journal) span(name string, parent uint64, attrs []Attr) *journalSpan {

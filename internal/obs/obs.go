@@ -1,13 +1,14 @@
 // Package obs provides the attack pipeline's lightweight observability
-// hooks: hierarchical spans, named stage timers, monotonic counters,
-// progress reports, and latency histograms. The zero-cost default is the
-// Nop tracer, so instrumented code never branches on "is tracing on?"; a
-// Collector aggregates events into a JSON report and a span tree (what
-// `coldboot -trace out.json` and `-trace-chrome out.json` write), a
-// Journal keeps a bounded ring of recent events for live streaming, and
-// Funcs adapts ad-hoc callbacks (what `-progress` uses).
+// hooks: hierarchical spans (a pipeline stage is a span), monotonic
+// counters, progress reports, and latency histograms. The zero-cost
+// default is the Nop tracer, so instrumented code never branches on "is
+// tracing on?"; a Collector aggregates events into a JSON report and a
+// span tree (what `coldboot -trace out.json` and `-trace-chrome
+// out.json` write), a Journal keeps a bounded ring of recent events for
+// live streaming, and Funcs adapts ad-hoc callbacks (what `-progress`
+// uses).
 //
-// The package deliberately knows nothing about the attack: span, stage,
+// The package deliberately knows nothing about the attack: span,
 // counter, and histogram names are plain strings chosen by the
 // instrumented code, so the same hooks can observe future pipelines
 // (sharded serving, remote campaigns) without changing this API.
@@ -19,15 +20,12 @@ import "time"
 // concurrent use: the hunt stage calls Count, Progress, and Observe from
 // every worker goroutine.
 type Tracer interface {
-	// StageStart marks entry into a named stage; call End on the returned
-	// timer when the stage finishes. Stages may nest and repeat (a campaign
-	// runs the hunt stage once per shard). It is the attribute-free,
-	// parentless form of StartSpan, kept for light call sites.
-	StageStart(name string) StageTimer
 	// StartSpan opens a root span: a named, attributed slice of wall time.
 	// Child spans hang off the returned Span, forming the causal tree a
 	// Collector exports as a Chrome trace. Attrs annotate the span with
 	// string key/value pairs (shard index, offset range, decay level).
+	// Pipeline stages are spans; names may nest and repeat (a campaign
+	// runs the hunt stage once per shard).
 	StartSpan(name string, attrs ...Attr) Span
 	// Count adds delta to the named monotonic counter.
 	Count(name string, delta int64)
@@ -40,13 +38,11 @@ type Tracer interface {
 	Observe(name string, value int64)
 }
 
-// StageTimer ends the stage it was started for.
-type StageTimer interface{ End() }
-
 // Span is one node of a trace tree: end it exactly once, attach string
-// attributes, and open children under it. Every Span is also a StageTimer.
+// attributes, and open children under it.
 type Span interface {
-	StageTimer
+	// End closes the span.
+	End()
 	// SetAttr attaches (or overwrites) a string attribute.
 	SetAttr(key, value string)
 	// Child opens a sub-span parented under this one.
@@ -68,15 +64,12 @@ func A(key, value string) Attr { return Attr{Key: key, Value: value} }
 var Nop Tracer = nopTracer{}
 
 type nopTracer struct{}
-type nopTimer struct{}
 type nopSpan struct{}
 
-func (nopTracer) StageStart(string) StageTimer   { return nopTimer{} }
 func (nopTracer) StartSpan(string, ...Attr) Span { return nopSpan{} }
 func (nopTracer) Count(string, int64)            {}
 func (nopTracer) Progress(string, int64, int64)  {}
 func (nopTracer) Observe(string, int64)          {}
-func (nopTimer) End()                            {}
 func (nopSpan) End()                             {}
 func (nopSpan) SetAttr(string, string)           {}
 func (nopSpan) Child(string, ...Attr) Span       { return nopSpan{} }
@@ -110,17 +103,7 @@ func Multi(tracers ...Tracer) Tracer {
 
 type multiTracer []Tracer
 
-type multiTimer []StageTimer
-
 type multiSpan []Span
-
-func (m multiTracer) StageStart(name string) StageTimer {
-	timers := make(multiTimer, len(m))
-	for i, t := range m {
-		timers[i] = t.StageStart(name)
-	}
-	return timers
-}
 
 func (m multiTracer) StartSpan(name string, attrs ...Attr) Span {
 	spans := make(multiSpan, len(m))
@@ -145,12 +128,6 @@ func (m multiTracer) Progress(stage string, done, total int64) {
 func (m multiTracer) Observe(name string, value int64) {
 	for _, t := range m {
 		t.Observe(name, value)
-	}
-}
-
-func (m multiTimer) End() {
-	for _, t := range m {
-		t.End()
 	}
 }
 
@@ -187,16 +164,6 @@ type Funcs struct {
 	OnObserve    func(name string, value int64)
 }
 
-func (f *Funcs) StageStart(name string) StageTimer {
-	if f.OnStageStart != nil {
-		f.OnStageStart(name)
-	}
-	if f.OnStageEnd == nil {
-		return nopTimer{}
-	}
-	return &funcTimer{f: f, name: name, start: time.Now()}
-}
-
 func (f *Funcs) StartSpan(name string, attrs ...Attr) Span {
 	if f.OnStageStart == nil && f.OnStageEnd == nil {
 		return nopSpan{}
@@ -224,14 +191,6 @@ func (f *Funcs) Observe(name string, value int64) {
 		f.OnObserve(name, value)
 	}
 }
-
-type funcTimer struct {
-	f     *Funcs
-	name  string
-	start time.Time
-}
-
-func (t *funcTimer) End() { t.f.OnStageEnd(t.name, time.Since(t.start)) }
 
 type funcSpan struct {
 	f     *Funcs

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNopIsSafe(t *testing.T) {
-	Nop.StageStart("x").End()
+	Nop.StartSpan("x").End()
 	Nop.Count("c", 1)
 	Nop.Progress("x", 1, 2)
 	if OrNop(nil) != Nop {
@@ -24,11 +24,11 @@ func TestNopIsSafe(t *testing.T) {
 func TestCollectorAggregates(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 3; i++ {
-		timer := c.StageStart("hunt")
+		timer := c.StartSpan("hunt")
 		time.Sleep(time.Millisecond)
 		timer.End()
 	}
-	c.StageStart("mine").End()
+	c.StartSpan("mine").End()
 	c.Count("pairs", 5)
 	c.Count("pairs", 7)
 	c.Progress("hunt", 10, 100)
@@ -57,7 +57,7 @@ func TestCollectorAggregates(t *testing.T) {
 
 func TestCollectorJSON(t *testing.T) {
 	c := NewCollector()
-	c.StageStart("mine").End()
+	c.StartSpan("mine").End()
 	c.Count("keys", 2)
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {
@@ -80,7 +80,7 @@ func TestCollectorConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				timer := c.StageStart("hunt")
+				timer := c.StartSpan("hunt")
 				c.Count("n", 1)
 				c.Progress("hunt", int64(i), 100)
 				timer.End()
@@ -107,7 +107,7 @@ func TestFuncsAndMulti(t *testing.T) {
 	}
 	c := NewCollector()
 	m := Multi(f, nil, Nop, c)
-	timer := m.StageStart("mine")
+	timer := m.StartSpan("mine")
 	m.Count("pairs", 3)
 	timer.End()
 	if len(started) != 1 || started[0] != "mine" || len(ended) != 1 {
@@ -126,7 +126,7 @@ func TestFuncsAndMulti(t *testing.T) {
 
 func TestFuncsNilFieldsAreNops(t *testing.T) {
 	f := &Funcs{}
-	f.StageStart("x").End()
+	f.StartSpan("x").End()
 	f.Count("c", 1)
 	f.Progress("x", 1, 2)
 }

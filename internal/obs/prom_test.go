@@ -153,7 +153,7 @@ func splitLabels(s string) []string {
 
 func TestWritePrometheusFullReportIsValid(t *testing.T) {
 	c := NewCollector()
-	c.StageStart(`mine "quoted\"`).End()
+	c.StartSpan(`mine "quoted\"`).End()
 	c.Count("hunt.pairs", 7)
 	c.Progress("campaign", 3, 8)
 	c.Observe("jobs.run_ns", 5_000_000)

@@ -23,7 +23,7 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			stage := []string{"mine", "hunt", "assemble"}[g%3]
 			for i := 0; i < iters; i++ {
-				timer := c.StageStart(stage)
+				timer := c.StartSpan(stage)
 				c.Count("pairs", 3)
 				c.Count("candidates", 1)
 				c.Progress("campaign", int64(g*iters+i), int64(goroutines*iters))
@@ -82,7 +82,7 @@ func TestMultiConcurrentHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				timer := m.StageStart("hunt")
+				timer := m.StartSpan("hunt")
 				m.Count("blocks", 2)
 				m.Progress("hunt", int64(i), iters)
 				timer.End()
@@ -103,7 +103,7 @@ func TestMultiConcurrentHammer(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	c := NewCollector()
-	timer := c.StageStart("campaign.mine")
+	timer := c.StartSpan("campaign.mine")
 	time.Sleep(time.Millisecond)
 	timer.End()
 	c.Count("hunt.pairs", 42)

@@ -2,6 +2,7 @@ package coldboot
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // dumped in a second scrambled Skylake machine, yields the XTS master keys
 // and unlocks the volume without the password.
 func TestHeadlineAttack(t *testing.T) {
-	out, err := Run(Scenario{Seed: 1})
+	out, err := Run(context.Background(), Scenario{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestHeadlineAttack(t *testing.T) {
 
 func TestSameMachineRebootAttack(t *testing.T) {
 	// §III-B: certain motherboards allow rebooting into the dump directly.
-	out, err := Run(Scenario{Seed: 2, SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 2, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSameMachineRebootAttack(t *testing.T) {
 
 func TestAttackOnI5_6400(t *testing.T) {
 	// The other Skylake system from Table I.
-	out, err := Run(Scenario{Seed: 3, CPU: "i5-6400", SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 3, CPU: "i5-6400", SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestAttackOnI5_6400(t *testing.T) {
 }
 
 func TestDualChannelAttack(t *testing.T) {
-	out, err := Run(Scenario{Seed: 4, Channels: 2, SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 4, Channels: 2, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestColdTransferWithDecayAttack(t *testing.T) {
 	// with a fast (sub-second) DIMM swap. Decay is measurable and the
 	// repair machinery is exercised. (Success at these conditions is
 	// stochastic at ~92% across seeds; this seed is deterministic.)
-	out, err := Run(Scenario{Seed: 4, FreezeTempC: -25, TransferTime: 500 * time.Millisecond, RepairFlips: 1})
+	out, err := Run(context.Background(), Scenario{Seed: 4, FreezeTempC: -25, TransferTime: 500 * time.Millisecond, RepairFlips: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestDecaySuccessEnvelope(t *testing.T) {
 	// (-25C, 2s transfer) key mining still covers most address classes,
 	// but no anchor window survives intact enough to yield exact master
 	// keys — the attack's honest failure boundary.
-	out, err := Run(Scenario{Seed: 5, FreezeTempC: -25, TransferTime: 2 * time.Second, RepairFlips: 1})
+	out, err := Run(context.Background(), Scenario{Seed: 5, FreezeTempC: -25, TransferTime: 2 * time.Second, RepairFlips: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestWarmTransferDestroysData(t *testing.T) {
 	// No freeze: at room temperature the bits rot during a slow transfer
 	// and the attack collapses — the reason the paper's Figure 2 freeze
 	// step exists.
-	out, err := Run(Scenario{Seed: 6, FreezeTempC: 20, TransferTime: 10 * time.Second})
+	out, err := Run(context.Background(), Scenario{Seed: 6, FreezeTempC: 20, TransferTime: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestEncryptedMemoryDefeatsAttack(t *testing.T) {
 	// Section IV's defense: the same attack against ChaCha8- or
 	// AES-CTR-encrypted memory recovers nothing.
 	for _, prot := range []MemoryProtection{EncryptedChaCha8, EncryptedAES128} {
-		out, err := Run(Scenario{Seed: 7, Protection: prot, SameMachineReboot: true})
+		out, err := Run(context.Background(), Scenario{Seed: 7, Protection: prot, SameMachineReboot: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestCrossGenerationAttackFails(t *testing.T) {
 	// The paper's attack model: "the attacker must use a CPU that is the
 	// same generation as the one being attacked" — a SandyBridge dumping
 	// machine maps addresses differently and the attack falls apart.
-	out, err := Run(Scenario{Seed: 9, AttackerCPU: "i5-2540M"})
+	out, err := Run(context.Background(), Scenario{Seed: 9, AttackerCPU: "i5-2540M"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestUnmountDefeatsAttack(t *testing.T) {
 	}
 	m.Boot() // reseed + dump
 	dump, _ := m.Dump()
-	keys, err := AttackDump(dump, 0)
+	keys, err := AttackDump(context.Background(), dump, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +250,16 @@ func TestUnmountDefeatsAttack(t *testing.T) {
 }
 
 func TestScenarioUnknownCPU(t *testing.T) {
-	if _, err := Run(Scenario{CPU: "i11-9999"}); err == nil {
+	if _, err := Run(context.Background(), Scenario{CPU: "i11-9999"}); err == nil {
 		t.Error("unknown CPU accepted")
 	}
-	if _, err := Run(Scenario{AttackerCPU: "i11-9999"}); err == nil {
+	if _, err := Run(context.Background(), Scenario{AttackerCPU: "i11-9999"}); err == nil {
 		t.Error("unknown attacker CPU accepted")
 	}
 }
 
 func TestOutcomeGroundTruthMatches(t *testing.T) {
-	out, err := Run(Scenario{Seed: 12, SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 12, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestOutcomeGroundTruthMatches(t *testing.T) {
 func TestDDR3BaselineAttack(t *testing.T) {
 	// The prior-art DDR3 attack end to end on a SandyBridge machine:
 	// 16-key frequency analysis, full descramble, Halderman scan, unlock.
-	out, err := Run(Scenario{Seed: 20, CPU: "i5-2540M", SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 20, CPU: "i5-2540M", SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestDDR3BaselineAttack(t *testing.T) {
 }
 
 func TestDDR3AttackWithDIMMTransfer(t *testing.T) {
-	out, err := Run(Scenario{Seed: 21, CPU: "i5-2430M", FreezeTempC: -50, TransferTime: time.Second})
+	out, err := Run(context.Background(), Scenario{Seed: 21, CPU: "i5-2430M", FreezeTempC: -50, TransferTime: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestDDR3AttackWithDIMMTransfer(t *testing.T) {
 
 func TestIvyBridgeAttack(t *testing.T) {
 	// The third Table I generation.
-	out, err := Run(Scenario{Seed: 22, CPU: "i7-3540M", SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 22, CPU: "i7-3540M", SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestSeedReuseBIOSTrivialAttack(t *testing.T) {
 	// §III-B observation 2: some vendor BIOSes reuse the scrambler seed.
 	// A reboot then reads the old memory back descrambled, and the classic
 	// Halderman scan recovers the keys with no scrambler analysis at all.
-	out, err := Run(Scenario{Seed: 30, SeedReuseBIOS: true, SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 30, SeedReuseBIOS: true, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestNVDIMMNeedsNoFreezing(t *testing.T) {
 	// §III-D/V: non-volatile DIMMs keep their contents across power loss
 	// with NO cooling — a warm ten-minute transfer loses nothing and the
 	// attack proceeds as if the machine never lost power.
-	out, err := Run(Scenario{Seed: 31, NVDIMM: true, FreezeTempC: 20, TransferTime: 10 * time.Minute})
+	out, err := Run(context.Background(), Scenario{Seed: 31, NVDIMM: true, FreezeTempC: 20, TransferTime: 10 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestNVDIMMNeedsNoFreezing(t *testing.T) {
 func TestNVDIMMPlusEncryptionIsSafe(t *testing.T) {
 	// The paper's closing argument: NVDIMMs make encryption "even more
 	// crucial" — and it works there too.
-	out, err := Run(Scenario{Seed: 32, NVDIMM: true, Protection: EncryptedChaCha8,
+	out, err := Run(context.Background(), Scenario{Seed: 32, NVDIMM: true, Protection: EncryptedChaCha8,
 		FreezeTempC: 20, TransferTime: 10 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +360,7 @@ func TestNVDIMMPlusEncryptionIsSafe(t *testing.T) {
 func TestCPURegisterKeysDefeatAttack(t *testing.T) {
 	// §II-B: TRESOR/Loop-Amnesia keep keys out of DRAM entirely; a cold
 	// boot dump contains nothing to find.
-	out, err := Run(Scenario{Seed: 33, KeysInCPURegisters: true, SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 33, KeysInCPURegisters: true, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestCPURegisterKeysDefeatAttack(t *testing.T) {
 func TestScramblerOffHaldermanScanWins(t *testing.T) {
 	// With scrambling disabled the raw-dump Halderman scan recovers the
 	// keys directly (the pre-DDR3 world of the 2008 paper).
-	out, err := Run(Scenario{Seed: 34, Protection: ScramblerOff, SameMachineReboot: true})
+	out, err := Run(context.Background(), Scenario{Seed: 34, Protection: ScramblerOff, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestCaptureAnalyzeSeparation(t *testing.T) {
 	if len(dump) != 2<<20 {
 		t.Errorf("dump size %d", len(dump))
 	}
-	keys, err := AttackDump(dump, 0)
+	keys, err := AttackDump(context.Background(), dump, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestColdBootDefeatsHiddenVolumeDeniability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := AttackDump(dump, 0)
+	keys, err := AttackDump(context.Background(), dump, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestGroundProfileExtendsDecayEnvelope(t *testing.T) {
 	// blind attack is marginal (see the probe data in EXPERIMENTS.md);
 	// with the ground-state profile the asymmetric-decay repair gets the
 	// same seed through.
-	out, err := Run(Scenario{Seed: 1, FreezeTempC: -25, TransferTime: time.Second,
+	out, err := Run(context.Background(), Scenario{Seed: 1, FreezeTempC: -25, TransferTime: time.Second,
 		RepairFlips: 1, GroundProfile: true})
 	if err != nil {
 		t.Fatal(err)
