@@ -31,10 +31,11 @@
 //	GET    /healthz             liveness
 //
 // Tracing: -trace-chrome FILE writes the process's span timeline as Chrome
-// Trace Event JSON on exit (any role). On a coordinator that timeline
-// includes the span trees workers shipped with their shard completions —
-// one named track per worker, clock-corrected onto the coordinator's
-// timebase. Workers additionally take -metrics-addr to expose their local
+// Trace Event JSON on exit (any role). On a standalone or coordinator
+// daemon that is every job it still retains, each on its own track; on a
+// coordinator it includes the span trees workers shipped with their shard
+// completions — one named track per worker, clock-corrected onto the
+// coordinator's timebase. Workers additionally take -metrics-addr to expose their local
 // pipeline histograms and span-drop counters on a separate listener.
 //
 // -pprof-addr mounts net/http/pprof on a second, separate listener so the
@@ -155,7 +156,7 @@ func runWorker(o daemonOpts) error {
 	}
 	if o.traceChrome != "" {
 		defer func() {
-			if err := writeChromeTrace(col, o.traceChrome); err != nil {
+			if err := writeChromeTrace(col.Spans(), o.traceChrome); err != nil {
 				log.Printf("writing -trace-chrome: %v", err)
 			}
 		}()
@@ -185,7 +186,7 @@ func run(o daemonOpts) error {
 	}
 	if o.traceChrome != "" {
 		defer func() {
-			if err := writeChromeTrace(svc.Collector(), o.traceChrome); err != nil {
+			if err := writeChromeTrace(svc.Spans(), o.traceChrome); err != nil {
 				log.Printf("writing -trace-chrome: %v", err)
 			}
 		}()
@@ -295,14 +296,14 @@ func serveWorkerMetrics(addr string, col *obs.Collector) (func(), error) {
 	return func() { srv.Close() }, nil
 }
 
-// writeChromeTrace dumps a collector's completed spans as Chrome Trace
-// Event JSON, loadable in Perfetto or chrome://tracing.
-func writeChromeTrace(col *obs.Collector, path string) error {
+// writeChromeTrace dumps completed spans as Chrome Trace Event JSON,
+// loadable in Perfetto or chrome://tracing.
+func writeChromeTrace(spans []obs.SpanRecord, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = col.WriteChromeTrace(f)
+	err = obs.WriteChromeTraceSpans(f, spans)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -48,20 +48,14 @@ type ShardResult struct {
 	Pairs   int64
 }
 
-// Progress is delivered to the campaign's observer after each shard.
-type Progress struct {
-	DoneShards, TotalShards int
-	DoneBlocks, TotalBlocks int
-	KeysFound               int
-}
-
 // CampaignConfig tunes a sharded attack.
 type CampaignConfig struct {
 	// Attack is the per-shard attack configuration (Workers applies within
 	// each shard; shards themselves run Parallel at a time). Attack.Tracer
 	// also observes the campaign: the global mining pass runs under the
 	// "campaign.mine" stage, per-shard pipelines aggregate under the usual
-	// stage names, and the final dedup under "campaign.merge".
+	// stage names, and the final dedup under "campaign.merge". The
+	// "campaign" progress counts the dump's blocks whose shard finished.
 	Attack Config
 	// ShardBlocks is the shard size in 64-byte blocks (default 65536,
 	// i.e. 4 MiB shards).
@@ -72,8 +66,6 @@ type CampaignConfig struct {
 	// Parallel so the two levels together target one goroutine per CPU
 	// instead of multiplying into NumCPU².
 	Parallel int
-	// OnProgress, if non-nil, is called after each shard completes.
-	OnProgress func(Progress)
 	// TraceID, when non-empty, names the campaign's distributed trace
 	// instead of letting the plan mint one — callers that already minted
 	// an ID (the analysis service, which surfaces it on the job record)
@@ -151,7 +143,6 @@ func RunCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig)
 		return plan.Result(), err
 	}
 	cfg = plan.cfg
-	totalBlocks := plan.TotalBlocks
 
 	// Shard buffers are pooled per in-flight worker; memory-resident
 	// sources lend subslices instead (no copy at all).
@@ -165,8 +156,6 @@ func RunCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig)
 
 	var (
 		mu        sync.Mutex
-		done      int
-		doneBlk   int
 		pairs     int64
 		collected []FoundKey
 		colVols   []format.Volume
@@ -211,24 +200,8 @@ shardLoop:
 			collected = append(collected, sr.Keys...)
 			colVols = append(colVols, sr.Volumes...)
 			pairs += sr.Pairs
-			done++
-			// Count only the blocks this shard owns: the overlap tail
-			// belongs to the next shard, which counts it itself.
-			owned := totalBlocks - sh.FirstBlock
-			if sh.Index+1 < len(plan.Shards) {
-				owned = plan.Shards[sh.Index+1].FirstBlock - sh.FirstBlock
-			}
-			doneBlk += owned
-			if cfg.OnProgress != nil {
-				cfg.OnProgress(Progress{
-					DoneShards: done, TotalShards: len(plan.Shards),
-					DoneBlocks: doneBlk, TotalBlocks: totalBlocks,
-					KeysFound: len(collected),
-				})
-			}
-			blk := doneBlk
 			mu.Unlock()
-			plan.tracer.Progress("campaign", int64(blk), int64(totalBlocks))
+			plan.ShardDone(sh.Index)
 		}(sh)
 	}
 	wg.Wait()

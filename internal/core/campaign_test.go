@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"coldboot/internal/aes"
+	"coldboot/internal/obs"
 	"coldboot/internal/scramble"
 	"coldboot/internal/workload"
 )
@@ -47,18 +49,24 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progressCalls int
-	var last Progress
+	var (
+		mu    sync.Mutex
+		ticks []int64
+	)
 	camp, err := RunCampaign(context.Background(), dump, CampaignConfig{
 		ShardBlocks: 4096, // 256 KiB shards: the table straddles boundaries
 		Parallel:    4,
-		OnProgress: func(p Progress) {
-			progressCalls++
-			if p.TotalBlocks != len(dump)/64 || p.DoneBlocks > p.TotalBlocks || p.DoneBlocks <= last.DoneBlocks {
-				t.Errorf("bad progress %+v after %+v", p, last)
+		Attack: Config{Tracer: &obs.Funcs{OnProgress: func(stage string, done, total int64) {
+			if stage != "campaign" {
+				return
 			}
-			last = p
-		},
+			if total != int64(len(dump)/64) {
+				t.Errorf("campaign progress total %d, want %d", total, len(dump)/64)
+			}
+			mu.Lock()
+			ticks = append(ticks, done)
+			mu.Unlock()
+		}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,13 +80,18 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 	if camp.Keys[0].TableStart != tableStart {
 		t.Errorf("campaign table start %d, want %d", camp.Keys[0].TableStart, tableStart)
 	}
-	if progressCalls == 0 {
-		t.Error("no progress reported")
+	// Overlap blocks are scanned twice but owned once: progress climbs
+	// strictly and the final report lands exactly on the total.
+	if len(ticks) < 2 {
+		t.Fatalf("campaign progress ticked %d times, want one per shard", len(ticks))
 	}
-	// Overlap blocks are scanned twice but owned once: the final report
-	// lands exactly on the total.
-	if last.DoneBlocks != last.TotalBlocks || last.DoneShards != last.TotalShards {
-		t.Errorf("final progress %+v, want every block and shard done", last)
+	for i, done := range ticks {
+		if done > int64(len(dump)/64) || (i > 0 && done <= ticks[i-1]) {
+			t.Errorf("bad campaign progress %d after %v", done, ticks[:i])
+		}
+	}
+	if last := ticks[len(ticks)-1]; last != int64(len(dump)/64) {
+		t.Errorf("final campaign progress %d, want every block (%d)", last, len(dump)/64)
 	}
 }
 

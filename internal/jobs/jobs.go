@@ -11,9 +11,11 @@
 // changing this layer. internal/service owns the analysis RunFunc.
 //
 // The job store is "persistent enough" for an operator workflow: every job
-// ever submitted stays queryable (state, timestamps, attempts, per-stage
-// progress, result) for the life of the process. Nothing is written to
-// disk; a daemon restart starts empty.
+// ever submitted stays queryable (state, timestamps, attempts, result) for
+// the life of the process. The store lives in memory; an Options.Journal
+// makes each lifecycle transition durable so a restart can restore it.
+// What a job's analysis observes (stages, progress, spans) is the owner's
+// telemetry, not scheduling state, and is not kept here.
 //
 // The package never reads the wall clock directly (the noprint contract):
 // timestamps come from the injected Options.Clock, which defaults to
@@ -27,7 +29,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -88,8 +89,8 @@ func (e *transientError) Is(target error) bool { return target == ErrTransient }
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // Job is one unit of work owned by a Pool. RunFuncs receive the *Job to
-// read its Payload and publish progress; everything else goes through the
-// pool's API by ID.
+// read its ID and Payload; everything else goes through the pool's API by
+// ID.
 type Job struct {
 	id       string
 	priority int
@@ -108,17 +109,6 @@ type Job struct {
 	cancelRequested bool
 	heapIndex       int // index in the pool's queue, -1 when not enqueued
 	retryTimer      *time.Timer
-
-	// Progress state, guarded by its own mutex: it is updated at high rate
-	// from the worker's tracer bridge and must not contend with the pool's
-	// scheduling lock.
-	pmu        sync.Mutex
-	done       int64                     // guarded by pmu
-	total      int64                     // guarded by pmu
-	stageOrder []string                  // guarded by pmu
-	stages     map[string]*StageProgress // guarded by pmu
-	formats    map[string]int64          // guarded by pmu
-	traceID    string                    // guarded by pmu
 }
 
 // ID returns the job's unique identifier.
@@ -126,132 +116,6 @@ func (j *Job) ID() string { return j.id }
 
 // Payload returns the opaque payload given to Submit.
 func (j *Job) Payload() any { return j.payload }
-
-// SetProgress advances the job's headline progress gauge. Done and total
-// are high-water marks: a stale or out-of-order report never moves the
-// gauge backwards, so pollers observe monotonically increasing progress.
-func (j *Job) SetProgress(done, total int64) {
-	j.pmu.Lock()
-	if done > j.done {
-		j.done = done
-	}
-	if total > j.total {
-		j.total = total
-	}
-	j.pmu.Unlock()
-}
-
-// StageStart marks a named stage as running (stages may repeat; calls
-// accumulate).
-func (j *Job) StageStart(name string) {
-	j.pmu.Lock()
-	s := j.stageLocked(name)
-	s.Running = true
-	s.Calls++
-	j.pmu.Unlock()
-}
-
-// StageEnd marks a named stage as finished and accumulates its wall time.
-func (j *Job) StageEnd(name string, wall time.Duration) {
-	j.pmu.Lock()
-	s := j.stageLocked(name)
-	s.Running = false
-	s.WallNs += wall.Nanoseconds()
-	j.pmu.Unlock()
-}
-
-// SetStageProgress advances a named stage's progress gauge (high-water, as
-// SetProgress).
-func (j *Job) SetStageProgress(name string, done, total int64) {
-	j.pmu.Lock()
-	s := j.stageLocked(name)
-	if done > s.Done {
-		s.Done = done
-	}
-	if total > s.Total {
-		s.Total = total
-	}
-	j.pmu.Unlock()
-}
-
-// SetFormatCount publishes a per-target-format counter (candidate keys,
-// sighted volumes) under the given name. Counts are absolute gauges, not
-// deltas: the analysis runner emits the final tally per format, and a
-// re-emission (shard merge, retry) simply overwrites.
-func (j *Job) SetFormatCount(name string, n int64) {
-	j.pmu.Lock()
-	if j.formats == nil {
-		j.formats = make(map[string]int64)
-	}
-	j.formats[name] = n
-	j.pmu.Unlock()
-}
-
-// SetTraceID publishes the distributed-trace ID the analysis minted for
-// this job's campaign, linking the job record to its span tree. First
-// writer wins: retries reuse the original trace so the timeline stays one
-// tree per job.
-func (j *Job) SetTraceID(id string) {
-	j.pmu.Lock()
-	if j.traceID == "" {
-		j.traceID = id
-	}
-	j.pmu.Unlock()
-}
-
-// TraceID returns the trace ID published via SetTraceID ("" before the
-// analysis starts).
-func (j *Job) TraceID() string {
-	j.pmu.Lock()
-	defer j.pmu.Unlock()
-	return j.traceID
-}
-
-func (j *Job) stageLocked(name string) *StageProgress {
-	if j.stages == nil {
-		j.stages = make(map[string]*StageProgress)
-	}
-	s, ok := j.stages[name]
-	if !ok {
-		s = &StageProgress{Name: name}
-		j.stages[name] = s
-		j.stageOrder = append(j.stageOrder, name)
-	}
-	return s
-}
-
-// progressSnapshot copies the progress state (called with the pool mutex
-// held; takes only the job's progress mutex).
-func (j *Job) progressSnapshot() (done, total int64, stages []StageProgress, formats map[string]int64) {
-	j.pmu.Lock()
-	defer j.pmu.Unlock()
-	stages = make([]StageProgress, 0, len(j.stageOrder))
-	for _, name := range j.stageOrder {
-		stages = append(stages, *j.stages[name])
-	}
-	if len(j.formats) > 0 {
-		formats = make(map[string]int64, len(j.formats))
-		for k, v := range j.formats {
-			formats[k] = v
-		}
-	}
-	return j.done, j.total, stages, formats
-}
-
-// StageProgress is one pipeline stage's progress within a job snapshot.
-type StageProgress struct {
-	Name string `json:"name"`
-	// Done and Total are the stage's progress gauge (0/0 when the stage
-	// reports no unit counts).
-	Done  int64 `json:"done,omitempty"`
-	Total int64 `json:"total,omitempty"`
-	// Calls counts stage entries (per-shard stages repeat).
-	Calls int `json:"calls"`
-	// WallNs accumulates completed calls' wall time.
-	WallNs int64 `json:"wall_ns"`
-	// Running marks a stage currently in flight.
-	Running bool `json:"running,omitempty"`
-}
 
 // Snapshot is a point-in-time copy of a job's observable state, safe to
 // hold and serialize after the job has moved on.
@@ -266,20 +130,6 @@ type Snapshot struct {
 	SubmittedAt string `json:"submitted_at,omitempty"`
 	StartedAt   string `json:"started_at,omitempty"`
 	FinishedAt  string `json:"finished_at,omitempty"`
-	// Done/Total are the headline progress gauge (monotonic); Progress is
-	// their ratio, forced to 1 for jobs that completed successfully.
-	Done     int64           `json:"progress_done"`
-	Total    int64           `json:"progress_total"`
-	Progress float64         `json:"progress"`
-	Stages   []StageProgress `json:"stages,omitempty"`
-	// Formats holds per-target-format counters published via
-	// SetFormatCount (e.g. "aesxts.candidates": 1). Nil until the
-	// analysis emits its first per-format tally.
-	Formats map[string]int64 `json:"formats,omitempty"`
-	// TraceID is the distributed-trace ID of the job's campaign span tree
-	// (empty until the analysis starts). GET /v1/jobs/{id}/trace serves
-	// the merged timeline it names.
-	TraceID string `json:"trace_id,omitempty"`
 	// Result is the RunFunc's return value (partial results survive
 	// cancellation and failure). Excluded from JSON: the owner decides how
 	// to serialize — the analysis service redacts key material by default.

@@ -350,50 +350,6 @@ func TestDrainTimeout(t *testing.T) {
 	drain(t, p)
 }
 
-// TestProgressAndStagesInSnapshot: the RunFunc's progress publications
-// surface in snapshots, with high-water monotonicity.
-func TestProgressAndStagesInSnapshot(t *testing.T) {
-	checkpoint := make(chan struct{})
-	proceed := make(chan struct{})
-	p := NewPool(func(ctx context.Context, j *Job) (any, error) {
-		j.StageStart("mine")
-		j.StageEnd("mine", 5*time.Millisecond)
-		j.StageStart("hunt")
-		j.SetStageProgress("hunt", 10, 100)
-		j.SetStageProgress("hunt", 7, 100) // stale report must not regress
-		j.SetProgress(10, 100)
-		checkpoint <- struct{}{}
-		<-proceed
-		j.StageEnd("hunt", 10*time.Millisecond)
-		j.SetProgress(100, 100)
-		return "done", nil
-	}, Options{Workers: 1})
-	snap, _ := p.Submit(nil, 0)
-	<-checkpoint
-	mid, _ := p.Get(snap.ID)
-	if mid.Done != 10 || mid.Total != 100 {
-		t.Errorf("mid progress = %d/%d, want 10/100", mid.Done, mid.Total)
-	}
-	if len(mid.Stages) != 2 || mid.Stages[0].Name != "mine" || mid.Stages[1].Name != "hunt" {
-		t.Fatalf("stages = %+v", mid.Stages)
-	}
-	if mid.Stages[1].Done != 10 {
-		t.Errorf("hunt stage regressed to %d", mid.Stages[1].Done)
-	}
-	if !mid.Stages[1].Running || mid.Stages[0].Running {
-		t.Errorf("running flags wrong: %+v", mid.Stages)
-	}
-	if mid.Stages[0].WallNs != (5 * time.Millisecond).Nanoseconds() {
-		t.Errorf("mine wall = %d", mid.Stages[0].WallNs)
-	}
-	close(proceed)
-	final := waitState(t, p, snap.ID, StateDone)
-	if final.Progress != 1 {
-		t.Errorf("final progress = %f", final.Progress)
-	}
-	drain(t, p)
-}
-
 // TestSnapshotTimestampsUseInjectedClock: timestamps come from the
 // injected clock, in submit→start→finish order.
 func TestSnapshotTimestampsUseInjectedClock(t *testing.T) {
@@ -514,9 +470,6 @@ func TestTransientHelpers(t *testing.T) {
 // meaningful under -race (make race).
 func TestPoolRaceHammer(t *testing.T) {
 	p := NewPool(func(ctx context.Context, j *Job) (any, error) {
-		j.SetProgress(1, 2)
-		j.StageStart("work")
-		j.StageEnd("work", time.Microsecond)
 		switch j.Payload().(int) % 3 {
 		case 0:
 			return "ok", nil

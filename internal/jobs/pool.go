@@ -499,25 +499,13 @@ func (p *Pool) setStateLocked(j *Job, s State) {
 
 // snapshotLocked copies j's observable state (pool mutex held).
 func (p *Pool) snapshotLocked(j *Job) Snapshot {
-	done, total, stages, formats := j.progressSnapshot()
 	snap := Snapshot{
 		ID:       j.id,
 		State:    j.state,
 		Priority: j.priority,
 		Attempts: j.attempts,
 		Error:    j.errText,
-		Done:     done,
-		Total:    total,
-		Stages:   stages,
-		Formats:  formats,
-		TraceID:  j.TraceID(),
 		Result:   j.result,
-	}
-	if total > 0 {
-		snap.Progress = float64(done) / float64(total)
-	}
-	if j.state == StateDone {
-		snap.Progress = 1
 	}
 	if !j.submitted.IsZero() {
 		snap.SubmittedAt = j.submitted.Format(time.RFC3339Nano)

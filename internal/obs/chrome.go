@@ -36,8 +36,9 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTraceSpans(w, c.Spans())
 }
 
-// WriteChromeTraceSpans writes an arbitrary span set (e.g. one job's
-// subtree filtered out of a shared collector) as Chrome Trace Event JSON.
+// WriteChromeTraceSpans writes an arbitrary span set (e.g. a daemon's own
+// spans together with those of every job it retains) as Chrome Trace
+// Event JSON.
 // Events are sorted by start time so ts is monotonic.
 func WriteChromeTraceSpans(w io.Writer, spans []SpanRecord) error {
 	spans = append([]SpanRecord(nil), spans...)

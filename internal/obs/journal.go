@@ -153,13 +153,6 @@ func (j *Journal) Overwritten() uint64 {
 	return j.overwritten
 }
 
-// LastSeq returns the sequence number of the newest event (0 when empty).
-func (j *Journal) LastSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.total
-}
-
 // Journal implements Tracer by recording each hook as an Event.
 
 func (j *Journal) StartSpan(name string, attrs ...Attr) Span { return j.span(name, 0, attrs) }

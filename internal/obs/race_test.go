@@ -8,7 +8,8 @@ import (
 )
 
 // TestCollectorConcurrentHammer drives one Collector from many goroutines
-// at once — stages, counters, progress, and concurrent Report() readers —
+// at once — stages, counters, progress, and concurrent Report() and Fold
+// readers —
 // the way the analysis daemon shares a single collector across its worker
 // pool. Meaningful under -race (make race); the totals check catches lost
 // updates even without it.
@@ -33,6 +34,14 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 					r := c.Report()
 					if r.Counters["pairs"]%3 != 0 {
 						t.Errorf("torn counter read: pairs = %d", r.Counters["pairs"])
+						return
+					}
+					// So must a fold of the live collector (a /metrics
+					// scrape over a running job).
+					view := NewCollector()
+					view.Fold(c)
+					if n := view.Summary().Counters["pairs"]; n%3 != 0 {
+						t.Errorf("torn fold: pairs = %d", n)
 						return
 					}
 				}

@@ -1,11 +1,14 @@
 package obs
 
-import "math/bits"
+import (
+	"math/bits"
+	"strings"
+)
 
 // Telemetry shipping: the worker side of distributed tracing serializes a
 // Collector's accumulated state (span tree, counters, histogram buckets)
 // into a Telemetry document, posts it over the fleet wire, and the
-// coordinator grafts it into its own Collector — remapping span IDs,
+// coordinator grafts it into the campaign's Collector — remapping span IDs,
 // re-parenting the foreign roots under a local span, and applying a clock
 // correction so the merged tree stays monotonic despite per-process
 // obs.Now timebases.
@@ -26,24 +29,8 @@ type Telemetry struct {
 // histograms for shipping. Live (unended) spans are not included; a
 // periodic flush therefore ships a growing prefix of the final tree.
 func (c *Collector) Telemetry() Telemetry {
-	c.mu.Lock()
-	tel := Telemetry{
-		Spans:        make([]SpanRecord, len(c.spans)),
-		SpansDropped: c.spansDropped,
-		Counters:     make(map[string]int64, len(c.counters)),
-	}
-	copy(tel.Spans, c.spans)
-	for k, v := range c.counters {
-		tel.Counters[k] = v
-	}
-	c.mu.Unlock()
-
-	c.hmu.RLock()
-	for _, name := range c.horder {
-		tel.Histograms = append(tel.Histograms, c.hists[name].Snapshot(name))
-	}
-	c.hmu.RUnlock()
-	return tel
+	r := c.Summary()
+	return Telemetry{Spans: c.Spans(), SpansDropped: r.SpansDropped, Counters: r.Counters, Histograms: r.Histograms}
 }
 
 // GraftOptions places a foreign span tree inside this collector's trace.
@@ -52,7 +39,7 @@ type GraftOptions struct {
 	// (typically the shard's lease span). Zero leaves them as roots.
 	Parent uint64
 	// Root is the local tree ID stamped on every grafted span, so the
-	// merged campaign filters as one tree. Zero keeps per-batch roots.
+	// merged campaign is one tree. Zero keeps per-batch roots.
 	Root uint64
 	// Track names the timeline the grafted spans render on (the worker
 	// name); the Chrome exporter gives each track its own named lane.
@@ -69,9 +56,11 @@ type GraftOptions struct {
 }
 
 // Graft merges a telemetry snapshot into the collector: span IDs are
-// remapped into the local ID space, foreign roots are re-parented under
-// opts.Parent, timestamps get the clock correction, and the origin's
-// counters, histograms, and stage aggregates fold into the local ones.
+// remapped into the process-wide ID space, foreign roots are re-parented
+// under opts.Parent, timestamps get the clock correction, and the origin's
+// counters, histograms, and per-span stage aggregates fold in through the
+// same merge a finished job's collector takes. The origin's "progress."
+// marks are dropped: they measure its shard, not this collector's run.
 // Returns the number of spans grafted (spans past the retention cap are
 // counted in SpansDropped instead).
 func (c *Collector) Graft(tel Telemetry, opts GraftOptions) int {
@@ -90,9 +79,20 @@ func (c *Collector) Graft(tel Telemetry, opts GraftOptions) int {
 
 	idmap := make(map[uint64]uint64, len(tel.Spans))
 	for _, s := range tel.Spans {
-		idmap[s.ID] = c.nextSpanID.Add(1)
+		idmap[s.ID] = nextSpanID.Add(1)
 	}
 
+	agg := Report{
+		Counters:     make(map[string]int64, len(tel.Counters)),
+		Histograms:   tel.Histograms,
+		SpansDropped: tel.SpansDropped,
+	}
+	for k, v := range tel.Counters {
+		if !strings.HasPrefix(k, "progress.") {
+			agg.Counters[k] = v
+		}
+	}
+	stageIdx := make(map[string]int)
 	grafted := 0
 	c.mu.Lock()
 	for _, s := range tel.Spans {
@@ -114,54 +114,28 @@ func (c *Collector) Graft(tel Telemetry, opts GraftOptions) int {
 			r.Track = opts.Track
 		}
 		r.StartNs += shift
-		st, ok := c.stages[r.Name]
+		i, ok := stageIdx[r.Name]
 		if !ok {
-			st = &StageReport{Name: r.Name}
-			c.stages[r.Name] = st
-			c.order = append(c.order, r.Name)
+			i = len(agg.Stages)
+			stageIdx[r.Name] = i
+			agg.Stages = append(agg.Stages, StageReport{Name: r.Name})
 		}
-		st.Calls++
-		st.WallNs += r.DurNs
+		agg.Stages[i].Calls++
+		agg.Stages[i].WallNs += r.DurNs
 		if len(c.spans) < spanLimit {
 			c.spans = append(c.spans, r)
 			grafted++
 		} else {
-			c.spansDropped++
+			agg.SpansDropped++
 		}
-		c.touchSpanLocked(r)
+		if first := r.StartNs + 1; agg.firstNs == 0 || first < agg.firstNs {
+			agg.firstNs = first
+		}
+		agg.lastNs = max(agg.lastNs, r.StartNs+r.DurNs+1)
 	}
-	c.spansDropped += tel.SpansDropped
 	c.mu.Unlock()
-
-	c.MergeCounters(tel.Counters)
-	for _, h := range tel.Histograms {
-		c.MergeHistogram(h.Name, h)
-	}
+	c.merge(agg)
 	return grafted
-}
-
-// touchSpanLocked folds a grafted span's corrected time range into the
-// first/last event bounds (c.mu held; the atomics tolerate that).
-func (c *Collector) touchSpanLocked(r SpanRecord) {
-	c.touch(r.StartNs)
-	c.touch(r.StartNs + r.DurNs)
-}
-
-// MergeCounters adds a foreign counter map into the collector's counters.
-// "progress." entries are skipped: they are per-process high-water marks,
-// not additive tallies, and summing them across workers would overcount.
-func (c *Collector) MergeCounters(counters map[string]int64) {
-	if len(counters) == 0 {
-		return
-	}
-	c.mu.Lock()
-	for k, v := range counters {
-		if len(k) >= 9 && k[:9] == "progress." {
-			continue
-		}
-		c.counters[k] += v
-	}
-	c.mu.Unlock()
 }
 
 // MergeHistogram folds a histogram snapshot into the named local
@@ -173,16 +147,7 @@ func (c *Collector) MergeHistogram(name string, snap HistogramSnapshot) {
 	if snap.Count == 0 {
 		return
 	}
-	c.hmu.Lock()
-	h := c.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		c.hists[name] = h
-		c.horder = append(c.horder, name)
-	}
-	c.hmu.Unlock()
-	h.merge(snap)
-	c.touch(Now())
+	c.histogram(name).merge(snap)
 }
 
 // merge adds a snapshot's samples into the histogram bucket-for-bucket.

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"coldboot/internal/jobs"
-	"coldboot/internal/obs"
 	"coldboot/internal/secret"
 	"coldboot/internal/wal"
 )
@@ -150,9 +149,9 @@ func encodePayload(payload any) ([]byte, error) {
 	return json.Marshal(pl)
 }
 
-// decodePayload rebuilds a dump job from its journaled form. The event
-// journal is NOT restored here: the caller attaches a fresh one to jobs
-// that will run again.
+// decodePayload rebuilds a dump job from its journaled form. Telemetry is
+// NOT restored here: the caller attaches fresh telemetry to jobs that will
+// run again.
 func decodePayload(raw json.RawMessage) (*dumpJob, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("service: job was journaled without a payload")
@@ -233,12 +232,10 @@ func (s *Server) restore(entries []jobs.LedgerEntry) error {
 				r.State = jobs.StateFailed
 				r.Error = fmt.Sprintf("restore: spooled dump %s did not survive the restart", filepath.Base(pl.Path))
 			default:
-				// The job will run again: give it a live event journal so
-				// the stream endpoint works for the resumed run.
-				pl.journal = obs.NewJournal(s.cfg.EventBuffer)
-				s.jmu.Lock()
-				s.journals[e.ID] = pl.journal
-				s.jmu.Unlock()
+				// The job will run again: give it fresh telemetry so the
+				// status, trace and stream endpoints follow the resumed run.
+				pl.tel = s.newTelemetry()
+				s.addTelemetry(e.ID, pl.tel)
 			}
 			if r.State == jobs.StateFailed {
 				s.store.Record(jobs.Event{Op: jobs.OpFailed, ID: e.ID, Attempts: e.Attempts, Error: r.Error})

@@ -237,7 +237,7 @@ func TestCoordinatorRoleEndToEnd(t *testing.T) {
 		LeaseTTL:    5 * time.Second,
 		ShardBlocks: 4096,
 	})
-	if svc.Coordinator() == nil {
+	if svc.coord == nil {
 		t.Fatal("coordinator role without a coordinator")
 	}
 
@@ -251,7 +251,34 @@ func TestCoordinatorRoleEndToEnd(t *testing.T) {
 		t.Fatalf("submit: HTTP %d: %v", code, doc)
 	}
 	id := doc["id"].(string)
-	pollUntil(t, ts, id, 120*time.Second, inState("done"))
+	final := pollUntil(t, ts, id, 120*time.Second, inState("done"))
+
+	// The fleet job's status reads the same one span tree its trace does:
+	// the worker's grafted shard scans show up as stages, and accepted
+	// completions drive the headline progress to the total.
+	stages := map[string]bool{}
+	for _, st := range final["stages"].([]any) {
+		stages[st.(map[string]any)["name"].(string)] = true
+	}
+	for _, want := range []string{"job", "campaign", "fleet.lease", "shard", "attack", "hunt", "campaign.merge", "fleet.merge"} {
+		if !stages[want] {
+			t.Errorf("fleet job status lacks stage %q (have %v)", want, stages)
+		}
+	}
+	if done, total := final["progress_done"], final["progress_total"]; done != total || total != float64(1<<20/64) {
+		t.Errorf("fleet job progress %v of %v, want every block", done, total)
+	}
+	resp := openEvents(t, ts, id, 0)
+	var campaignTicks int
+	for _, e := range readStream(t, resp.Body, nil) {
+		if e.Type == "progress" && e.Name == "campaign" && e.Done > 0 {
+			campaignTicks++
+		}
+	}
+	resp.Body.Close()
+	if campaignTicks == 0 {
+		t.Error("fleet job event stream carries no campaign progress")
+	}
 
 	code, result := getDoc(t, ts, "/v1/jobs/"+id+"/result?reveal=keys")
 	if code != http.StatusOK {

@@ -41,13 +41,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	jn := s.journal(id)
-	if jn == nil {
-		// Jobs submitted through Pool directly (tests, embedders) have no
-		// journal; the endpoint only serves HTTP-submitted jobs.
+	tel := s.telemetryOf(id)
+	if tel == nil {
+		// Jobs submitted through Pool directly (tests, embedders) and jobs
+		// restored terminal from the WAL have no journal.
 		httpError(w, http.StatusNotFound, "job %s has no event journal", id)
 		return
 	}
+	jn := tel.journal
 	cursor := uint64(0)
 	if v := r.URL.Query().Get("cursor"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)

@@ -3,12 +3,14 @@ package service
 import (
 	"fmt"
 	"net/http"
+
+	"coldboot/internal/obs"
 )
 
 // handleMetrics serves the Prometheus text endpoint: pool gauges (queue
-// depth, running workers, terminal-state totals) followed by the shared
-// obs.Collector's pipeline aggregates (per-stage wall time and calls,
-// candidate counters) accumulated across every job the daemon has run.
+// depth, running workers, terminal-state totals) followed by the pipeline
+// aggregates (per-stage wall time and calls, candidate counters,
+// histograms) of every job the daemon has run.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	st := s.pool.Stats()
@@ -57,7 +59,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, g := range gauges {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", g.name, g.help, g.name, g.typ, g.name, g.value)
 	}
-	s.collector.Report().WritePrometheus(w, "coldbootd_pipeline")
+	s.pipelineReport().WritePrometheus(w, "coldbootd_pipeline")
+}
+
+// pipelineReport is the daemon collector — which holds every terminal
+// job's aggregates — plus the collectors of jobs still live. It is read
+// under the lock a job's fold takes, so each job counts exactly once.
+func (s *Server) pipelineReport() obs.Report {
+	view := obs.NewCollector()
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	view.Fold(s.collector)
+	for _, tel := range s.telemetry {
+		if !tel.folded {
+			view.Fold(tel.col)
+		}
+	}
+	return view.Summary()
 }
 
 func boolGauge(b bool) int {
@@ -80,14 +98,15 @@ func perWorkerBacklog(queued, alive int) int {
 	return (queued + alive - 1) / alive
 }
 
-// journalOverwrites sums ring overwrites across every job's event journal:
-// how many telemetry events slow stream consumers have lost daemon-wide.
+// journalOverwrites sums ring overwrites across every job's event journal,
+// purged jobs' included: how many telemetry events slow stream consumers
+// have lost daemon-wide.
 func (s *Server) journalOverwrites() int {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	var n uint64
-	for _, j := range s.journals {
-		n += j.Overwritten()
+	n := s.overwritten
+	for _, tel := range s.telemetry {
+		n += tel.journal.Overwritten()
 	}
 	return int(n)
 }

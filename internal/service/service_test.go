@@ -21,7 +21,6 @@ import (
 	"coldboot/internal/aes"
 	"coldboot/internal/dumpfile"
 	"coldboot/internal/jobs"
-	"coldboot/internal/obs"
 	"coldboot/internal/scramble"
 	"coldboot/internal/workload"
 )
@@ -167,20 +166,12 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	const tableStart = 4096*64 + 256
 	container := buildFixtureContainer(t, 2<<20, 41, master, tableStart, true)
 
-	var ticks atomic.Int32
-	campaignTracer := &obs.Funcs{
-		OnProgress: func(stage string, done, total int64) {
-			if stage == "campaign" {
-				ticks.Add(1)
-			}
-		},
-	}
 	dataDir := t.TempDir()
 	_, ts := testServer(t, Config{
 		Workers:     1,
 		DataDir:     dataDir,
-		ShardBlocks: 8192, // 512 KiB shards: 4 campaign progress ticks on 2 MiB
-		Tracer:      campaignTracer,
+		ShardBlocks: 8192,    // 512 KiB shards: 4 campaign progress ticks on 2 MiB
+		EventBuffer: 1 << 16, // the whole run's events stay readable after it ends
 	})
 
 	code, doc := postDump(t, ts, "?repair=1", container)
@@ -209,8 +200,16 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	if kf, _ := final["keys_found"].(float64); kf < 1 {
 		t.Fatalf("keys_found = %v, want >= 1", final["keys_found"])
 	}
-	if ticks.Load() < 2 {
-		t.Errorf("campaign progress ticked %d times, want >= 2 (shard-by-shard)", ticks.Load())
+	resp := openEvents(t, ts, id, 0)
+	var ticks int
+	for _, e := range readStream(t, resp.Body, nil) {
+		if e.Type == "progress" && e.Name == "campaign" && e.Done > 0 {
+			ticks++
+		}
+	}
+	resp.Body.Close()
+	if ticks < 2 {
+		t.Errorf("campaign progress ticked %d times, want >= 2 (shard-by-shard)", ticks)
 	}
 	stages, _ := final["stages"].([]any)
 	names := make(map[string]bool)
@@ -576,7 +575,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		Runner: func(ctx context.Context, j *jobs.Job) (any, error) {
 			return &ResultReport{}, nil
 		},
-		Tracer: nil,
 	})
 	code, doc := postDump(t, ts, "", tinyContainer(t))
 	if code != http.StatusCreated {
