@@ -111,8 +111,13 @@ type Board struct {
 	stragglers int
 	durs       obs.Histogram // completed-shard durations, for the straggler bound
 	seq        uint64
-	finished   chan struct{}
-	now        func() int64 // obs.Now, injectable in tests
+	// settling counts accepted completions whose settle callback is still
+	// running; finished closes only once every shard is done and none is
+	// settling, and settled wakes an Abort waiting for them.
+	settling int
+	settled  *sync.Cond
+	finished chan struct{}
+	now      func() int64 // obs.Now, injectable in tests
 }
 
 // NewBoard builds a board over the plan's shard cut. ttl is the lease
@@ -129,6 +134,7 @@ func NewBoard(shards []core.Shard, ttl time.Duration, tracer obs.Tracer, parent 
 		finished: make(chan struct{}),
 		now:      obs.Now,
 	}
+	b.settled = sync.NewCond(&b.mu)
 	start := obs.Now()
 	for i, sh := range shards {
 		b.shards = append(b.shards, &boardShard{
@@ -257,8 +263,33 @@ func (b *Board) LeaseAlive(leaseID string) bool {
 // false for an unknown lease or a shard another worker already finished
 // (the stolen-duplicate loser) — both benign, the results are dropped.
 // When accepted, the CompleteInfo names the winning worker and the lease
-// span the worker's telemetry belongs under.
-func (b *Board) Complete(leaseID string, res core.ShardResult) (CompleteInfo, bool) {
+// span the worker's telemetry belongs under, and settle (when non-nil)
+// runs with it outside the board lock but before Done can close: whatever
+// the caller books for the shard is in place before anyone merges the
+// campaign, and before Abort returns.
+func (b *Board) Complete(leaseID string, res core.ShardResult, settle func(CompleteInfo)) (CompleteInfo, bool) {
+	info, ok := b.accept(leaseID, res)
+	if !ok {
+		return info, false
+	}
+	if settle != nil {
+		settle(info)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.settling--
+	if b.settling == 0 {
+		b.settled.Broadcast()
+		if b.done == len(b.shards) {
+			close(b.finished)
+		}
+	}
+	return info, true
+}
+
+// accept is Complete's bookkeeping under the board lock; an accepted
+// completion leaves the board settling until Complete's settle returns.
+func (b *Board) accept(leaseID string, res core.ShardResult) (CompleteInfo, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.now()
@@ -300,9 +331,7 @@ func (b *Board) Complete(leaseID string, res core.ShardResult) (CompleteInfo, bo
 		// label, so /metrics exposes one labelled histogram family.
 		b.tracer.Observe("fleet.shard_ns;worker="+l.Worker, dur)
 	}
-	if b.done == len(b.shards) {
-		close(b.finished)
-	}
+	b.settling++
 	return info, true
 }
 
@@ -388,12 +417,16 @@ func (b *Board) Stats() BoardStats {
 }
 
 // Abort closes out the board's outstanding lease spans (campaign
-// cancelled); the board accepts no useful work afterwards.
+// cancelled) and waits for accepted completions still settling; the board
+// accepts no useful work afterwards.
 func (b *Board) Abort() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, l := range b.leases {
 		b.dropLeaseLocked(l, "aborted")
+	}
+	for b.settling > 0 {
+		b.settled.Wait()
 	}
 }
 

@@ -41,7 +41,7 @@ func TestBoardLeaseCompleteFlow(t *testing.T) {
 	if l1.Shard.Index == l2.Shard.Index {
 		t.Fatal("same shard leased twice with queue non-empty")
 	}
-	if _, ok := b.Complete(l1.ID, result(l1.Shard)); !ok {
+	if _, ok := b.Complete(l1.ID, result(l1.Shard), nil); !ok {
 		t.Fatal("first completion rejected")
 	}
 	select {
@@ -49,7 +49,7 @@ func TestBoardLeaseCompleteFlow(t *testing.T) {
 		t.Fatal("board done with a shard outstanding")
 	default:
 	}
-	if _, ok := b.Complete(l2.ID, result(l2.Shard)); !ok {
+	if _, ok := b.Complete(l2.ID, result(l2.Shard), nil); !ok {
 		t.Fatal("second completion rejected")
 	}
 	select {
@@ -83,7 +83,7 @@ func TestBoardExpiryRequeues(t *testing.T) {
 	if b.Heartbeat(l.ID) {
 		t.Fatal("expired lease heartbeat accepted")
 	}
-	if _, ok := b.Complete(l.ID, result(l.Shard)); ok {
+	if _, ok := b.Complete(l.ID, result(l.Shard), nil); ok {
 		t.Fatal("expired lease completion accepted")
 	}
 	l2, ok := b.Lease("w2")
@@ -104,7 +104,7 @@ func TestBoardHeartbeatExtendsLease(t *testing.T) {
 			t.Fatalf("heartbeat %d rejected", i)
 		}
 	}
-	if _, ok := b.Complete(l.ID, result(l.Shard)); !ok {
+	if _, ok := b.Complete(l.ID, result(l.Shard), nil); !ok {
 		t.Fatal("heartbeat-kept lease could not complete")
 	}
 	if st := b.Stats(); st.Requeues != 0 {
@@ -128,10 +128,10 @@ func TestBoardWorkStealing(t *testing.T) {
 	if _, ok := b.Lease("third"); ok {
 		t.Fatal("shard with two outstanding leases stolen again")
 	}
-	if info, ok := b.Complete(dup.ID, result(dup.Shard)); !ok || info.Worker != "fast" || !info.Stolen {
+	if info, ok := b.Complete(dup.ID, result(dup.Shard), nil); !ok || info.Worker != "fast" || !info.Stolen {
 		t.Fatal("stealing worker's completion rejected")
 	}
-	if _, ok := b.Complete(orig.ID, result(orig.Shard)); ok {
+	if _, ok := b.Complete(orig.ID, result(orig.Shard), nil); ok {
 		t.Fatal("losing duplicate's completion accepted")
 	}
 	st := b.Stats()
@@ -148,7 +148,7 @@ func TestBoardUnknownLease(t *testing.T) {
 	if b.Heartbeat("nope") {
 		t.Fatal("unknown lease heartbeat accepted")
 	}
-	if _, ok := b.Complete("nope", core.ShardResult{}); ok {
+	if _, ok := b.Complete("nope", core.ShardResult{}, nil); ok {
 		t.Fatal("unknown lease completion accepted")
 	}
 }
