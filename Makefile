@@ -34,7 +34,8 @@
 #                       perf trajectory is tracked across PRs)
 #   make bench-guard    run the instrumented-hot-path benchmarks once and
 #                       fail if any reports allocs/op > 0 — the Nop tracer
-#                       fast path must stay allocation-free (PR 5 contract) —
+#                       fast path, window repair and master recovery must
+#                       stay allocation-free —
 #                       then re-run the end-to-end attack benchmark and fail
 #                       if it regresses past the throughput floor / alloc
 #                       ceiling recorded in BENCH_hotpath.json, then mine an
@@ -99,15 +100,18 @@ bench-hotpath:
 
 # The guarded benchmarks drive the full telemetry hook surface (spans,
 # counters, histograms, progress) through the Nop tracer inside the scan
-# hot loops; a single iteration is enough because allocs/op must be
-# exactly zero, not merely small. The mining ceiling sits between the
+# hot loops, and the per-candidate repair and master-recovery kernels; a
+# single iteration is enough because allocs/op must be exactly zero, not
+# merely small. The mining ceiling sits between the
 # ~5.4x of the 8 MiB dump that the canonical-sized merge index allocates
 # and the ~6.9x of an index sized for every decayed group.
 bench-guard:
 	@set -e; \
 	for spec in \
 		"./internal/obs ^BenchmarkNopOverhead$$|^BenchmarkCollectorObserve$$" \
-		"./internal/keyfind ^BenchmarkScanChunkNop$$"; do \
+		"./internal/keyfind ^BenchmarkScanChunkNop$$" \
+		"./internal/core ^BenchmarkRepairWindow$$" \
+		"./internal/aes ^BenchmarkRecoverMasterKey$$"; do \
 		set -- $$spec; pkg=$$1; pat=$$2; \
 		echo "bench-guard: $$pkg $$pat"; \
 		out=$$($(GO) test "$$pkg" -run '^$$' -bench "$$pat" -benchtime 1x -benchmem) || { echo "$$out"; exit 1; }; \

@@ -134,21 +134,28 @@ func SubByte(b byte) byte { return sbox[b] }
 // InvSubByte applies the inverse S-box to one byte.
 func InvSubByte(b byte) byte { return invSbox[b] }
 
-// subWord applies the S-box to each byte of a big-endian schedule word.
-func subWord(w uint32) uint32 {
+// SubWord applies the S-box to each byte of a big-endian schedule word.
+func SubWord(w uint32) uint32 {
 	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xFF])<<16 |
 		uint32(sbox[w>>8&0xFF])<<8 | uint32(sbox[w&0xFF])
 }
 
-// rotWord rotates a schedule word left by one byte.
-func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
+// RotWord rotates a schedule word left by one byte.
+func RotWord(w uint32) uint32 { return w<<8 | w>>24 }
 
-// rcon returns the round constant word for round i (1-based), i.e.
-// {02^(i-1), 00, 00, 00}.
-func rcon(i int) uint32 {
+// Rcon returns the round constant word {02^(i-1), 00, 00, 00} for round i
+// (1-based).
+func Rcon(i int) uint32 { return rconTable[(i-1)%len(rconTable)] }
+
+// rconTable holds the round constants rcon(1), rcon(2), ...: the powers of
+// x in GF(2^8), which repeat with period 51, so the table covers every
+// round of an arbitrarily long extension.
+var rconTable = func() [51]uint32 {
+	var t [51]uint32
 	c := byte(1)
-	for ; i > 1; i-- {
+	for i := range t {
+		t[i] = uint32(c) << 24
 		c = xtime(c)
 	}
-	return uint32(c) << 24
-}
+	return t
+}()

@@ -1,6 +1,9 @@
 package aes
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Key schedule words are stored big-endian, matching FIPS-197: schedule word
 // w[i] corresponds to bytes 4i..4i+3 of the round-key table as it appears in
@@ -50,19 +53,6 @@ func WordsToBytesInto(dst []byte, w []uint32) []byte {
 	return dst
 }
 
-// scheduleF computes the transformation applied to w[i-1] before it is XORed
-// with w[i-Nk], as a function of the absolute schedule word index i.
-func scheduleF(prev uint32, i, nk int) uint32 {
-	switch {
-	case i%nk == 0:
-		return subWord(rotWord(prev)) ^ rcon(i/nk)
-	case nk > 6 && i%nk == 4:
-		return subWord(prev)
-	default:
-		return prev
-	}
-}
-
 // variantForKey maps a raw key length to its AES variant.
 func variantForKey(key []byte) Variant {
 	switch len(key) {
@@ -90,12 +80,11 @@ func ExpandKey(key []byte) []uint32 {
 // of candidate schedules on a fixed scratch buffer.
 func ExpandKeyInto(dst []uint32, key []byte) []uint32 {
 	v := variantForKey(key)
-	nk := v.Nk()
+	nk, total := v.Nk(), v.ScheduleWords()
 	base := len(dst)
 	dst = BytesToWordsInto(dst, key)
-	for i := nk; i < v.ScheduleWords(); i++ {
-		dst = append(dst, dst[base+i-nk]^scheduleF(dst[base+i-1], i, nk))
-	}
+	dst = slices.Grow(dst, total-nk)[:base+total]
+	ExtendForwardInto(dst[base:], 0, nk, total, v)
 	return dst
 }
 
@@ -123,17 +112,10 @@ func ExtendForward(window []uint32, start int, v Variant, n int) []uint32 {
 	if len(window) < nk {
 		panic(fmt.Sprintf("aes: ExtendForward window %d < Nk %d", len(window), nk))
 	}
-	// Work buffer: the last nk words plus room to grow.
-	buf := make([]uint32, len(window), len(window)+n)
+	buf := make([]uint32, len(window)+n)
 	copy(buf, window)
-	out := make([]uint32, 0, n)
-	for k := 0; k < n; k++ {
-		i := start + len(buf) // absolute index of the word being produced
-		next := buf[len(buf)-nk] ^ scheduleF(buf[len(buf)-1], i, nk)
-		buf = append(buf, next)
-		out = append(out, next)
-	}
-	return out
+	ExtendForwardInto(buf, start, len(window), len(buf), v)
+	return buf[len(window):]
 }
 
 // ExtendBackward computes the n schedule words that precede a window of
@@ -153,21 +135,87 @@ func ExtendBackward(window []uint32, start int, v Variant, n int) []uint32 {
 	if start < n {
 		panic(fmt.Sprintf("aes: ExtendBackward start %d < n %d", start, n))
 	}
-	// buf[j] holds word start-n+j for j in [0, n+len(window)).
-	buf := make([]uint32, n+len(window))
-	copy(buf[n:], window)
-	// Produce descending absolute indices i = start-1 ... start-n, where
-	// w[i] = w[i+nk] ^ f(w[i+nk-1], i+nk). Computing in descending order
-	// guarantees w[i+nk-1] is already known: for the first few steps it lies
-	// in the window, and afterwards it is a word produced earlier... except
-	// that descending production fills lower slots whose i+nk-1 may itself
-	// be below the window. Descending order makes i+nk-1 >= i+nk-nk = i,
-	// strictly greater than every index still unproduced, so it is known.
-	for i := start - 1; i >= start-n; i-- {
-		j := i - (start - n) // slot of w[i]
-		buf[j] = buf[j+nk] ^ scheduleF(buf[j+nk-1], i+nk, nk)
-	}
+	// buf[j] holds word start-n+j.
+	buf := make([]uint32, n+nk)
+	copy(buf[n:], window[:nk])
+	ExtendBackwardInto(buf, start-n, 0, n, v)
 	return buf[:n]
+}
+
+// ExtendForwardInto is the forward schedule kernel every expansion runs
+// on. w[j] holds schedule word base+j; the kernel fills w[from:to] in place
+// from the nk words below from, by the FIPS-197 recurrence
+// w[i] = w[i-Nk] ^ f(w[i-1], i). It walks whole Nk-word rounds, so the
+// word class (i mod Nk) and round constant advance with the loop instead
+// of costing two divisions per word; only the first word's position is
+// divided out, once per call. It does not allocate.
+func ExtendForwardInto(w []uint32, base, from, to int, v Variant) {
+	if from >= to {
+		return
+	}
+	nk := v.Nk()
+	i := base + from
+	r0 := from - i%nk // slot of the current round's class-0 word
+	rc := (i/nk + len(rconTable) - 1) % len(rconTable)
+	prev := w[from-1]
+	for j := from; j < to; {
+		if j == r0 {
+			prev = w[j-nk] ^ SubWord(RotWord(prev)) ^ rconTable[rc]
+			w[j] = prev
+			j++
+		}
+		end := r0 + nk
+		if end > to {
+			end = to
+		}
+		for ; j < end; j++ {
+			if nk > 6 && j-r0 == 4 {
+				prev = SubWord(prev)
+			}
+			prev ^= w[j-nk]
+			w[j] = prev
+		}
+		r0 += nk
+		if rc++; rc == len(rconTable) {
+			rc = 0
+		}
+	}
+}
+
+// ExtendBackwardInto is the backward schedule kernel: w[j] holds schedule
+// word base+j, and the kernel fills w[from:to] in place, descending, from
+// the nk words at w[to:to+nk], by w[i] = w[i+Nk] ^ f(w[i+Nk-1], i+Nk).
+// Within a round every word but the class-0 one depends only on the round
+// above, and the class-0 word depends on its own round's last word, so
+// walking each round from its top class down keeps every input known. Like
+// ExtendForwardInto it divides once per call and does not allocate;
+// base+from must be >= 0.
+func ExtendBackwardInto(w []uint32, base, from, to int, v Variant) {
+	if from >= to {
+		return
+	}
+	nk := v.Nk()
+	i := base + to - 1
+	r0 := to - 1 - i%nk           // slot of the current round's class-0 word
+	rc := i / nk % len(rconTable) // its f uses rcon of the round above
+	for j := to - 1; j >= from; {
+		for ; j > r0 && j >= from; j-- {
+			t := w[j+nk-1]
+			if nk > 6 && j-r0 == 4 {
+				t = SubWord(t)
+			}
+			w[j] = w[j+nk] ^ t
+		}
+		if j >= from {
+			w[j] = w[j+nk] ^ SubWord(RotWord(w[j+nk-1])) ^ rconTable[rc]
+			j--
+		}
+		r0 -= nk
+		if rc == 0 {
+			rc = len(rconTable)
+		}
+		rc--
+	}
 }
 
 // RecoverMasterKey reconstructs the original cipher key from any window of
@@ -191,19 +239,14 @@ func RecoverMasterKeyInto(dst []byte, window []uint32, start int, v Variant) []b
 	if start == 0 {
 		return WordsToBytesInto(dst, window[:nk])
 	}
-	// buf[i] holds schedule word w[i] for i in [0, start+len(window)): the
-	// window in place, earlier words produced by the descending backward
-	// recurrence w[i] = w[i+nk] ^ f(w[i+nk-1], i+nk) (see ExtendBackward).
+	// buf[i] holds schedule word w[i] for i in [0, start+nk): the window's
+	// first nk words in place, earlier words from the backward kernel.
 	var stack [MaxScheduleWords]uint32
 	buf := stack[:]
-	if need := start + len(window); need > len(buf) {
+	if need := start + nk; need > len(buf) {
 		buf = make([]uint32, need)
-	} else {
-		buf = buf[:need]
 	}
-	copy(buf[start:], window)
-	for i := start - 1; i >= 0; i-- {
-		buf[i] = buf[i+nk] ^ scheduleF(buf[i+nk-1], i+nk, nk)
-	}
+	copy(buf[start:], window[:nk])
+	ExtendBackwardInto(buf, 0, 0, start, v)
 	return WordsToBytesInto(dst, buf[:nk])
 }

@@ -119,7 +119,7 @@ func TestScheduleFRconProgression(t *testing.T) {
 	wants := []uint32{0x01000000, 0x02000000, 0x04000000, 0x08000000,
 		0x10000000, 0x20000000, 0x40000000, 0x80000000, 0x1b000000, 0x36000000}
 	for i, want := range wants {
-		if got := rcon(i + 1); got != want {
+		if got := Rcon(i + 1); got != want {
 			t.Errorf("rcon(%d) = %08x, want %08x", i+1, got, want)
 		}
 	}

@@ -70,7 +70,7 @@ func aesLitmusWords(words []uint32, v aes.Variant, tolerance int, hits []Schedul
 		prev := words[j+nk-1]
 		base0 := words[j] ^ words[j+nk]
 		dIdent := bits.OnesCount32(base0 ^ prev)
-		rotBase := base0 ^ subWordRot(prev)
+		rotBase := base0 ^ aes.SubWord(aes.RotWord(prev))
 		dRotLow := bits.OnesCount32(rotBase & 0x00FFFFFF)
 		rotHigh := byte(rotBase >> 24)
 		if dIdent <= tolerance {
@@ -82,10 +82,10 @@ func aesLitmusWords(words []uint32, v aes.Variant, tolerance int, hits []Schedul
 				var d0 int
 				switch {
 				case i%nk == 0:
-					d0 = dRotLow + bits.OnesCount8(rotHigh^byte(rconWord(i/nk)>>24))
+					d0 = dRotLow + bits.OnesCount8(rotHigh^byte(aes.Rcon(i/nk)>>24))
 				case nk > 6 && i%nk == 4:
 					if dSub < 0 {
-						dSub = bits.OnesCount32(base0 ^ subWord32(prev))
+						dSub = bits.OnesCount32(base0 ^ aes.SubWord(prev))
 					}
 					d0 = dSub
 				default:
@@ -94,7 +94,7 @@ func aesLitmusWords(words []uint32, v aes.Variant, tolerance int, hits []Schedul
 				if d0 > tolerance {
 					continue
 				}
-				hits = tryHit(hits, words, j, a, nk, total, maxVerify, tolerance)
+				hits = tryHit(hits, words, j, a, v, total, maxVerify, tolerance)
 			}
 			continue
 		}
@@ -106,20 +106,20 @@ func aesLitmusWords(words []uint32, v aes.Variant, tolerance int, hits []Schedul
 		rotDead := dRotLow > tolerance
 		subDead := nk <= 6
 		if !subDead {
-			subDead = bits.OnesCount32(base0^subWord32(prev)) > tolerance
+			subDead = bits.OnesCount32(base0^aes.SubWord(prev)) > tolerance
 		}
 		if rotDead && subDead {
 			continue
 		}
 		for a := 0; a+nk+MinVerifyWords <= total; a += nk {
 			if !rotDead {
-				if d0 := dRotLow + bits.OnesCount8(rotHigh^byte(rconWord((a+nk)/nk)>>24)); d0 <= tolerance {
-					hits = tryHit(hits, words, j, a, nk, total, maxVerify, tolerance)
+				if d0 := dRotLow + bits.OnesCount8(rotHigh^byte(aes.Rcon((a+nk)/nk)>>24)); d0 <= tolerance {
+					hits = tryHit(hits, words, j, a, v, total, maxVerify, tolerance)
 				}
 			}
 			if !subDead {
 				if as := a + 4; as+nk+MinVerifyWords <= total {
-					hits = tryHit(hits, words, j, as, nk, total, maxVerify, tolerance)
+					hits = tryHit(hits, words, j, as, v, total, maxVerify, tolerance)
 				}
 			}
 		}
@@ -129,12 +129,12 @@ func aesLitmusWords(words []uint32, v aes.Variant, tolerance int, hits []Schedul
 
 // tryHit runs the full prediction walk for trial (j, a) and appends a
 // ScheduleHit if it verifies within tolerance.
-func tryHit(hits []ScheduleHit, words []uint32, j, a, nk, total, maxVerify, tolerance int) []ScheduleHit {
-	verify := total - a - nk
+func tryHit(hits []ScheduleHit, words []uint32, j, a int, v aes.Variant, total, maxVerify, tolerance int) []ScheduleHit {
+	verify := total - a - v.Nk()
 	if verify > maxVerify {
 		verify = maxVerify
 	}
-	d, ok := predictAndCompare(words, j, a, nk, verify, tolerance)
+	d, ok := predictAndCompare(words, j, a, v, verify, tolerance)
 	if ok {
 		hits = append(hits, ScheduleHit{
 			WordOffset:    j,
@@ -149,71 +149,26 @@ func tryHit(hits []ScheduleHit, words []uint32, j, a, nk, total, maxVerify, tole
 // predictAndCompare runs the key-expansion recurrence from the window at
 // word offset j (interpreted as schedule words a..a+nk-1) and compares the
 // next `verify` predicted words against the block contents, bailing out as
-// soon as the cumulative distance exceeds the tolerance.
-func predictAndCompare(words []uint32, j, a, nk, verify, tolerance int) (int, bool) {
-	// ring holds the last nk schedule words.
-	var ring [8]uint32
-	copy(ring[:nk], words[j:j+nk])
+// soon as the cumulative distance exceeds the tolerance. The prediction is
+// aes.ExtendForwardInto on a block-sized stack buffer (pred[k] predicts
+// words[j+k]), run first for MinVerifyWords words and then for the rest:
+// almost every trial is application data that fails within the first two.
+func predictAndCompare(words []uint32, j, a int, v aes.Variant, verify, tolerance int) (int, bool) {
+	nk := v.Nk()
+	var pred [BlockBytes / 4]uint32
+	copy(pred[:nk], words[j:j+nk])
 	dist := 0
-	pos := 0 // next write position in the ring
-	for k := 0; k < verify; k++ {
-		i := a + nk + k // absolute schedule index being produced
-		prev := ring[(pos+nk-1)%nk]
-		next := ring[pos] ^ scheduleStep(prev, i, nk)
-		dist += bits.OnesCount32(next ^ words[j+nk+k])
-		if dist > tolerance {
-			return dist, false
+	end := nk + verify
+	for lo, hi := nk, min(nk+MinVerifyWords, end); lo < end; lo, hi = hi, end {
+		aes.ExtendForwardInto(pred[:], a, lo, hi, v)
+		for k := lo; k < hi; k++ {
+			dist += bits.OnesCount32(pred[k] ^ words[j+k])
+			if dist > tolerance {
+				return dist, false
+			}
 		}
-		ring[pos] = next
-		pos = (pos + 1) % nk
 	}
 	return dist, true
-}
-
-// scheduleStep mirrors the FIPS-197 g/h transforms applied to w[i-1] as a
-// function of the absolute word index.
-func scheduleStep(prev uint32, i, nk int) uint32 {
-	switch {
-	case i%nk == 0:
-		return subWordRot(prev) ^ rconWord(i/nk)
-	case nk > 6 && i%nk == 4:
-		return subWord32(prev)
-	default:
-		return prev
-	}
-}
-
-func subWord32(w uint32) uint32 {
-	return uint32(aes.SubByte(byte(w>>24)))<<24 |
-		uint32(aes.SubByte(byte(w>>16)))<<16 |
-		uint32(aes.SubByte(byte(w>>8)))<<8 |
-		uint32(aes.SubByte(byte(w)))
-}
-
-func subWordRot(w uint32) uint32 {
-	return subWord32(w<<8 | w>>24)
-}
-
-var rconTable = func() [16]uint32 {
-	var t [16]uint32
-	c := byte(1)
-	for i := 1; i < len(t); i++ {
-		t[i] = uint32(c) << 24
-		// xtime in GF(2^8)
-		hi := c & 0x80
-		c <<= 1
-		if hi != 0 {
-			c ^= 0x1B
-		}
-	}
-	return t
-}()
-
-func rconWord(i int) uint32 {
-	if i <= 0 || i >= len(rconTable) {
-		return 0
-	}
-	return rconTable[i]
 }
 
 // MasterFromHit derives the master key implied by a hit: the window words

@@ -150,29 +150,27 @@ func TestTableStart(t *testing.T) {
 	}
 }
 
-func TestScheduleStepMatchesExpandKey(t *testing.T) {
-	// The hunt's inline recurrence must agree with the reference expansion.
+func TestPredictAndCompareMatchesExpandKey(t *testing.T) {
+	// The hunt's in-block prediction must agree with the full expansion
+	// from every schedule position, and count a flipped verified bit.
 	rng := rand.New(rand.NewSource(6))
 	for _, v := range []aes.Variant{aes.AES128, aes.AES192, aes.AES256} {
 		key := make([]byte, v.KeyBytes())
 		rng.Read(key)
 		w := aes.ExpandKey(key)
 		nk := v.Nk()
-		for i := nk; i < len(w); i++ {
-			got := w[i-nk] ^ scheduleStep(w[i-1], i, nk)
-			if got != w[i] {
-				t.Fatalf("%v: inline recurrence wrong at word %d", v, i)
+		for a := 0; a+nk+MinVerifyWords <= len(w); a++ {
+			verify := min(BlockBytes/4-nk, len(w)-a-nk)
+			var words [BlockBytes / 4]uint32
+			copy(words[:], w[a:a+nk+verify])
+			if d, ok := predictAndCompare(words[:], 0, a, v, verify, 0); !ok || d != 0 {
+				t.Fatalf("%v a=%d: prediction distance %d, ok %v; want 0, true", v, a, d, ok)
+			}
+			words[nk+verify-1] ^= 1 << 7
+			if d, ok := predictAndCompare(words[:], 0, a, v, verify, 0); ok || d != 1 {
+				t.Fatalf("%v a=%d: flipped last word: distance %d, ok %v; want 1, false", v, a, d, ok)
 			}
 		}
-	}
-}
-
-func TestRconWordBounds(t *testing.T) {
-	if rconWord(0) != 0 || rconWord(100) != 0 {
-		t.Error("out-of-range rcon should be 0")
-	}
-	if rconWord(1) != 0x01000000 || rconWord(10) != 0x36000000 {
-		t.Error("rcon values wrong")
 	}
 }
 

@@ -96,15 +96,52 @@ func VerifySchedule(dump []byte, keys KeyDirectory, master []byte, tableStart in
 	return scheduleScore(dump, keys, aes.ExpandKeyBytesInto(buf[:0], master), tableStart)
 }
 
-// scheduleScore is the verification kernel: it scores an ALREADY-EXPANDED
-// schedule against the dump. The hunt calls it with cached schedule bytes
-// (ScheduleCache) or scratch-expanded candidates, so the per-candidate path
-// performs no allocation.
+// scheduleScore scores an ALREADY-EXPANDED schedule against the dump: the
+// unbudgeted scheduleMismatch as a match fraction.
 func scheduleScore(dump []byte, keys KeyDirectory, schedule []byte, tableStart int) float64 {
-	if tableStart < 0 || tableStart+len(schedule) > len(dump) {
-		return 0
-	}
 	totalBits := len(schedule) * 8
+	return matchScore(scheduleMismatch(dump, keys, schedule, tableStart, totalBits), totalBits)
+}
+
+// matchScore is the verification score of a schedule with mismatched of its
+// totalBits bits wrong. Every schedule score goes through it, so a
+// mismatch count and its score agree bit for bit with scheduleScore.
+func matchScore(mismatched, totalBits int) float64 {
+	return 1 - float64(mismatched)/float64(totalBits)
+}
+
+// mismatchBudget is the largest mismatch count of a totalBits-bit schedule
+// that still scores >= minScore, or -1 when none does. Scores fall
+// strictly as the count rises, so "count <= budget" and "score >=
+// minScore" are the same test; the budget is found by bisection on that
+// exact float comparison rather than derived by rounding.
+func mismatchBudget(totalBits int, minScore float64) int {
+	lo, hi := -1, totalBits
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if matchScore(mid, totalBits) >= minScore {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// scheduleMismatch is the verification kernel: it counts the schedule bits
+// that differ from the dump at tableStart, block by block, taking the
+// best (minimum-distance) directory key per block and counting a block
+// with no key as fully mismatched. It returns as soon as the count exceeds
+// budget, with some count above budget: a caller that passes the largest
+// count that could still change its decision learns the exact count
+// whenever it matters. A schedule that does not fit the dump counts as
+// fully mismatched (score 0). The hunt calls it with cached schedule bytes
+// (ScheduleCache) or scratch-expanded candidates, so the per-candidate
+// path performs no allocation.
+func scheduleMismatch(dump []byte, keys KeyDirectory, schedule []byte, tableStart, budget int) int {
+	if tableStart < 0 || tableStart+len(schedule) > len(dump) {
+		return len(schedule) * 8
+	}
 	mismatched := 0
 	pos := 0
 	for pos < len(schedule) {
@@ -125,9 +162,12 @@ func scheduleScore(dump []byte, keys KeyDirectory, schedule []byte, tableStart i
 			}
 		}
 		mismatched += best
+		if mismatched > budget {
+			return mismatched
+		}
 		pos += chunk
 	}
-	return 1 - float64(mismatched)/float64(totalBits)
+	return mismatched
 }
 
 // xorDistance returns hamming(stored ^ key, want), popcounting eight bytes
@@ -146,112 +186,228 @@ func xorDistance(stored, key, want []byte) int {
 	return d
 }
 
-// repairer bundles the state the flip-repair searches share: a mutable
-// working copy of the descrambled block plus the scratch the candidate
-// evaluations run on. Methods replace the seed's per-call closures so the
-// per-flip evaluation performs no allocation.
+// repairer bundles the state the flip-repair searches share: the work
+// block in word form (the flip target), and the schedule region's
+// observed words under every directory key, so a flipped window is scored
+// without the master round trip. A candidate's schedule is the window
+// extended outward: schedule expansion is a bijection, so the words the
+// window implies in both directions are exactly the expansion of the
+// master it implies. The schedule is grown and scored one dump-block chunk
+// at a time — the window's own block first, then alternately the next
+// block forward and backward — and scoring stops as soon as the count
+// passes the budget; most candidates are garbage and stop after two or
+// three blocks. Each chunk contributes its minimum over the block's keys,
+// as in scheduleMismatch, so a completed count equals scheduleScore's.
 type repairer struct {
-	rs         *repairScratch
-	dump       []byte
-	keys       KeyDirectory
-	hit        ScheduleHit
-	nk         int
-	v          aes.Variant
-	tableStart int
-	work       []byte // rs.work[:BlockBytes], the flip target
+	rs    *repairScratch
+	hit   ScheduleHit
+	v     aes.Variant
+	nk    int
+	words []uint32 // rs.blockWords: the descrambled block, flipped in place
+	// chunks lists the schedule's per-block word ranges in schedule order;
+	// hitChunk is the one holding the window.
+	chunks   []schedChunk
+	hitChunk int
+	// fixed counts the bits of chunks with no directory key: every
+	// candidate mismatches them all.
+	fixed     int
+	totalBits int
+	budget    int
+	// score is the accepted candidate's score once try succeeds; its
+	// master is then in rs.best.
+	score float64
 }
 
-func newRepairer(rs *repairScratch, dump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant) repairer {
-	return repairer{
-		rs:         rs,
-		dump:       dump,
-		keys:       keys,
-		hit:        hit,
-		nk:         v.Nk(),
-		v:          v,
-		tableStart: hit.TableStart(blockIdx),
-		work:       append(rs.work[:0], block...),
+// schedChunk is the part of a candidate schedule that lies in one dump
+// block: schedule words [lo, hi). The block's observed words under each of
+// its directory keys are stored as keys consecutive (hi-lo)-word runs of
+// rs.obs from offset obs.
+type schedChunk struct {
+	lo, hi int
+	obs    int
+	keys   int
+}
+
+// newRepairer prepares a repair of hit (found in the descrambled block at
+// blockIdx) under the acceptance threshold minScore: it loads the work
+// words and precomputes, once per call, every chunk's observed words.
+func newRepairer(rs *repairScratch, dump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, minScore float64) repairer {
+	rs.repairs++
+	schedBytes := v.ScheduleBytes()
+	r := repairer{
+		rs:        rs,
+		hit:       hit,
+		v:         v,
+		nk:        v.Nk(),
+		words:     aes.BytesToWordsInto(rs.blockWords[:0], block),
+		totalBits: schedBytes * 8,
+		budget:    mismatchBudget(schedBytes*8, minScore),
 	}
+	tableStart := hit.TableStart(blockIdx)
+	if tableStart < 0 || tableStart+schedBytes > len(dump) {
+		// Off the dump: scheduleScore's 0 for every candidate.
+		r.fixed = r.totalBits
+		return r
+	}
+	obs := rs.obs[:0]
+	chunks := rs.chunks[:0]
+	for pos := 0; pos < schedBytes; {
+		addr := tableStart + pos
+		b, inOff := addr/BlockBytes, addr%BlockBytes
+		n := min(BlockBytes-inOff, schedBytes-pos)
+		ch := schedChunk{lo: pos / 4, hi: (pos + n) / 4, obs: len(obs)}
+		if ch.lo <= hit.ScheduleIndex && hit.ScheduleIndex < ch.hi {
+			r.hitChunk = len(chunks)
+		}
+		stored := dump[addr : addr+n]
+		for _, key := range keys(b) {
+			for i := 0; i < n; i += 4 {
+				obs = append(obs, binary.BigEndian.Uint32(stored[i:])^binary.BigEndian.Uint32(key[inOff+i:]))
+			}
+			ch.keys++
+		}
+		if ch.keys == 0 {
+			r.fixed += 8 * n
+		}
+		chunks = append(chunks, ch)
+		pos += n
+	}
+	rs.obs, rs.chunks = obs, chunks
+	r.chunks = chunks
+	return r
 }
 
-// tryMaster derives the master implied by the current work window and
-// scores its full schedule. The returned master aliases rs.master.
-func (r *repairer) tryMaster() ([]byte, float64) {
-	words := aes.BytesToWordsInto(r.rs.winWords[:0], r.work[4*r.hit.WordOffset:4*r.hit.WordOffset+4*r.nk])
-	master := aes.RecoverMasterKeyInto(r.rs.master[:0], words, r.hit.ScheduleIndex, r.v)
-	sched := aes.ExpandKeyBytesInto(r.rs.sched[:0], master)
-	return master, scheduleScore(r.dump, r.keys, sched, r.tableStart)
+// flip toggles bit (LSB-first within each byte, as in the block's byte
+// layout) of the work block.
+func (r *repairer) flip(bit int) {
+	b := bit / 8
+	r.words[b/4] ^= 1 << uint(8*(3-b%4)+bit%8)
 }
 
 // consistent rechecks the hit's own in-block prediction on the edited work
-// block (the cheap pruner that gates full-schedule verification).
+// block (the cheap pruner that gates full-schedule scoring).
 func (r *repairer) consistent() bool {
-	words := aes.BytesToWordsInto(r.rs.blockWords[:0], r.work)
-	_, ok := predictAndCompare(words, r.hit.WordOffset, r.hit.ScheduleIndex, r.nk,
+	_, ok := predictAndCompare(r.words, r.hit.WordOffset, r.hit.ScheduleIndex, r.v,
 		r.hit.VerifiedWords, DefaultAESTolerance)
 	return ok
 }
 
-func (r *repairer) flip(bit int) { r.work[bit/8] ^= 1 << uint(bit%8) }
-
-// RepairWindow attempts to fix bit decay inside a hit's schedule window by
-// flipping up to maxFlips bits (1 or 2) and returning the repaired master
-// with the best full-schedule verification score. This recovers anchors
-// whose verification region was intact (so the hit was detected) but whose
-// window words had decayed (so the derived master was garbage).
-//
-// Each flip candidate is first re-checked against the hit's own in-block
-// prediction (cheap); only candidates that keep the prediction consistent
-// pay for a full-schedule verification.
-//
-// block is the descrambled 64-byte block containing the hit.
-//
-//lint:ignore ctxthread bounded per-hit repair (flip budget caps the work); cancellation lives in the calling stage
-func RepairWindow(dump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64) {
-	var rs repairScratch
-	defer rs.wipe()
-	m, s := repairWindowScratch(&rs, dump, keys, block, blockIdx, hit, v, maxFlips, minScore)
-	return append([]byte{}, m...), s
+// try scores the candidate the current work window implies. When it
+// reaches the budget, try builds its master into rs.best, sets r.score
+// and reports true.
+func (r *repairer) try() bool {
+	r.rs.candidates++
+	m := r.mismatch()
+	if m > r.budget {
+		return false
+	}
+	win := r.words[r.hit.WordOffset : r.hit.WordOffset+r.nk]
+	aes.RecoverMasterKeyInto(r.rs.best[:0], win, r.hit.ScheduleIndex, r.v)
+	r.score = matchScore(m, r.totalBits)
+	return true
 }
 
-// repairWindowScratch is RepairWindow on caller scratch. The returned
-// master aliases rs.best and is valid until the scratch is reused.
-func repairWindowScratch(rs *repairScratch, dump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64) {
-	r := newRepairer(rs, dump, keys, block, blockIdx, hit, v)
+// mismatch counts the current candidate's mismatched schedule bits,
+// growing its schedule outward from the window chunk by chunk and
+// returning early, with a count above the budget, once the budget is
+// exceeded.
+func (r *repairer) mismatch() int {
+	c := r.fixed
+	if c > r.budget || len(r.chunks) == 0 {
+		return c
+	}
+	w := r.rs.cand[:]
+	a, nk, v := r.hit.ScheduleIndex, r.nk, r.v
+	copy(w[a:a+nk], r.words[r.hit.WordOffset:])
+	h := r.chunks[r.hitChunk]
+	aes.ExtendForwardInto(w, 0, a+nk, h.hi, v)
+	aes.ExtendBackwardInto(w, 0, h.lo, a, v)
+	c += r.chunkMismatch(h, r.budget-c)
+	fwd, back := r.hitChunk+1, r.hitChunk-1
+	for c <= r.budget && (fwd < len(r.chunks) || back >= 0) {
+		if fwd < len(r.chunks) {
+			ch := r.chunks[fwd]
+			aes.ExtendForwardInto(w, 0, ch.lo, ch.hi, v)
+			c += r.chunkMismatch(ch, r.budget-c)
+			fwd++
+		}
+		if back >= 0 && c <= r.budget {
+			ch := r.chunks[back]
+			aes.ExtendBackwardInto(w, 0, ch.lo, ch.hi, v)
+			c += r.chunkMismatch(ch, r.budget-c)
+			back--
+		}
+	}
+	if c > r.budget && (fwd < len(r.chunks) || back >= 0) {
+		r.rs.earlyExits++
+	}
+	return c
+}
 
-	m, bestScore := r.tryMaster()
-	bestMaster := append(rs.best[:0], m...)
+// chunkMismatch is one chunk's share of the count: the minimum over the
+// block's keys of the distance between the candidate's words and the
+// observed ones (0 for a keyless chunk, which fixed already counts). When
+// no key comes within limit the result is some value above limit.
+func (r *repairer) chunkMismatch(ch schedChunk, limit int) int {
+	if ch.keys == 0 {
+		return 0
+	}
+	cand := r.rs.cand[ch.lo:ch.hi]
+	n := len(cand)
+	best := limit + 1
+	for k := 0; k < ch.keys; k++ {
+		obs := r.rs.obs[ch.obs+k*n : ch.obs+(k+1)*n]
+		d := 0
+		for i, w := range cand {
+			d += bits.OnesCount32(w ^ obs[i])
+		}
+		best = min(best, d)
+	}
+	return best
+}
+
+// repairWindowScratch attempts to fix bit decay inside a hit's schedule
+// window by flipping up to maxFlips bits (1 or 2). It recovers anchors
+// whose verification region was intact (so the hit was detected) but
+// whose window words had decayed (so the derived master was garbage).
+//
+// The search order is the unflipped window, then for each window bit b1
+// in ascending order the single flip b1 followed (maxFlips >= 2) by every
+// double flip (b1, b2 > b1). Each flip candidate is first re-checked
+// against the hit's own in-block prediction (cheap); only candidates that
+// keep the prediction consistent are scored. The first candidate to score
+// >= minScore is returned with its exact score and ok; when none does, ok
+// is false. block is the descrambled 64-byte block containing the hit. The
+// returned master aliases rs.best and is valid until the scratch is reused.
+func repairWindowScratch(rs *repairScratch, dump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64, bool) {
+	r := newRepairer(rs, dump, keys, block, blockIdx, hit, v, minScore)
+	if r.fixed > r.budget {
+		return nil, 0, false // keyless blocks alone sink every candidate
+	}
+	if r.try() {
+		return rs.best[:v.KeyBytes()], r.score, true
+	}
 	winLo := 4 * hit.WordOffset * 8 // window bit range within the block
 	winHi := winLo + 4*r.nk*8
 	if maxFlips >= 1 {
 		for b1 := winLo; b1 < winHi; b1++ {
 			r.flip(b1)
-			if r.consistent() {
-				if m, s := r.tryMaster(); s > bestScore {
-					bestMaster, bestScore = append(rs.best[:0], m...), s
-				}
+			if r.consistent() && r.try() {
+				return rs.best[:v.KeyBytes()], r.score, true
 			}
-			if maxFlips >= 2 && bestScore < minScore {
+			if maxFlips >= 2 {
 				for b2 := b1 + 1; b2 < winHi; b2++ {
 					r.flip(b2)
-					if r.consistent() {
-						if m, s := r.tryMaster(); s > bestScore {
-							bestMaster, bestScore = append(rs.best[:0], m...), s
-						}
+					if r.consistent() && r.try() {
+						return rs.best[:v.KeyBytes()], r.score, true
 					}
 					r.flip(b2)
-					if bestScore >= minScore {
-						break
-					}
 				}
 			}
 			r.flip(b1)
-			if bestScore >= minScore {
-				break
-			}
 		}
 	}
-	return bestMaster, bestScore
+	return nil, 0, false
 }
 
 // windowDegenerate reports whether a hit's window is trivial content that
@@ -295,37 +451,32 @@ func windowDegenerateWords(words []uint32, hit ScheduleHit, nk int) bool {
 	return weight < total/8 || weight > total*7/8
 }
 
-// RefineMaster corrects residual bit errors in a recovered master key by
-// exploiting the AES key schedule's redundancy. The expansion recurrence is
-// linear except at the subword positions, so a flipped bit in most master
-// words propagates UNCHANGED along its word chain (schedule indices
-// i ≡ c mod Nk) without ever feeding a transform: the corrupted master
-// still verifies at ~0.99 — convincingly, but wrongly. The residual between
-// the candidate's expansion and the observed (descrambled) schedule then
-// repeats the same flip pattern down the whole chain, so a per-chain
+// refineMasterScratch corrects residual bit errors in a recovered master
+// key by exploiting the AES key schedule's redundancy. The expansion
+// recurrence is linear except at the subword positions, so a flipped bit in
+// most master words propagates UNCHANGED along its word chain (schedule
+// indices i ≡ c mod Nk) without ever feeding a transform: the corrupted
+// master still verifies at ~0.99 — convincingly, but wrongly. The residual
+// between the candidate's expansion and the observed (descrambled) schedule
+// then repeats the same flip pattern down the whole chain, so a per-chain
 // bitwise majority vote over the residuals recovers the flip mask exactly;
 // XORing it into the master word fixes the key. Iterated until no chain
 // improves the verification score.
 //
 // This is the schedule-redundancy error correction that lets the attack
-// tolerate decay even when no single anchor window survived intact.
+// tolerate decay even when no single anchor window survived intact. A
+// candidate replaces the best only with strictly fewer mismatches, so each
+// is scored under a budget of one less than the best's count.
 //
-//lint:ignore ctxthread bounded per-candidate consensus over one schedule-sized region; cancellation lives in the calling stage
-func RefineMaster(dump []byte, keys KeyDirectory, master []byte, tableStart int, v aes.Variant) ([]byte, float64) {
-	var rs repairScratch
-	defer rs.wipe()
-	m, s := refineMasterScratch(&rs, dump, keys, master, tableStart, v)
-	return append([]byte{}, m...), s
-}
-
-// refineMasterScratch is RefineMaster on caller scratch. The returned
-// master aliases rs.best and is valid until the scratch is reused; master
-// may itself alias rs.best or rs.master from an earlier scratch call.
+// The returned master aliases rs.best and is valid until the scratch is
+// reused; master may itself alias rs.best or rs.master from an earlier
+// scratch call.
 func refineMasterScratch(rs *repairScratch, dump []byte, keys KeyDirectory, master []byte, tableStart int, v aes.Variant) ([]byte, float64) {
 	best := append(rs.best[:0], master...)
-	bestScore := scheduleScore(dump, keys, aes.ExpandKeyBytesInto(rs.sched[:0], best), tableStart)
-	if bestScore == 0 {
-		return best, bestScore
+	totalBits := v.ScheduleBytes() * 8
+	bestM := scheduleMismatch(dump, keys, aes.ExpandKeyBytesInto(rs.sched[:0], best), tableStart, totalBits)
+	if bestM == totalBits {
+		return best, 0
 	}
 	nk := v.Nk()
 	// Phase 1 — window consensus: the verified candidate tells us where the
@@ -336,8 +487,8 @@ func refineMasterScratch(rs *repairScratch, dump []byte, keys KeyDirectory, mast
 	observed := observedScheduleWordsInto(rs, dump, keys, aes.ExpandKeyBytesInto(rs.ref[:0], best), tableStart)
 	for s := 0; s+nk <= len(observed); s++ {
 		cand := aes.RecoverMasterKeyInto(rs.master[:0], observed[s:s+nk], s, v)
-		if sc := scheduleScore(dump, keys, aes.ExpandKeyBytesInto(rs.sched[:0], cand), tableStart); sc > bestScore {
-			best, bestScore = append(rs.best[:0], cand...), sc
+		if m := scheduleMismatch(dump, keys, aes.ExpandKeyBytesInto(rs.sched[:0], cand), tableStart, bestM-1); m < bestM {
+			best, bestM = append(rs.best[:0], cand...), m
 		}
 	}
 	// Phase 2 — chain-vote error correction for the no-clean-window case.
@@ -370,8 +521,8 @@ func refineMasterScratch(rs *repairScratch, dump []byte, keys KeyDirectory, mast
 			w := aes.BytesToWordsInto(rs.winWords[:0], cand)
 			w[c] ^= fix
 			cand = aes.WordsToBytesInto(rs.master[:0], w)
-			if s := scheduleScore(dump, keys, aes.ExpandKeyBytesInto(rs.sched[:0], cand), tableStart); s > bestScore {
-				best, bestScore = append(rs.best[:0], cand...), s
+			if m := scheduleMismatch(dump, keys, aes.ExpandKeyBytesInto(rs.sched[:0], cand), tableStart, bestM-1); m < bestM {
+				best, bestM = append(rs.best[:0], cand...), m
 				improved = true
 			}
 		}
@@ -379,7 +530,7 @@ func refineMasterScratch(rs *repairScratch, dump []byte, keys KeyDirectory, mast
 			break
 		}
 	}
-	return best, bestScore
+	return best, matchScore(bestM, totalBits)
 }
 
 // observedScheduleWordsInto descrambles the dump region holding the

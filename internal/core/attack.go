@@ -417,9 +417,10 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 	nBlocks := len(dump) / BlockBytes
 	nk := cfg.Variant.Nk()
 
-	var pairs, hits int64
+	var pairs, hits, repairs, repairCands, repairExits int64
 	var done atomic.Int64
 	var cancelled atomic.Bool
+	verifyBudget := mismatchBudget(cfg.Variant.ScheduleBytes()*8, cfg.MinVerifyScore)
 
 	var wg sync.WaitGroup
 	chunk := (nBlocks + cfg.Workers - 1) / cfg.Workers
@@ -522,26 +523,28 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 						if !cached {
 							sched = aes.ExpandKeyBytesInto(sc.repair.sched[:0], master)
 						}
-						score := scheduleScore(dump, run.Directory, sched, start)
+						// Only pass/fail matters here (refine rescores a
+						// verified master), so scoring stops at the budget.
+						initialVerified := scheduleMismatch(dump, run.Directory, sched, start, verifyBudget) <= verifyBudget
 						run.tracer.Observe("hunt.verify_ns", obs.Since(verifyStart))
-						initialVerified := score >= cfg.MinVerifyScore
 						if initialVerified && !cached {
 							run.schedules.Insert(master, sched)
 						}
-						if score < cfg.MinVerifyScore && cfg.GroundDump != nil && groundRepairsLeft > 0 {
+						verified := initialVerified
+						if !verified && cfg.GroundDump != nil && groundRepairsLeft > 0 {
 							groundRepairsLeft--
-							master, score = repairWindowGroundScratch(&sc.repair, dump, cfg.GroundDump,
+							master, _, verified = repairWindowGroundScratch(&sc.repair, dump, cfg.GroundDump,
 								run.Directory, sc.descrambled[:], b, hit, cfg.Variant, 3, cfg.MinVerifyScore)
-						} else if score < cfg.MinVerifyScore && cfg.RepairFlips > 0 {
+						} else if !verified && cfg.RepairFlips > 0 {
 							flips := 1
 							if cfg.RepairFlips >= 2 && doubleRepairsLeft > 0 {
 								doubleRepairsLeft--
 								flips = cfg.RepairFlips
 							}
-							master, score = repairWindowScratch(&sc.repair, dump, run.Directory,
+							master, _, verified = repairWindowScratch(&sc.repair, dump, run.Directory,
 								sc.descrambled[:], b, hit, cfg.Variant, flips, cfg.MinVerifyScore)
 						}
-						if score >= cfg.MinVerifyScore {
+						if verified {
 							// Correct residual linear-chain bit errors via
 							// schedule-redundancy majority voting before
 							// accepting the key. The refined master aliases
@@ -562,6 +565,9 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 			run.mu.Lock()
 			pairs += localPairs
 			hits += localHits
+			repairs += sc.repair.repairs
+			repairCands += sc.repair.candidates
+			repairExits += sc.repair.earlyExits
 			run.mu.Unlock()
 		}(lo, hi)
 	}
@@ -569,6 +575,9 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 	run.Res.PairsTested = pairs
 	run.tracer.Count("hunt.pairs_tested", pairs)
 	run.tracer.Count("hunt.schedule_hits", hits)
+	run.tracer.Count("repair.calls", repairs)
+	run.tracer.Count("repair.candidates", repairCands)
+	run.tracer.Count("repair.early_exits", repairExits)
 	run.mu.Lock()
 	candidates := int64(len(run.found))
 	run.mu.Unlock()

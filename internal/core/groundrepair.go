@@ -31,27 +31,24 @@ func SuspectMask(dump, groundDump []byte, blockIdx int) [BlockBytes]byte {
 	return mask
 }
 
-// RepairWindowGround is RepairWindow restricted to ground-state suspect
-// positions, which affords a deeper search (up to maxFlips = 3) under a
-// verification budget: flips in positions that do not feed the in-block
-// prediction stay "consistent", so every candidate costs a full-schedule
-// verification — the budget bounds that. block is the descrambled 64-byte
-// block containing the hit; dump and groundDump are the full captures the
-// suspects are derived from.
-//
-//lint:ignore ctxthread bounded per-hit repair (explicit verifyBudget caps the work); cancellation lives in the calling stage
-func RepairWindowGround(dump, groundDump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64) {
-	var rs repairScratch
-	defer rs.wipe()
-	m, s := repairWindowGroundScratch(&rs, dump, groundDump, keys, block, blockIdx, hit, v, maxFlips, minScore)
-	return append([]byte{}, m...), s
-}
-
-// repairWindowGroundScratch is RepairWindowGround on caller scratch. The
-// returned master aliases rs.best and is valid until the scratch is reused.
-func repairWindowGroundScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64) {
-	const verifyBudget = 1500
-	r := newRepairer(rs, dump, keys, block, blockIdx, hit, v)
+// repairWindowGroundScratch is repairWindowScratch restricted to
+// ground-state suspect positions, which affords a deeper search (up to
+// maxFlips = 3) under a verification budget: flips in positions that do
+// not feed the in-block prediction stay "consistent", so every such
+// candidate costs a schedule score — the budget bounds that. The search
+// order is the unflipped window, then every depth from 1 to maxFlips in
+// turn, each enumerating suspect combinations depth-first in ascending
+// position order. The first consistent candidate to score >= minScore is
+// returned with its exact score and ok; when none does before the budget
+// runs out, ok is false. block is the descrambled 64-byte block
+// containing the hit; dump and groundDump are the full captures the
+// suspects are derived from. The returned master aliases rs.best and is
+// valid until the scratch is reused.
+func repairWindowGroundScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64, bool) {
+	r := newRepairer(rs, dump, keys, block, blockIdx, hit, v, minScore)
+	if r.fixed > r.budget {
+		return nil, 0, false // keyless blocks alone sink every candidate
+	}
 	mask := SuspectMask(dump, groundDump, blockIdx)
 
 	// Collect suspect bit positions inside the window (reusing the scratch
@@ -66,43 +63,36 @@ func repairWindowGroundScratch(rs *repairScratch, dump, groundDump []byte, keys 
 	}
 	rs.suspects = suspects
 
-	m, bestScore := r.tryMaster()
-	bestMaster := append(rs.best[:0], m...)
-	if bestScore >= minScore || maxFlips < 1 {
-		return bestMaster, bestScore
+	if r.try() {
+		return rs.best[:v.KeyBytes()], r.score, true
 	}
+	const verifyBudget = 1500
 	budget := verifyBudget
-	// Depth-first enumeration of up to maxFlips suspect flips with the
-	// in-block prediction as a pruner and the verification budget as the
-	// hard cost bound.
-	var search func(startIdx, remaining int)
-	search = func(startIdx, remaining int) {
-		if bestScore >= minScore || budget <= 0 {
-			return
-		}
-		for i := startIdx; i < len(suspects); i++ {
-			r.flip(suspects[i])
-			if r.consistent() {
-				budget--
-				if m, s := r.tryMaster(); s > bestScore {
-					bestMaster, bestScore = append(rs.best[:0], m...), s
-					if bestScore >= minScore {
-						r.flip(suspects[i])
-						return
-					}
-				}
-			}
-			if remaining > 1 {
-				search(i+1, remaining-1)
-			}
-			r.flip(suspects[i])
-			if bestScore >= minScore || budget <= 0 {
-				return
-			}
+	for depth := 1; depth <= maxFlips && budget > 0; depth++ {
+		if r.groundSearch(suspects, 0, depth, &budget) {
+			return rs.best[:v.KeyBytes()], r.score, true
 		}
 	}
-	for depth := 1; depth <= maxFlips && bestScore < minScore && budget > 0; depth++ {
-		search(0, depth)
+	return nil, 0, false
+}
+
+// groundSearch enumerates every combination of remaining more flips from
+// suspects[startIdx:], depth-first, with the in-block prediction as a
+// pruner and *budget as the hard cost bound. It reports whether a
+// candidate was accepted (its master is then in rs.best).
+func (r *repairer) groundSearch(suspects []int, startIdx, remaining int, budget *int) bool {
+	for i := startIdx; i < len(suspects) && *budget > 0; i++ {
+		r.flip(suspects[i])
+		if r.consistent() {
+			*budget--
+			if r.try() {
+				return true
+			}
+		}
+		if remaining > 1 && r.groundSearch(suspects, i+1, remaining-1, budget) {
+			return true
+		}
+		r.flip(suspects[i])
 	}
-	return bestMaster, bestScore
+	return false
 }

@@ -96,8 +96,11 @@ func TestGroundRepairDirect(t *testing.T) {
 		if windowDegenerate(descrambled, hit, 8) {
 			continue
 		}
-		m, score := RepairWindowGround(dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, 3, 0.8)
-		if score >= 0.8 && bytes.Equal(m, master) {
+		var rs repairScratch
+		m, score, ok := repairWindowGroundScratch(&rs, dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, 3, 0.8)
+		wm, ws := refRepairWindowGround(dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, 3, 0.8)
+		checkRepairContract(t, "repairWindowGroundScratch", m, score, ok, wm, ws, 0.8)
+		if ok && score >= 0.8 && bytes.Equal(m, master) {
 			repaired = true
 			break
 		}

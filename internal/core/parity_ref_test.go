@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"coldboot/internal/aes"
@@ -142,7 +143,7 @@ func refAESLitmus(block []byte, v aes.Variant, tolerance int) []ScheduleHit {
 			if verify > maxVerify {
 				verify = maxVerify
 			}
-			d, ok := predictAndCompare(words, j, a, nk, verify, tolerance)
+			d, ok := refPredictAndCompare(words, j, a, nk, verify, tolerance)
 			if ok {
 				hits = append(hits, ScheduleHit{
 					WordOffset:    j,
@@ -214,6 +215,59 @@ func refWindowDegenerate(block []byte, hit ScheduleHit, nk int) bool {
 	return weight < total/8 || weight > total*7/8
 }
 
+// refPredictAndCompare is the seed in-block prediction: a ring of the last
+// nk words and the per-word schedule step below.
+func refPredictAndCompare(words []uint32, j, a, nk, verify, tolerance int) (int, bool) {
+	var ring [8]uint32
+	copy(ring[:nk], words[j:j+nk])
+	dist := 0
+	pos := 0
+	for k := 0; k < verify; k++ {
+		i := a + nk + k
+		prev := ring[(pos+nk-1)%nk]
+		next := ring[pos] ^ refScheduleStep(prev, i, nk)
+		dist += bits.OnesCount32(next ^ words[j+nk+k])
+		if dist > tolerance {
+			return dist, false
+		}
+		ring[pos] = next
+		pos = (pos + 1) % nk
+	}
+	return dist, true
+}
+
+// refScheduleStep is the seed FIPS-197 g/h transform of w[i-1], with its
+// own S-box word and round-constant helpers.
+func refScheduleStep(prev uint32, i, nk int) uint32 {
+	switch {
+	case i%nk == 0:
+		return refSubWord32(prev<<8|prev>>24) ^ refRconWord(i/nk)
+	case nk > 6 && i%nk == 4:
+		return refSubWord32(prev)
+	default:
+		return prev
+	}
+}
+
+func refSubWord32(w uint32) uint32 {
+	return uint32(aes.SubByte(byte(w>>24)))<<24 |
+		uint32(aes.SubByte(byte(w>>16)))<<16 |
+		uint32(aes.SubByte(byte(w>>8)))<<8 |
+		uint32(aes.SubByte(byte(w)))
+}
+
+func refRconWord(i int) uint32 {
+	c := byte(1)
+	for ; i > 1; i-- {
+		hi := c & 0x80
+		c <<= 1
+		if hi != 0 {
+			c ^= 0x1B
+		}
+	}
+	return uint32(c) << 24
+}
+
 // refRepairWindow is the seed flip repair: fresh work buffer, allocating
 // closures, allocating master derivation per candidate.
 func refRepairWindow(dump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64) {
@@ -229,7 +283,7 @@ func refRepairWindow(dump []byte, keys KeyDirectory, block []byte, blockIdx int,
 	}
 	consistent := func() bool {
 		words := aes.BytesToWords(work)
-		_, ok := predictAndCompare(words, hit.WordOffset, hit.ScheduleIndex, nk,
+		_, ok := refPredictAndCompare(words, hit.WordOffset, hit.ScheduleIndex, nk,
 			hit.VerifiedWords, DefaultAESTolerance)
 		return ok
 	}
@@ -295,7 +349,7 @@ func refRepairWindowGround(dump, groundDump []byte, keys KeyDirectory, block []b
 	}
 	consistent := func() bool {
 		words := aes.BytesToWords(work)
-		_, ok := predictAndCompare(words, hit.WordOffset, hit.ScheduleIndex, nk,
+		_, ok := refPredictAndCompare(words, hit.WordOffset, hit.ScheduleIndex, nk,
 			hit.VerifiedWords, DefaultAESTolerance)
 		return ok
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -202,6 +203,23 @@ func TestAESLitmusParity(t *testing.T) {
 	}
 }
 
+// checkRepairContract holds a scratch repair to its contract against the
+// frozen reference search: where the reference reaches minScore, the
+// repair returns the same master with the same score; where it does not,
+// the repair reports failure.
+func checkRepairContract(t *testing.T, name string, got []byte, gotScore float64, ok bool, want []byte, wantScore, minScore float64) {
+	t.Helper()
+	if wantScore < minScore {
+		if ok {
+			t.Fatalf("%s: reference reached %v < %v, but repair reports (% x, %v)", name, wantScore, minScore, got, gotScore)
+		}
+		return
+	}
+	if !ok || gotScore != wantScore || !bytes.Equal(got, want) {
+		t.Fatalf("%s parity: got (% x, %v, ok=%v) want (% x, %v)", name, got, gotScore, ok, want, wantScore)
+	}
+}
+
 // TestVerifyRepairParity: direct comparisons of the scratch-based verify,
 // repair, ground-repair, and refine stages against the seed references on a
 // live ground scenario (real directory, real decayed windows).
@@ -242,25 +260,21 @@ func TestVerifyRepairParity(t *testing.T) {
 				t.Fatalf("VerifySchedule parity: got %v want %v", gs, ws)
 			}
 
-			rm, rs := RepairWindow(dump, directory, descrambled, headBlock, hit, v, 2, 0.80)
+			var scratch repairScratch
+			rm, rs, rok := repairWindowScratch(&scratch, dump, directory, descrambled, headBlock, hit, v, 2, 0.80)
 			wrm, wrs := refRepairWindow(dump, directory, descrambled, headBlock, hit, v, 2, 0.80)
-			if rs != wrs || !reflect.DeepEqual(rm, wrm) {
-				t.Fatalf("RepairWindow parity: got (% x, %v) want (% x, %v)", rm, rs, wrm, wrs)
-			}
+			checkRepairContract(t, "repairWindowScratch", rm, rs, rok, wrm, wrs, 0.80)
 
-			gmaster, gscore := RepairWindowGround(dump, groundDump, directory, descrambled,
+			gmaster, gscore, gok := repairWindowGroundScratch(&scratch, dump, groundDump, directory, descrambled,
 				headBlock, hit, v, 3, 0.80)
 			wgm, wgs := refRepairWindowGround(dump, groundDump, directory, descrambled,
 				headBlock, hit, v, 3, 0.80)
-			if gscore != wgs || !reflect.DeepEqual(gmaster, wgm) {
-				t.Fatalf("RepairWindowGround parity: got (% x, %v) want (% x, %v)",
-					gmaster, gscore, wgm, wgs)
-			}
+			checkRepairContract(t, "repairWindowGroundScratch", gmaster, gscore, gok, wgm, wgs, 0.80)
 
-			fm, fs := RefineMaster(dump, directory, gmaster, tableStart, v)
+			fm, fs := refineMasterScratch(&scratch, dump, directory, append([]byte{}, wgm...), tableStart, v)
 			wfm, wfs := refRefineMaster(dump, directory, wgm, tableStart, v)
 			if fs != wfs || !reflect.DeepEqual(fm, wfm) {
-				t.Fatalf("RefineMaster parity: got (% x, %v) want (% x, %v)", fm, fs, wfm, wfs)
+				t.Fatalf("refineMasterScratch parity: got (% x, %v) want (% x, %v)", fm, fs, wfm, wfs)
 			}
 			if string(fm) != string(master) {
 				t.Fatalf("refined master % x != planted % x", fm, master)
@@ -314,6 +328,17 @@ func TestAttackPipelineParity(t *testing.T) {
 			dump := buildAttackDump(t, 256<<10, 64, workload.LightSystem,
 				testMaster(604, 32), 512*BlockBytes)
 			return dump, Config{Workers: 1, Exhaustive: true}
+		}},
+		// Built like the decay-repair benchmark workload (16 masters,
+		// -25 °C / 0.5 s retention decay), where almost every repair call
+		// is spent on application-data hits that never verify.
+		{"decay_repair_density_repair1", func(t *testing.T) ([]byte, Config) {
+			dump, _, _ := buildDecayRepairDump(t, 1<<20, 16, 1703)
+			return dump, Config{Workers: 1, RepairFlips: 1}
+		}},
+		{"decay_repair_density_repair2", func(t *testing.T) ([]byte, Config) {
+			dump, _, _ := buildDecayRepairDump(t, 512<<10, 16, 1704)
+			return dump, Config{Workers: 1, RepairFlips: 2}
 		}},
 		{"aes128_variant", func(t *testing.T) ([]byte, Config) {
 			dump := buildAttackDump(t, 512<<10, 65, workload.LightSystem,

@@ -1,0 +1,387 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"coldboot/internal/aes"
+	"coldboot/internal/bitutil"
+	"coldboot/internal/dram"
+	"coldboot/internal/obs"
+	"coldboot/internal/scramble"
+	"coldboot/internal/workload"
+)
+
+// buildDecayRepairDump builds a dump the way the decay-repair benchmark
+// workload does: LightSystem contents with masters AES-256 schedules
+// planted one per equal slot, Skylake DDR4 scrambling, and decay through
+// the retention model of the paper's DDR4-2400 module at -25 °C for
+// 0.5 s (about 0.4 % of bits flipped). It returns the dump, the planted
+// masters and their table starts.
+func buildDecayRepairDump(t testing.TB, size, masters int, seed int64) (dump []byte, planted [][]byte, starts []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	plain := make([]byte, size)
+	if err := workload.Fill(plain, seed, workload.LightSystem); err != nil {
+		t.Fatal(err)
+	}
+	slot := size / masters
+	for k := 0; k < masters; k++ {
+		m := make([]byte, 32)
+		rng.Read(m)
+		off := k*slot + 16*rng.Intn((slot-512)/16)
+		copy(plain[off:], aes.ExpandKeyBytes(m))
+		planted = append(planted, m)
+		starts = append(starts, off)
+	}
+	scrambled := make([]byte, size)
+	scramble.NewSkylakeDDR4(uint64(seed)*31+7).Scramble(scrambled, plain, 0)
+	spec := dram.ModuleCatalog[6]
+	spec.Geometry = spec.Geometry.WithCapacity(size)
+	mod, err := dram.NewModule(spec, seed^0x5eed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod.Write(0, scrambled)
+	mod.PowerOff()
+	mod.SetTemperature(-25)
+	mod.Elapse(500 * time.Millisecond)
+	dump = plain
+	mod.Read(0, dump)
+	return dump, planted, starts
+}
+
+// failingHit is one litmus hit whose window-derived master fails
+// verification: the input of every repair call the hunt makes.
+type failingHit struct {
+	block    [BlockBytes]byte // descrambled
+	blockIdx int
+	hit      ScheduleHit
+	planted  bool // the hit lies on a planted schedule (a decayed window)
+}
+
+// collectFailingHits walks the dump the way the hunt does and returns
+// every non-degenerate, in-range hit whose initial verification fails.
+func collectFailingHits(t testing.TB, dump []byte, starts []int) ([]failingHit, KeyDirectory) {
+	t.Helper()
+	mine, err := MineKeys(context.Background(), dump, MineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := mine.InferStride()
+	if stride == 0 {
+		t.Fatal("decay fixture produced no stride")
+	}
+	dir := ResidueDirectory(mine, stride)
+	onPlanted := func(start int) bool {
+		for _, s := range starts {
+			if start == s {
+				return true
+			}
+		}
+		return false
+	}
+	v := aes.AES256
+	var out []failingHit
+	var desc [BlockBytes]byte
+	for b := 0; b < len(dump)/BlockBytes; b++ {
+		stored := dump[b*BlockBytes : (b+1)*BlockBytes]
+		if KeyLitmusDistance(stored) <= zeroBlockSkipDistance {
+			continue
+		}
+		for _, key := range dir(b) {
+			bitutil.XORBlock64(desc[:], stored, key)
+			for _, hit := range AESLitmus(desc[:], v, DefaultAESTolerance) {
+				start := hit.TableStart(b)
+				if windowDegenerate(desc[:], hit, v.Nk()) || start < 0 || start+v.ScheduleBytes() > len(dump) {
+					continue
+				}
+				if VerifySchedule(dump, dir, MasterFromHit(desc[:], hit, v), start, v) >= 0.8 {
+					continue
+				}
+				out = append(out, failingHit{block: desc, blockIdx: b, hit: hit, planted: onPlanted(start)})
+			}
+		}
+	}
+	return out, dir
+}
+
+// repairFixture is a 1 MiB, 16-master decay fixture and its failing hits.
+type repairFixture struct {
+	dump []byte
+	dir  KeyDirectory
+	hits []failingHit
+}
+
+var (
+	sharedFixtureOnce sync.Once
+	sharedFixture     *repairFixture
+)
+
+// decayRepairFixture builds the seed-1701 repair fixture once and shares
+// it read-only between the repair tests and BenchmarkRepairWindow.
+func decayRepairFixture(t testing.TB) *repairFixture {
+	t.Helper()
+	sharedFixtureOnce.Do(func() {
+		dump, _, starts := buildDecayRepairDump(t, 1<<20, 16, 1701)
+		hits, dir := collectFailingHits(t, dump, starts)
+		sharedFixture = &repairFixture{dump: dump, dir: dir, hits: hits}
+	})
+	if sharedFixture == nil {
+		t.Fatal("the shared decay fixture failed to build")
+	}
+	return sharedFixture
+}
+
+// TestRepairMatchesFrozenSearch holds the single- and double-flip repair
+// to its contract against the frozen seed search on real failing hits of
+// a decay fixture: application-data hits and decayed planted windows.
+func TestRepairMatchesFrozenSearch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("serial differential oracle: the reference search is too slow under the race detector")
+	}
+	fx := decayRepairFixture(t)
+	dump, dir, hits := fx.dump, fx.dir, fx.hits
+	// Every planted window and a fixed sample of the application-data
+	// hits; the quadratic double-flip reference is rationed further.
+	var planted, app, accepted int
+	var rs repairScratch
+	for i, fh := range hits {
+		if fh.planted {
+			planted++
+		} else if i%16 != 0 {
+			continue
+		} else {
+			app++
+		}
+		flips := 1
+		if (planted+app)%6 == 0 {
+			flips = 2
+		}
+		m, s, ok := repairWindowScratch(&rs, dump, dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, flips, 0.8)
+		wm, ws := refRepairWindow(dump, dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, flips, 0.8)
+		checkRepairContract(t, "repairWindowScratch", m, s, ok, wm, ws, 0.8)
+		if ok {
+			accepted++
+		}
+	}
+	if planted == 0 || app == 0 || accepted == 0 {
+		t.Fatalf("fixture exercised too little: %d planted windows, %d application hits, %d repaired", planted, app, accepted)
+	}
+	t.Logf("%d planted windows, %d application hits, %d repaired", planted, app, accepted)
+}
+
+// TestOutwardScoreMatchesScheduleScore drives the repairer's outward,
+// budgeted count against scheduleScore on random and planted windows,
+// under both directories (the exhaustive one with several keys per block)
+// and with table starts at the dump's edges: under budget the count must
+// be exact, and it may stop early only when scheduleScore is below the
+// threshold.
+func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
+	dump, _, starts := buildDecayRepairDump(t, 1<<20, 16, 1702)
+	mine, err := MineKeys(context.Background(), dump, MineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := mine.InferStride()
+	dirs := map[string]KeyDirectory{
+		"residue":    ResidueDirectory(mine, stride),
+		"exhaustive": AllKeysDirectory(mine),
+	}
+	if len(mine.Keys) < 3 {
+		t.Fatalf("exhaustive directory has %d keys, want >= 3", len(mine.Keys))
+	}
+	// A thinned directory leaves some blocks keyless (fully mismatched).
+	residue := dirs["residue"]
+	dirs["sparse"] = func(b int) [][]byte {
+		if b%5 == 0 {
+			return nil
+		}
+		return residue(b)
+	}
+	v := aes.AES256
+	nk := v.Nk()
+	schedBytes := v.ScheduleBytes()
+	totalBits := schedBytes * 8
+	rng := rand.New(rand.NewSource(17))
+	var rs repairScratch
+	for name, dir := range dirs {
+		// Table starts: every planted schedule, both dump edges, random.
+		var tables []int
+		tables = append(tables, starts...)
+		tables = append(tables, 0, 4, len(dump)-schedBytes, len(dump)-schedBytes-4)
+		for i := 0; i < 24; i++ {
+			tables = append(tables, 4*rng.Intn((len(dump)-schedBytes)/4))
+		}
+		for _, start := range tables {
+			for trial := 0; trial < 6; trial++ {
+				// Pick the block holding schedule word a and its key; the
+				// window there is the dump descrambled (planted windows
+				// then carry real decay), optionally with random flips or
+				// replaced by noise.
+				a := rng.Intn(v.ScheduleWords() - nk - MinVerifyWords + 1)
+				addr := start + 4*a
+				b := addr / BlockBytes
+				off := (addr % BlockBytes) / 4
+				if off+nk+MinVerifyWords > BlockBytes/4 {
+					continue
+				}
+				keys := dir(b)
+				var block [BlockBytes]byte
+				copy(block[:], dump[b*BlockBytes:])
+				if len(keys) > 0 {
+					bitutil.XORBlock64(block[:], block[:], keys[rng.Intn(len(keys))])
+				}
+				switch trial % 3 {
+				case 1:
+					for f := 0; f < 1+rng.Intn(3); f++ {
+						bit := 32*off + rng.Intn(32*nk)
+						block[bit/8] ^= 1 << uint(bit%8)
+					}
+				case 2:
+					rng.Read(block[4*off : 4*(off+nk)])
+				}
+				hit := ScheduleHit{WordOffset: off, ScheduleIndex: a, VerifiedWords: MinVerifyWords}
+				if hit.TableStart(b) != start {
+					t.Fatalf("hit table start %d != %d", hit.TableStart(b), start)
+				}
+				want := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(MasterFromHit(block[:], hit, v)), start, totalBits)
+				for _, minScore := range []float64{0.5, 0.8, 0.95, 1, matchScore(want, totalBits)} {
+					r := newRepairer(&rs, dump, dir, block[:], b, hit, v, minScore)
+					got := r.mismatch()
+					wantPass := matchScore(want, totalBits) >= minScore
+					switch {
+					case got <= r.budget && got != want:
+						t.Fatalf("%s start %d a %d minScore %v: count %d, scheduleScore's %d", name, start, a, minScore, got, want)
+					case got > r.budget && wantPass:
+						t.Fatalf("%s start %d a %d minScore %v: stopped at %d (budget %d) but scheduleScore passes with %d", name, start, a, minScore, got, r.budget, want)
+					case (got <= r.budget) != wantPass:
+						t.Fatalf("%s start %d a %d minScore %v: pass %v, scheduleScore's %v", name, start, a, minScore, got <= r.budget, wantPass)
+					}
+					if r.try() != wantPass {
+						t.Fatalf("%s: try disagrees with the count", name)
+					}
+					if wantPass {
+						if !bytes.Equal(rs.best[:32], MasterFromHit(block[:], hit, v)) || r.score != matchScore(want, totalBits) {
+							t.Fatalf("%s: accepted candidate's master or score differs", name)
+						}
+					}
+				}
+				// The plain budgeted kernel obeys the same contract.
+				for _, budget := range []int{-1, 0, want - 1, want, want + 1, totalBits} {
+					got := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(MasterFromHit(block[:], hit, v)), start, budget)
+					if (got <= budget || want <= budget) && got != want {
+						t.Fatalf("%s start %d: scheduleMismatch budget %d gave %d, exact %d", name, start, budget, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRepairScratchWipe: after repairs and a refine have filled every
+// candidate- and key-bearing buffer, wipe leaves none of it behind.
+func TestRepairScratchWipe(t *testing.T) {
+	fx := decayRepairFixture(t)
+	var rs repairScratch
+	repaired := false
+	for _, fh := range fx.hits {
+		m, _, ok := repairWindowScratch(&rs, fx.dump, fx.dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, 1, 0.8)
+		if ok {
+			refineMasterScratch(&rs, fx.dump, fx.dir, m, fh.hit.TableStart(fh.blockIdx), aes.AES256)
+			repaired = true
+			break
+		}
+	}
+	if !repaired {
+		t.Fatal("no failing hit of the fixture repaired")
+	}
+	rs.wipe()
+	words := [][]uint32{rs.blockWords[:], rs.winWords[:], rs.refWords[:], rs.observedWords[:], rs.cand[:], rs.obs[:cap(rs.obs)]}
+	for i, w := range words {
+		for _, x := range w {
+			if x != 0 {
+				t.Fatalf("word buffer %d not wiped", i)
+			}
+		}
+	}
+	for i, b := range [][]byte{rs.master[:], rs.best[:], rs.sched[:], rs.ref[:], rs.observed[:]} {
+		if !bytes.Equal(b, make([]byte, len(b))) {
+			t.Fatalf("byte buffer %d not wiped", i)
+		}
+	}
+}
+
+// TestRepairCounters: the hunt reports its repair effort once, summed
+// over workers — one call per failing hit it repaired, every scored
+// candidate, and the early exits among them.
+func TestRepairCounters(t *testing.T) {
+	fx := decayRepairFixture(t)
+	count := func(workers int) map[string]int64 {
+		col := obs.NewCollector()
+		if _, err := Attack(context.Background(), fx.dump, Config{Workers: workers, RepairFlips: 1, Tracer: col}); err != nil {
+			t.Fatal(err)
+		}
+		return col.Counters("repair.")
+	}
+	one := count(1)
+	calls, cands, exits := one["calls"], one["candidates"], one["early_exits"]
+	if calls == 0 || cands < calls || exits == 0 || exits > cands {
+		t.Fatalf("repair counters implausible: %v", one)
+	}
+	if many := count(3); !reflect.DeepEqual(many, one) {
+		t.Fatalf("repair counters depend on the worker count: 1 worker %v, 3 workers %v", one, many)
+	}
+}
+
+// TestMismatchBudget pins the budget to the exact float comparison the
+// scores are judged by.
+func TestMismatchBudget(t *testing.T) {
+	for _, totalBits := range []int{1024, 1536, 1920} {
+		for _, minScore := range []float64{-1, 0, 0.5, 0.8, 0.80000001, 0.95, 0.999, 1, 1.5} {
+			b := mismatchBudget(totalBits, minScore)
+			for m := 0; m <= totalBits; m++ {
+				if pass := matchScore(m, totalBits) >= minScore; pass != (m <= b) {
+					t.Fatalf("bits %d minScore %v: budget %d but count %d passes=%v", totalBits, minScore, b, m, pass)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRepairWindow runs single-flip repair over a fixed set of
+// failing hits from a decay fixture: the first 48 application-data hits
+// and every decayed planted window. The scratch is warmed first, so the
+// steady state must not allocate.
+func BenchmarkRepairWindow(b *testing.B) {
+	fx := decayRepairFixture(b)
+	dump, dir, all := fx.dump, fx.dir, fx.hits
+	var hits []failingHit
+	app := 0
+	for _, fh := range all {
+		if fh.planted || app < 48 {
+			hits = append(hits, fh)
+		}
+		if !fh.planted {
+			app++
+		}
+	}
+	var rs repairScratch
+	run := func() {
+		for i := range hits {
+			fh := &hits[i]
+			repairWindowScratch(&rs, dump, dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, 1, 0.8)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}

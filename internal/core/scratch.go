@@ -10,8 +10,7 @@ import (
 // bytes), so the steady-state scan performs no per-block or per-candidate
 // allocations. Each hunt worker owns one huntScratch for its whole block
 // range; the embedded repairScratch is threaded into the repair and refine
-// stages, whose exported wrappers (RepairWindow, RepairWindowGround,
-// RefineMaster) declare their own on the stack.
+// stages.
 //
 // Ownership rule: a scratch is single-goroutine state. Functions taking a
 // *repairScratch may clobber every field; callers must copy out anything
@@ -21,9 +20,8 @@ import (
 
 // repairScratch backs one verify/repair/refine candidate evaluation.
 type repairScratch struct {
-	// work is the mutable copy of the descrambled block the flip loops edit.
-	work [BlockBytes]byte
-	// blockWords holds the full block's word view for consistency rechecks.
+	// blockWords is the word view of the descrambled block the flip loops
+	// edit and recheck.
 	blockWords [BlockBytes / 4]uint32
 	// winWords holds one Nk-word window (Nk <= 8).
 	winWords [8]uint32
@@ -41,9 +39,21 @@ type repairScratch struct {
 	// observedWords their word view.
 	observed      [aes.MaxScheduleBytes]byte
 	observedWords [aes.MaxScheduleWords]uint32
+	// cand holds a repair candidate's schedule words as they are grown
+	// outward from its window.
+	cand [aes.MaxScheduleWords]uint32
+	// obs holds the repair region's observed words (stored ^ key) for every
+	// directory key of every block the schedule covers, and chunks the
+	// per-block layout of obs (both grown once, reused across repairs).
+	obs    []uint32
+	chunks []schedChunk
 	// suspects accumulates ground-repair suspect bit positions (grown once,
 	// reused across hits).
 	suspects []int
+	// repairs, candidates and earlyExits tally the repair searches run, the
+	// candidates they scored and the scores stopped at the budget before
+	// the whole schedule, for the hunt's repair.* counters.
+	repairs, candidates, earlyExits int64
 }
 
 // wipe zeroes every candidate- and key-bearing buffer. Owners call it when
@@ -51,7 +61,6 @@ type repairScratch struct {
 // schedules, and descrambled schedule windows all pass through here, and a
 // cold-boot tool of all things must not strand them on the heap or stack.
 func (rs *repairScratch) wipe() {
-	secret.Wipe(rs.work[:])
 	secret.WipeWords(rs.blockWords[:])
 	secret.WipeWords(rs.winWords[:])
 	secret.Wipe(rs.master[:])
@@ -61,6 +70,8 @@ func (rs *repairScratch) wipe() {
 	secret.WipeWords(rs.refWords[:])
 	secret.Wipe(rs.observed[:])
 	secret.WipeWords(rs.observedWords[:])
+	secret.WipeWords(rs.cand[:])
+	secret.WipeWords(rs.obs[:cap(rs.obs)])
 }
 
 // wipe zeroes the worker's descrambled views and candidate buffers,

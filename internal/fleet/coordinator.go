@@ -467,25 +467,42 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 // handleData streams one leased shard's raw bytes to its worker.
 func (c *Coordinator) handleData(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	s := c.session(q.Get("campaign"), "")
-	if s == nil {
+	id := q.Get("campaign")
+	s := c.session(id, "")
+	if s == nil || s.finished() {
 		http.Error(w, "no such campaign", http.StatusGone)
 		return
 	}
 	first, err1 := strconv.Atoi(q.Get("first_block"))
 	blocks, err2 := strconv.Atoi(q.Get("blocks"))
-	if err1 != nil || err2 != nil || first < 0 || blocks <= 0 || first+blocks > s.plan.TotalBlocks {
+	if err1 != nil || err2 != nil || first < 0 || blocks <= 0 || blocks > s.plan.TotalBlocks-first {
 		http.Error(w, "bad shard range", http.StatusBadRequest)
 		return
 	}
 	buf := make([]byte, blocks*core.BlockBytes)
 	if err := s.src.ReadBlocks(first, buf); err != nil {
+		// A campaign that finishes during the read closes its source
+		// under it: the shard is gone, as for every other lease call.
+		if c.session(id, "") == nil || s.finished() {
+			http.Error(w, "no such campaign", http.StatusGone)
+			return
+		}
 		http.Error(w, "reading shard", http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.Write(buf)
+}
+
+// finished reports whether every shard of the campaign has completed.
+func (s *session) finished() bool {
+	select {
+	case <-s.board.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -431,5 +437,126 @@ func TestWirePlanRoundTrip(t *testing.T) {
 	rj, _ := json.Marshal(rr)
 	if string(lj) != string(rj) {
 		t.Fatalf("wire-rebuilt plan diverged on shard %d:\nlocal:  %s\nremote: %s", sh.Index, lj, rj)
+	}
+}
+
+// gatedSource serves a dump normally until armed. An armed read signals
+// entered, waits for release and then fails the way a read of a source
+// closed under it does.
+type gatedSource struct {
+	core.BlockSource
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedSource) ReadBlocks(first int, buf []byte) error {
+	if !s.armed.Load() {
+		return s.BlockSource.ReadBlocks(first, buf)
+	}
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+	return os.ErrClosed
+}
+
+// leaseOne polls the coordinator until it hands out a lease.
+func leaseOne(t *testing.T, base string) leaseResponse {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Post(base+"/v1/shards/lease", "application/json", strings.NewReader(`{"worker":"probe"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lr leaseResponse
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&lr)
+		}
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lr.Campaign != "" {
+			return lr
+		}
+	}
+	t.Fatal("no lease within 30s")
+	return leaseResponse{}
+}
+
+func getData(t *testing.T, base, campaign string, first, blocks int) int {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/shards/data?campaign=" + campaign +
+		"&first_block=" + strconv.Itoa(first) + "&blocks=" + strconv.Itoa(blocks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestDataAfterCampaignEndsIsGone: a shard-data read that was in flight
+// when its campaign ended (so the source was closed under it) answers 410
+// like every other lease call on a finished campaign, not 500; so does a
+// read after Run returned.
+func TestDataAfterCampaignEndsIsGone(t *testing.T) {
+	dump, _, _ := buildDecayedDumpOpt(t, false)
+	src := &gatedSource{BlockSource: core.BytesSource(dump), entered: make(chan struct{}), release: make(chan struct{})}
+	coord := NewCoordinator(5*time.Second, nil)
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		coord.Run(ctx, src, core.CampaignConfig{ShardBlocks: 4096})
+	}()
+	lease := leaseOne(t, srv.URL)
+
+	src.armed.Store(true)
+	status := make(chan int, 1)
+	go func() { status <- getData(t, srv.URL, lease.Campaign, lease.Shard.FirstBlock, lease.Shard.Blocks) }()
+	<-src.entered
+	cancel()
+	<-runDone
+	close(src.release)
+	if got := <-status; got != http.StatusGone {
+		t.Errorf("data read in flight as the campaign ended: HTTP %d, want 410", got)
+	}
+	if got := getData(t, srv.URL, lease.Campaign, lease.Shard.FirstBlock, lease.Shard.Blocks); got != http.StatusGone {
+		t.Errorf("data read after Run returned: HTTP %d, want 410", got)
+	}
+}
+
+// TestDataRangeOverflowRejected: ranges whose end overflows int must be
+// rejected with 400 before any buffer is sized from them.
+func TestDataRangeOverflowRejected(t *testing.T) {
+	dump, _, _ := buildDecayedDumpOpt(t, false)
+	coord := NewCoordinator(5*time.Second, nil)
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		coord.Run(ctx, core.BytesSource(dump), core.CampaignConfig{ShardBlocks: 4096})
+	}()
+	defer func() { cancel(); <-runDone }()
+	lease := leaseOne(t, srv.URL)
+
+	for _, r := range [][2]int{{1, math.MaxInt}, {math.MaxInt, 1}, {math.MaxInt - 3, 8}, {0, len(dump)/core.BlockBytes + 1}} {
+		if got := getData(t, srv.URL, lease.Campaign, r[0], r[1]); got != http.StatusBadRequest {
+			t.Errorf("first_block=%d blocks=%d: HTTP %d, want 400", r[0], r[1], got)
+		}
+	}
+	if got := getData(t, srv.URL, lease.Campaign, lease.Shard.FirstBlock, lease.Shard.Blocks); got != http.StatusOK {
+		t.Errorf("leased shard range: HTTP %d, want 200", got)
 	}
 }

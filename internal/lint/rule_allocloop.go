@@ -13,8 +13,9 @@ import (
 //
 // The rule also covers per-candidate verify/repair retry loops in the core
 // package: any loop that re-invokes one of the hunt's verification kernels
-// (xorDistance, predictAndCompare, scheduleScore — directly or through
-// helpers like tryMaster or VerifySchedule) runs once per candidate master
+// (xorDistance, predictAndCompare, scheduleScore, scheduleMismatch, the
+// repairer's chunkMismatch — directly or through helpers like try or
+// VerifySchedule) runs once per candidate master
 // times the repair search fan-out, so allocations there multiply just as
 // badly as in the block loops. Accumulator appends (out = append(out, x))
 // are fine; a rare-path allocation that is genuinely wanted (e.g. a Finding
@@ -60,6 +61,8 @@ var verifyKernelNames = map[string]bool{
 	"xorDistance":       true,
 	"predictAndCompare": true,
 	"scheduleScore":     true,
+	"scheduleMismatch":  true,
+	"chunkMismatch":     true,
 }
 
 func (r allocloopRule) Check(m *Module, p *Package) []Finding {

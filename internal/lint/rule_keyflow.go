@@ -54,6 +54,8 @@ var keyflowSources = map[string]string{
 	"internal/aes.ExpandKeyInto":        "expanded AES key schedule",
 	"internal/aes.ExpandKeyBytes":       "expanded AES key schedule",
 	"internal/aes.ExpandKeyBytesInto":   "expanded AES key schedule",
+	"internal/aes.ExtendForwardInto":    "expanded AES key schedule",
+	"internal/aes.ExtendBackwardInto":   "expanded AES key schedule",
 	"internal/core.MasterFromHit":       "recovered AES master",
 	"internal/secret.Bytes.Reveal":      "revealed secret bytes",
 }
@@ -67,6 +69,8 @@ var keyflowFields = map[string]string{
 	"internal/core.repairScratch.best":   "repair scratch master",
 	"internal/core.repairScratch.sched":  "repair scratch schedule",
 	"internal/core.repairScratch.ref":    "repair scratch schedule",
+	"internal/core.repairScratch.cand":   "repair scratch schedule",
+	"internal/core.repairScratch.obs":    "repair observed schedule",
 	"internal/core.verifyOutcome.final":  "memoized master",
 	"internal/core.ScheduleCache.m":      "cached key schedule",
 	"internal/keyfind.Finding.Master":    "keyfind candidate master",
