@@ -16,8 +16,13 @@
 #                       positive/negative fixture trees (skips the
 #                       whole-module self-scan)
 #   make fmt            fail if any file needs gofmt
+#   make perfbench-check  vet and test the benchmark module (perfbench/, its
+#                       own Go module built against this tree), so a change
+#                       to an exported API it uses fails here, not in the
+#                       benchmark run
 #   make check          umbrella gate: build + tests + vet + race + lint +
-#                       fmt, the whole pre-merge checklist in one target
+#                       fmt + perfbench-check, the whole pre-merge
+#                       checklist in one target
 #   make fuzz-smoke     run every fuzz target for 10s each (corpus seeds
 #                       under */testdata/fuzz are always run by plain
 #                       `go test` too)
@@ -46,7 +51,7 @@
 
 GO ?= go
 
-.PHONY: test race lint lint-json lint-fixtures fmt check fuzz-smoke serve-smoke crash-smoke bench bench-hotpath bench-guard all
+.PHONY: test race lint lint-json lint-fixtures fmt perfbench-check check fuzz-smoke serve-smoke crash-smoke bench bench-hotpath bench-guard all
 
 all: check
 
@@ -76,7 +81,10 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: test race lint fmt
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: test race lint fmt perfbench-check
 
 fuzz-smoke:
 	$(GO) test ./internal/dumpfile -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s

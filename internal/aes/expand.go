@@ -102,53 +102,15 @@ func ExpandKeyBytesInto(dst []byte, key []byte) []byte {
 	return WordsToBytesInto(dst, ExpandKeyInto(w[:0], key))
 }
 
-// ExtendForward computes the n schedule words that follow a window of
-// consecutive schedule words. window holds words w[start .. start+len-1]
-// (absolute schedule indices); the window must contain at least nk words.
-// This is the "partial key expansion" the attack runs against candidate
-// descrambled blocks: no knowledge of earlier schedule words is required.
-func ExtendForward(window []uint32, start int, v Variant, n int) []uint32 {
-	nk := v.Nk()
-	if len(window) < nk {
-		panic(fmt.Sprintf("aes: ExtendForward window %d < Nk %d", len(window), nk))
-	}
-	buf := make([]uint32, len(window)+n)
-	copy(buf, window)
-	ExtendForwardInto(buf, start, len(window), len(buf), v)
-	return buf[len(window):]
-}
-
-// ExtendBackward computes the n schedule words that precede a window of
-// consecutive schedule words. window holds words w[start .. start+len-1];
-// it must contain at least nk words, and start must be >= n (the schedule
-// cannot be extended before word 0). The returned slice holds words
-// w[start-n .. start-1] in ascending order.
-//
-// Backward extension is what lets the attack recover the *master* key (the
-// head of the table) from any intact region of the schedule, even when the
-// first round keys were lost to bit decay: w[i-Nk] = w[i] ^ f(w[i-1], i).
-func ExtendBackward(window []uint32, start int, v Variant, n int) []uint32 {
-	nk := v.Nk()
-	if len(window) < nk {
-		panic(fmt.Sprintf("aes: ExtendBackward window %d < Nk %d", len(window), nk))
-	}
-	if start < n {
-		panic(fmt.Sprintf("aes: ExtendBackward start %d < n %d", start, n))
-	}
-	// buf[j] holds word start-n+j.
-	buf := make([]uint32, n+nk)
-	copy(buf[n:], window[:nk])
-	ExtendBackwardInto(buf, start-n, 0, n, v)
-	return buf[:n]
-}
-
 // ExtendForwardInto is the forward schedule kernel every expansion runs
 // on. w[j] holds schedule word base+j; the kernel fills w[from:to] in place
 // from the nk words below from, by the FIPS-197 recurrence
 // w[i] = w[i-Nk] ^ f(w[i-1], i). It walks whole Nk-word rounds, so the
 // word class (i mod Nk) and round constant advance with the loop instead
 // of costing two divisions per word; only the first word's position is
-// divided out, once per call. It does not allocate.
+// divided out, once per call. It does not allocate. This is the "partial
+// key expansion" the attack runs against candidate descrambled blocks: no
+// knowledge of earlier schedule words is required.
 func ExtendForwardInto(w []uint32, base, from, to int, v Variant) {
 	if from >= to {
 		return
@@ -189,7 +151,9 @@ func ExtendForwardInto(w []uint32, base, from, to int, v Variant) {
 // above, and the class-0 word depends on its own round's last word, so
 // walking each round from its top class down keeps every input known. Like
 // ExtendForwardInto it divides once per call and does not allocate;
-// base+from must be >= 0.
+// base+from must be >= 0. Backward extension is what lets the attack
+// recover the master key (the head of the table) from any intact region of
+// the schedule, even when the first round keys were lost to bit decay.
 func ExtendBackwardInto(w []uint32, base, from, to int, v Variant) {
 	if from >= to {
 		return

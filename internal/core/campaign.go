@@ -278,15 +278,12 @@ func shardMineView(mine *MineResult, sh Shard) *MineResult {
 func scanShard(ctx context.Context, sub []byte, sh Shard, mine *MineResult, directory KeyDirectory, cfg Config, span obs.Span) (ShardResult, error) {
 	shiftedDir := func(b int) [][]byte { return directory(b + sh.FirstBlock) }
 	res, err := Attack(ctx, sub, Config{
-		Variant:         cfg.Variant,
-		Formats:         cfg.Formats,
-		LitmusTolerance: cfg.LitmusTolerance,
-		AESTolerance:    cfg.AESTolerance,
-		MinVerifyScore:  cfg.MinVerifyScore,
-		RepairFlips:     cfg.RepairFlips,
-		Workers:         cfg.Workers,
-		KeysForBlock:    shiftedDir,
-		Mine:            shardMineView(mine, sh),
+		Variant:      cfg.Variant,
+		Formats:      cfg.Formats,
+		RepairFlips:  cfg.RepairFlips,
+		Workers:      cfg.Workers,
+		KeysForBlock: shiftedDir,
+		Mine:         shardMineView(mine, sh),
 		// All shards share the campaign's schedule cache: a master
 		// re-sighted in an overlap region expands once, not once per shard.
 		ScheduleCache: cfg.ScheduleCache,

@@ -139,6 +139,21 @@ func TestCampaignRejectsUnalignedDump(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsGroundDump: shard scans cannot run ground-state
+// repair, so a campaign asked for it must fail up front instead of
+// silently scanning without it.
+func TestCampaignRejectsGroundDump(t *testing.T) {
+	dump, groundDump, _, _ := buildGroundScenario(t, 2)
+	cfg := CampaignConfig{Attack: Config{GroundDump: groundDump}}
+	if plan, err := PlanCampaignSource(context.Background(), BytesSource(dump), cfg); err == nil {
+		plan.Close()
+		t.Error("PlanCampaignSource accepted a ground dump")
+	}
+	if res, err := RunCampaign(context.Background(), dump, cfg); err == nil {
+		t.Errorf("RunCampaign accepted a ground dump and returned %d keys", len(res.Keys))
+	}
+}
+
 func TestMergeShardResultsDedup(t *testing.T) {
 	k1 := FoundKey{Master: []byte("a"), TableStart: 1000, Score: 0.9}
 	k1dup := FoundKey{Master: []byte("a"), TableStart: 1000, Score: 0.95}

@@ -97,9 +97,9 @@ func TestGroundRepairDirect(t *testing.T) {
 			continue
 		}
 		var rs repairScratch
-		m, score, ok := repairWindowGroundScratch(&rs, dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, 3, 0.8)
-		wm, ws := refRepairWindowGround(dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, 3, 0.8)
-		checkRepairContract(t, "repairWindowGroundScratch", m, score, ok, wm, ws, 0.8)
+		m, score, ok := repairWindowScratch(&rs, dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, groundRepairFlips)
+		wm, ws := refRepairWindowGround(dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, groundRepairFlips, minVerifyScore)
+		checkRepairContract(t, "ground repairWindowScratch", m, score, ok, wm, ws, minVerifyScore)
 		if ok && score >= 0.8 && bytes.Equal(m, master) {
 			repaired = true
 			break

@@ -489,11 +489,7 @@ func refAttack(dump []byte, cfg Config) *Result {
 
 	mine := cfg.Mine
 	if mine == nil {
-		mine = refMineKeys(dump, MineOptions{
-			Tolerance:     cfg.LitmusTolerance,
-			MergeDistance: cfg.MergeDistance,
-			MaxBytes:      cfg.MineMaxBytes,
-		})
+		mine = refMineKeys(dump, MineOptions{Tolerance: DefaultLitmusTolerance})
 	}
 	res.Mine = mine
 
@@ -548,7 +544,7 @@ func refAttack(dump []byte, cfg Config) *Result {
 		for _, key := range directory(b) {
 			res.PairsTested++
 			bitutil.XORBlock64(descrambled, stored, key)
-			blockHits := refAESLitmus(descrambled, cfg.Variant, cfg.AESTolerance)
+			blockHits := refAESLitmus(descrambled, cfg.Variant, DefaultAESTolerance)
 			doubleRepairsLeft := 4
 			groundRepairsLeft := 4
 			for _, hit := range blockHits {
@@ -561,20 +557,20 @@ func refAttack(dump []byte, cfg Config) *Result {
 				}
 				master := refMasterFromHit(descrambled, hit, cfg.Variant)
 				score := refVerifySchedule(dump, directory, master, start, cfg.Variant)
-				if score < cfg.MinVerifyScore && cfg.GroundDump != nil && groundRepairsLeft > 0 {
+				if score < minVerifyScore && cfg.GroundDump != nil && groundRepairsLeft > 0 {
 					groundRepairsLeft--
 					master, score = refRepairWindowGround(dump, cfg.GroundDump, directory,
-						descrambled, b, hit, cfg.Variant, 3, cfg.MinVerifyScore)
-				} else if score < cfg.MinVerifyScore && cfg.RepairFlips > 0 {
+						descrambled, b, hit, cfg.Variant, 3, minVerifyScore)
+				} else if score < minVerifyScore && cfg.RepairFlips > 0 {
 					flips := 1
 					if cfg.RepairFlips >= 2 && doubleRepairsLeft > 0 {
 						doubleRepairsLeft--
 						flips = cfg.RepairFlips
 					}
 					master, score = refRepairWindow(dump, directory, descrambled, b, hit,
-						cfg.Variant, flips, cfg.MinVerifyScore)
+						cfg.Variant, flips, minVerifyScore)
 				}
-				if score >= cfg.MinVerifyScore {
+				if score >= minVerifyScore {
 					master, score = refRefineMaster(dump, directory, master, start, cfg.Variant)
 					record(master, start, score, cfg.Variant)
 				}

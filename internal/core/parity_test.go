@@ -261,15 +261,15 @@ func TestVerifyRepairParity(t *testing.T) {
 			}
 
 			var scratch repairScratch
-			rm, rs, rok := repairWindowScratch(&scratch, dump, directory, descrambled, headBlock, hit, v, 2, 0.80)
-			wrm, wrs := refRepairWindow(dump, directory, descrambled, headBlock, hit, v, 2, 0.80)
-			checkRepairContract(t, "repairWindowScratch", rm, rs, rok, wrm, wrs, 0.80)
+			rm, rs, rok := repairWindowScratch(&scratch, dump, nil, directory, descrambled, headBlock, hit, v, 2)
+			wrm, wrs := refRepairWindow(dump, directory, descrambled, headBlock, hit, v, 2, minVerifyScore)
+			checkRepairContract(t, "blind repairWindowScratch", rm, rs, rok, wrm, wrs, minVerifyScore)
 
-			gmaster, gscore, gok := repairWindowGroundScratch(&scratch, dump, groundDump, directory, descrambled,
-				headBlock, hit, v, 3, 0.80)
+			gmaster, gscore, gok := repairWindowScratch(&scratch, dump, groundDump, directory, descrambled,
+				headBlock, hit, v, groundRepairFlips)
 			wgm, wgs := refRepairWindowGround(dump, groundDump, directory, descrambled,
-				headBlock, hit, v, 3, 0.80)
-			checkRepairContract(t, "repairWindowGroundScratch", gmaster, gscore, gok, wgm, wgs, 0.80)
+				headBlock, hit, v, groundRepairFlips, minVerifyScore)
+			checkRepairContract(t, "ground repairWindowScratch", gmaster, gscore, gok, wgm, wgs, minVerifyScore)
 
 			fm, fs := refineMasterScratch(&scratch, dump, directory, append([]byte{}, wgm...), tableStart, v)
 			wfm, wfs := refRefineMaster(dump, directory, wgm, tableStart, v)

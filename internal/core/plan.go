@@ -72,10 +72,14 @@ type CampaignPlan struct {
 // mining pass, stride inference, directory construction, and the shard
 // cut. On a mining error (including cancellation) the returned plan
 // carries the partial Result and the error; the caller decides whether
-// to scan anyway. Close the plan when finished with it.
+// to scan anyway. Close the plan when finished with it. Ground-state
+// repair is not sharded: a config with Attack.GroundDump set is rejected.
 func PlanCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig) (*CampaignPlan, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil dump source")
+	}
+	if cfg.Attack.GroundDump != nil {
+		return nil, fmt.Errorf("core: campaigns cannot use a ground dump; run Attack over the whole dump instead")
 	}
 	cfg = cfg.withDefaults()
 	privateCache := cfg.Attack.ScheduleCache == nil
@@ -114,11 +118,7 @@ func PlanCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig
 	// Global mining pass: keys repeat across the whole image, so one pass
 	// yields the best pool and the true stride.
 	mineTimer := p.root.Child("campaign.mine")
-	mine, err := MineKeysSource(ctx, src, MineOptions{
-		Tolerance:     attackCfg.LitmusTolerance,
-		MergeDistance: attackCfg.MergeDistance,
-		MaxBytes:      attackCfg.MineMaxBytes,
-	})
+	mine, err := MineKeysSource(ctx, src, MineOptions{})
 	mineTimer.End()
 	p.Mine = mine
 	p.res = &Result{Mine: mine, BlocksScanned: totalBlocks}
@@ -127,16 +127,8 @@ func PlanCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig
 	}
 	p.Stride = mine.InferStride()
 	p.res.Stride = p.Stride
-	switch {
-	case attackCfg.KeysForBlock != nil:
-		p.directory = attackCfg.KeysForBlock
-	case attackCfg.Exhaustive || p.Stride == 0:
-		p.directory = AllKeysDirectory(mine)
-	default:
-		p.Coverage = mine.Coverage(p.Stride)
-		p.res.Coverage = p.Coverage
-		p.directory = ResidueDirectory(mine, p.Stride)
-	}
+	p.directory, p.Coverage = chooseDirectory(mine, p.Stride, attackCfg)
+	p.res.Coverage = p.Coverage
 
 	p.Overlap = attackCfg.Variant.ScheduleBytes()/BlockBytes + 1
 	p.Shards = Shards(totalBlocks, cfg.ShardBlocks, p.Overlap)
@@ -267,25 +259,22 @@ func (p *CampaignPlan) Close() {
 // WirePlan is the serializable projection of a CampaignPlan: everything
 // a remote worker needs to reproduce a shard scan byte-for-byte. It
 // deliberately excludes host-local state (KeysForBlock closures, tracer,
-// schedule cache) and the mining knobs the plan already consumed.
+// schedule cache); mining already ran on the coordinator.
 //
 // The mined Keys ride along raw: they are scrambler keystream blocks
 // recovered FROM the attacker-held dump, not recovered secrets — the
 // keyflow boundary (secret.Bytes fingerprints) applies to AES masters in
 // results at rest, which travel the fleet transport, never the WAL.
 type WirePlan struct {
-	Variant         aes.Variant `json:"variant"`
-	Formats         []string    `json:"formats,omitempty"`
-	LitmusTolerance int         `json:"litmus_tolerance,omitempty"`
-	AESTolerance    int         `json:"aes_tolerance,omitempty"`
-	MinVerifyScore  float64     `json:"min_verify_score,omitempty"`
-	RepairFlips     int         `json:"repair_flips,omitempty"`
-	Exhaustive      bool        `json:"exhaustive,omitempty"`
-	Workers         int         `json:"workers,omitempty"`
-	Stride          int         `json:"stride,omitempty"`
-	TotalBlocks     int         `json:"total_blocks"`
-	Overlap         int         `json:"overlap"`
-	Mine            *MineResult `json:"mine"`
+	Variant     aes.Variant `json:"variant"`
+	Formats     []string    `json:"formats,omitempty"`
+	RepairFlips int         `json:"repair_flips,omitempty"`
+	Exhaustive  bool        `json:"exhaustive,omitempty"`
+	Workers     int         `json:"workers,omitempty"`
+	Stride      int         `json:"stride,omitempty"`
+	TotalBlocks int         `json:"total_blocks"`
+	Overlap     int         `json:"overlap"`
+	Mine        *MineResult `json:"mine"`
 	// Trace propagates the campaign's distributed trace context so worker
 	// span trees stamp the same trace ID the coordinator minted.
 	Trace obs.TraceContext `json:"trace,omitempty"`
@@ -294,19 +283,16 @@ type WirePlan struct {
 // Wire projects the plan for shipment to workers.
 func (p *CampaignPlan) Wire() *WirePlan {
 	return &WirePlan{
-		Variant:         p.attackCfg.Variant,
-		Formats:         p.attackCfg.Formats,
-		LitmusTolerance: p.attackCfg.LitmusTolerance,
-		AESTolerance:    p.attackCfg.AESTolerance,
-		MinVerifyScore:  p.attackCfg.MinVerifyScore,
-		RepairFlips:     p.attackCfg.RepairFlips,
-		Exhaustive:      p.attackCfg.Exhaustive,
-		Workers:         p.attackCfg.Workers,
-		Stride:          p.Stride,
-		TotalBlocks:     p.TotalBlocks,
-		Overlap:         p.Overlap,
-		Mine:            p.Mine,
-		Trace:           p.Trace,
+		Variant:     p.attackCfg.Variant,
+		Formats:     p.attackCfg.Formats,
+		RepairFlips: p.attackCfg.RepairFlips,
+		Exhaustive:  p.attackCfg.Exhaustive,
+		Workers:     p.attackCfg.Workers,
+		Stride:      p.Stride,
+		TotalBlocks: p.TotalBlocks,
+		Overlap:     p.Overlap,
+		Mine:        p.Mine,
+		Trace:       p.Trace,
 	}
 }
 
@@ -319,15 +305,12 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 		return nil, fmt.Errorf("core: wire plan missing mine pool")
 	}
 	attackCfg := Config{
-		Variant:         w.Variant,
-		Formats:         w.Formats,
-		LitmusTolerance: w.LitmusTolerance,
-		AESTolerance:    w.AESTolerance,
-		MinVerifyScore:  w.MinVerifyScore,
-		RepairFlips:     w.RepairFlips,
-		Exhaustive:      w.Exhaustive,
-		Workers:         w.Workers,
-		Tracer:          tracer,
+		Variant:     w.Variant,
+		Formats:     w.Formats,
+		RepairFlips: w.RepairFlips,
+		Exhaustive:  w.Exhaustive,
+		Workers:     w.Workers,
+		Tracer:      tracer,
 	}.withDefaults()
 	rf, err := resolveFormats(attackCfg.Formats)
 	if err != nil {
@@ -346,12 +329,7 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 		res:          &Result{Mine: w.Mine, Stride: w.Stride, BlocksScanned: w.TotalBlocks},
 		privateCache: true,
 	}
-	if attackCfg.Exhaustive || w.Stride == 0 {
-		p.directory = AllKeysDirectory(w.Mine)
-	} else {
-		p.Coverage = w.Mine.Coverage(w.Stride)
-		p.res.Coverage = p.Coverage
-		p.directory = ResidueDirectory(w.Mine, w.Stride)
-	}
+	p.directory, p.Coverage = chooseDirectory(w.Mine, w.Stride, attackCfg)
+	p.res.Coverage = p.Coverage
 	return p, nil
 }

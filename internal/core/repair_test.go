@@ -25,6 +25,16 @@ import (
 // masters and their table starts.
 func buildDecayRepairDump(t testing.TB, size, masters int, seed int64) (dump []byte, planted [][]byte, starts []int) {
 	t.Helper()
+	mod, planted, starts := decayRepairModule(t, size, masters, seed)
+	dump = make([]byte, size)
+	mod.Read(0, dump)
+	return dump, planted, starts
+}
+
+// decayRepairModule is buildDecayRepairDump's module after the decay, for
+// callers that also read its ground state.
+func decayRepairModule(t testing.TB, size, masters int, seed int64) (mod *dram.Module, planted [][]byte, starts []int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	plain := make([]byte, size)
 	if err := workload.Fill(plain, seed, workload.LightSystem); err != nil {
@@ -51,9 +61,7 @@ func buildDecayRepairDump(t testing.TB, size, masters int, seed int64) (dump []b
 	mod.PowerOff()
 	mod.SetTemperature(-25)
 	mod.Elapse(500 * time.Millisecond)
-	dump = plain
-	mod.Read(0, dump)
-	return dump, planted, starts
+	return mod, planted, starts
 }
 
 // failingHit is one litmus hit whose window-derived master fails
@@ -111,11 +119,13 @@ func collectFailingHits(t testing.TB, dump []byte, starts []int) ([]failingHit, 
 	return out, dir
 }
 
-// repairFixture is a 1 MiB, 16-master decay fixture and its failing hits.
+// repairFixture is a 1 MiB, 16-master decay fixture, the module's ground
+// state (the capture a fully decayed DIMM gives) and its failing hits.
 type repairFixture struct {
-	dump []byte
-	dir  KeyDirectory
-	hits []failingHit
+	dump   []byte
+	ground []byte
+	dir    KeyDirectory
+	hits   []failingHit
 }
 
 var (
@@ -128,9 +138,12 @@ var (
 func decayRepairFixture(t testing.TB) *repairFixture {
 	t.Helper()
 	sharedFixtureOnce.Do(func() {
-		dump, _, starts := buildDecayRepairDump(t, 1<<20, 16, 1701)
+		mod, _, starts := decayRepairModule(t, 1<<20, 16, 1701)
+		dump, ground := make([]byte, 1<<20), make([]byte, 1<<20)
+		mod.Read(0, dump)
+		mod.GroundState(0, ground)
 		hits, dir := collectFailingHits(t, dump, starts)
-		sharedFixture = &repairFixture{dump: dump, dir: dir, hits: hits}
+		sharedFixture = &repairFixture{dump: dump, ground: ground, dir: dir, hits: hits}
 	})
 	if sharedFixture == nil {
 		t.Fatal("the shared decay fixture failed to build")
@@ -138,42 +151,69 @@ func decayRepairFixture(t testing.TB) *repairFixture {
 	return sharedFixture
 }
 
-// TestRepairMatchesFrozenSearch holds the single- and double-flip repair
-// to its contract against the frozen seed search on real failing hits of
-// a decay fixture: application-data hits and decayed planted windows.
+// TestRepairMatchesFrozenSearch holds the repair search to its contract
+// against the frozen seed searches on real failing hits of a decay
+// fixture, application-data hits and decayed planted windows alike: blind
+// mode against the flip reference (single flips, and double flips on a
+// rationed share of the calls), ground mode against the ground-state
+// reference. Its effort counters over the sample must equal what the
+// separate blind and ground searches it replaced reported on the same
+// hits.
 func TestRepairMatchesFrozenSearch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("serial differential oracle: the reference search is too slow under the race detector")
 	}
 	fx := decayRepairFixture(t)
-	dump, dir, hits := fx.dump, fx.dir, fx.hits
-	// Every planted window and a fixed sample of the application-data
-	// hits; the quadratic double-flip reference is rationed further.
-	var planted, app, accepted int
-	var rs repairScratch
-	for i, fh := range hits {
-		if fh.planted {
-			planted++
-		} else if i%16 != 0 {
-			continue
-		} else {
-			app++
-		}
-		flips := 1
-		if (planted+app)%6 == 0 {
-			flips = 2
-		}
-		m, s, ok := repairWindowScratch(&rs, dump, dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, flips, 0.8)
-		wm, ws := refRepairWindow(dump, dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, flips, 0.8)
-		checkRepairContract(t, "repairWindowScratch", m, s, ok, wm, ws, 0.8)
-		if ok {
-			accepted++
-		}
+	modes := []struct {
+		name   string
+		ground []byte
+		// every sample-th application-data hit joins every planted window
+		sample int
+		// want is {repair.calls, repair.candidates, repair.early_exits}
+		want [3]int64
+	}{
+		{"blind", nil, 16, [3]int64{222, 902385, 880137}},
+		{"ground", fx.ground, 64, [3]int64{81, 94795, 83890}},
 	}
-	if planted == 0 || app == 0 || accepted == 0 {
-		t.Fatalf("fixture exercised too little: %d planted windows, %d application hits, %d repaired", planted, app, accepted)
+	for _, m := range modes {
+		var planted, app, accepted int
+		var rs repairScratch
+		for i, fh := range fx.hits {
+			if fh.planted {
+				planted++
+			} else if i%m.sample != 0 {
+				continue
+			} else {
+				app++
+			}
+			var got, want []byte
+			var s, ws float64
+			var ok bool
+			if m.ground == nil {
+				// The quadratic double-flip reference is rationed.
+				flips := 1
+				if (planted+app)%6 == 0 {
+					flips = 2
+				}
+				got, s, ok = repairWindowScratch(&rs, fx.dump, nil, fx.dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, flips)
+				want, ws = refRepairWindow(fx.dump, fx.dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, flips, minVerifyScore)
+			} else {
+				got, s, ok = repairWindowScratch(&rs, fx.dump, m.ground, fx.dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, groundRepairFlips)
+				want, ws = refRepairWindowGround(fx.dump, m.ground, fx.dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, groundRepairFlips, minVerifyScore)
+			}
+			checkRepairContract(t, m.name+" repairWindowScratch", got, s, ok, want, ws, minVerifyScore)
+			if ok {
+				accepted++
+			}
+		}
+		if planted == 0 || app == 0 || accepted == 0 {
+			t.Fatalf("%s: fixture exercised too little: %d planted windows, %d application hits, %d repaired", m.name, planted, app, accepted)
+		}
+		if effort := [3]int64{rs.repairs, rs.candidates, rs.earlyExits}; effort != m.want {
+			t.Errorf("%s: repair effort (calls, candidates, early exits) = %v, want %v", m.name, effort, m.want)
+		}
+		t.Logf("%s: %d planted windows, %d application hits, %d repaired", m.name, planted, app, accepted)
 	}
-	t.Logf("%d planted windows, %d application hits, %d repaired", planted, app, accepted)
 }
 
 // TestOutwardScoreMatchesScheduleScore drives the repairer's outward,
@@ -291,7 +331,7 @@ func TestRepairScratchWipe(t *testing.T) {
 	var rs repairScratch
 	repaired := false
 	for _, fh := range fx.hits {
-		m, _, ok := repairWindowScratch(&rs, fx.dump, fx.dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, 1, 0.8)
+		m, _, ok := repairWindowScratch(&rs, fx.dump, nil, fx.dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, 1)
 		if ok {
 			refineMasterScratch(&rs, fx.dump, fx.dir, m, fh.hit.TableStart(fh.blockIdx), aes.AES256)
 			repaired = true
@@ -375,7 +415,7 @@ func BenchmarkRepairWindow(b *testing.B) {
 	run := func() {
 		for i := range hits {
 			fh := &hits[i]
-			repairWindowScratch(&rs, dump, dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, 1, 0.8)
+			repairWindowScratch(&rs, dump, nil, dir, fh.block[:], fh.blockIdx, fh.hit, aes.AES256, 1)
 		}
 	}
 	run()

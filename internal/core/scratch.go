@@ -47,9 +47,9 @@ type repairScratch struct {
 	// per-block layout of obs (both grown once, reused across repairs).
 	obs    []uint32
 	chunks []schedChunk
-	// suspects accumulates ground-repair suspect bit positions (grown once,
-	// reused across hits).
-	suspects []int
+	// flipBits accumulates a repair's flip positions (grown once, reused
+	// across hits).
+	flipBits []int
 	// repairs, candidates and earlyExits tally the repair searches run, the
 	// candidates they scored and the scores stopped at the budget before
 	// the whole schedule, for the hunt's repair.* counters.
