@@ -3,7 +3,9 @@
 #   make test           tier-1 gate: build everything, run every test
 #   make race           vet + race-detector pass over every package (the
 #                       staged pipeline, campaign pool, and keyfind pool
-#                       all run goroutines)
+#                       all run goroutines), then the fleet's lease-board
+#                       and long-poll tests 20 times more under the
+#                       detector, so a lost-wakeup race fails here
 #   make lint           project static-analysis suite (cmd/coldbootlint):
 #                       hot-path XOR kernels, context threading, read-only
 #                       KeyAt results, math/rand bans, silent-library and
@@ -62,6 +64,7 @@ test:
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'Board|Lease|Steal' ./internal/fleet
 
 lint:
 	$(GO) run ./cmd/coldbootlint ./...

@@ -8,12 +8,20 @@
 // campaign's Result is byte-identical to a single-process run over the
 // same dump.
 //
+// A lease request is a long poll: a worker that finds no work is held at
+// the coordinator until work appears (a campaign registers, a shard is
+// requeued, a leased shard turns straggler), it goes away, or a hold of a
+// quarter lease TTL elapses, so idle workers neither spin nor sleep
+// through a new campaign's first shards.
+//
 // Failure model: leases expire. A worker that stops heartbeating loses
-// its shard back to the queue (requeue); when the queue is empty but
-// shards are still outstanding, an idle worker is handed a duplicate
-// lease on the longest-running one (work stealing) and the first
-// completion wins. Shard results are idempotent — both copies of a stolen
-// shard produce the same bytes — so duplicates are simply dropped.
+// its shard back to the queue (requeue). A leased shard whose grant is
+// older than the straggler bound — twice the p99 of the coordinator's
+// completed-shard durations, once it has seen stragglerSampleFloor of
+// them — is a straggler, and an idle worker is handed a duplicate lease
+// on it (work stealing); the first completion wins. Shard results are
+// idempotent — both copies of a stolen shard produce the same bytes — so
+// duplicates are simply dropped.
 //
 // The package never reads the wall clock (noprint contract): lease
 // deadlines come from obs.Now(), the tracer-side monotonic clock.
@@ -109,8 +117,16 @@ type Board struct {
 	requeues   int
 	steals     int
 	stragglers int
-	durs       obs.Histogram // completed-shard durations, for the straggler bound
-	seq        uint64
+	// history holds completed-shard durations for the straggler bound. A
+	// coordinator shares one across its campaigns: a small campaign never
+	// completes enough shards to bound its own.
+	history *obs.Histogram
+	// wake, when set, is called (board lock held) whenever a held lease
+	// call could now be granted: a lease expired (its shard requeued, or a
+	// stolen shard is down to one worker) or a completion moved the
+	// straggler bound.
+	wake func()
+	seq  uint64
 	// settling counts accepted completions whose settle callback is still
 	// running; finished closes only once every shard is done and none is
 	// settling, and settled wakes an Abort waiting for them.
@@ -131,6 +147,7 @@ func NewBoard(shards []core.Shard, ttl time.Duration, tracer obs.Tracer, parent 
 		tracer:   obs.OrNop(tracer),
 		parent:   parent,
 		leases:   make(map[string]*Lease),
+		history:  new(obs.Histogram),
 		finished: make(chan struct{}),
 		now:      obs.Now,
 	}
@@ -151,10 +168,10 @@ func NewBoard(shards []core.Shard, ttl time.Duration, tracer obs.Tracer, parent 
 }
 
 // Lease grants worker a shard: the oldest queued one, or — when the queue
-// is drained but shards are still outstanding — a duplicate (stolen)
-// lease on the longest-running single-leased shard. ok is false when
-// there is nothing to hand out (all shards done, or every straggler
-// already has a second worker on it).
+// is drained — a duplicate (stolen) lease on the longest-running
+// single-leased shard past the straggler bound. ok is false when there is
+// nothing to hand out (all shards done or leased, no straggler without a
+// second worker on it).
 func (b *Board) Lease(worker string) (Lease, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -169,7 +186,7 @@ func (b *Board) Lease(worker string) (Lease, bool) {
 		idx, b.queue = b.queue[0], b.queue[1:]
 		b.tracer.Observe("fleet.lease_wait_ns", now-b.shards[idx].queuedAt)
 	} else {
-		idx, stolen = b.stealTargetLocked()
+		idx, stolen = b.stealTargetLocked(now)
 		if !stolen {
 			return Lease{}, false
 		}
@@ -208,23 +225,70 @@ func (b *Board) Lease(worker string) (Lease, bool) {
 	return *l, true
 }
 
-// stealTargetLocked picks the straggler to duplicate: the leased shard
-// with the oldest outstanding grant that has only one worker on it.
-func (b *Board) stealTargetLocked() (int, bool) {
+// stealTargetLocked picks the straggler to duplicate: of the shards with
+// one worker on them whose grant is older than the straggler bound, the
+// oldest.
+func (b *Board) stealTargetLocked(now int64) (int, bool) {
+	bound, ok := b.stragglerBound()
+	if !ok {
+		return -1, false
+	}
 	best, bestGrant := -1, int64(0)
 	for i, sh := range b.shards {
-		if sh.status != shardLeased || len(sh.leases) != 1 {
+		g, single := soleGrant(sh)
+		if !single || now-g <= bound {
 			continue
-		}
-		var g int64
-		for _, l := range sh.leases {
-			g = l.granted
 		}
 		if best == -1 || g < bestGrant {
 			best, bestGrant = i, g
 		}
 	}
 	return best, best != -1
+}
+
+// soleGrant returns the grant time of a leased shard's only lease; ok is
+// false unless exactly one worker holds the shard.
+func soleGrant(sh *boardShard) (granted int64, ok bool) {
+	if sh.status != shardLeased || len(sh.leases) != 1 {
+		return 0, false
+	}
+	for _, l := range sh.leases {
+		granted = l.granted
+	}
+	return granted, true
+}
+
+// NextSteal is how long until the first single-leased shard turns
+// straggler and Lease would steal it; ok is false while no shard can (no
+// trusted bound yet, or no shard with exactly one worker on it). A lease
+// call held for work wakes at that point.
+func (b *Board) NextSteal() (time.Duration, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	bound, ok := b.stragglerBound()
+	if !ok {
+		return 0, false
+	}
+	first, found := int64(0), false
+	for _, sh := range b.shards {
+		if g, single := soleGrant(sh); single && (!found || g < first) {
+			first, found = g, true
+		}
+	}
+	if !found {
+		return 0, false
+	}
+	// A grant turns straggler once its age exceeds the bound, one
+	// nanosecond after first+bound.
+	return time.Duration(max(first+bound+1-b.now(), 0)), true
+}
+
+// stragglerBound is twice the p99 of the completed-shard history; ok is
+// false until stragglerSampleFloor completions make that p99 worth
+// trusting.
+func (b *Board) stragglerBound() (int64, bool) {
+	s := b.history.Snapshot("")
+	return 2 * s.P99, s.Count >= stragglerSampleFloor
 }
 
 // Heartbeat renews a lease's expiry. False means the lease is gone —
@@ -261,7 +325,9 @@ func (b *Board) LeaseAlive(leaseID string) bool {
 
 // Complete records a shard's results under the given lease. accepted is
 // false for an unknown lease or a shard another worker already finished
-// (the stolen-duplicate loser) — both benign, the results are dropped.
+// (the stolen-duplicate loser) — both benign, the results are dropped —
+// and for a result naming another shard, which leaves the lease to
+// expire.
 // When accepted, the CompleteInfo names the winning worker and the lease
 // span the worker's telemetry belongs under, and settle (when non-nil)
 // runs with it outside the board lock but before Done can close: whatever
@@ -299,8 +365,9 @@ func (b *Board) accept(leaseID string, res core.ShardResult) (CompleteInfo, bool
 	}
 	sh := b.shards[shardByIndex(b.shards, l.Shard.Index)]
 	span := l.span
-	if sh.status == shardDone || res.Shard.Index != sh.shard.Index {
-		b.dropLeaseLocked(l, "complete")
+	if res.Shard.Index != sh.shard.Index {
+		// A result for another shard is refused. The lease stays out, so
+		// its shard requeues at expiry instead of staying leased to nobody.
 		return CompleteInfo{}, false
 	}
 	dur := now - l.granted
@@ -308,7 +375,7 @@ func (b *Board) accept(leaseID string, res core.ShardResult) (CompleteInfo, bool
 	// The straggler bound comes from completions BEFORE this one, so the
 	// first slow shard in a run can still be flagged. Attrs must land
 	// before dropLeaseLocked ends the span.
-	if s := b.durs.Snapshot(""); s.Count >= stragglerSampleFloor && dur > 2*s.P99 {
+	if bound, ok := b.stragglerBound(); ok && dur > bound {
 		info.Straggler = true
 		b.stragglers++
 		b.tracer.Count("fleet.stragglers", 1)
@@ -316,7 +383,7 @@ func (b *Board) accept(leaseID string, res core.ShardResult) (CompleteInfo, bool
 			span.SetAttr("straggler", "true")
 		}
 	}
-	b.durs.Observe(dur)
+	b.history.Observe(dur)
 	b.dropLeaseLocked(l, "complete")
 	sh.status = shardDone
 	sh.result = &res
@@ -332,6 +399,7 @@ func (b *Board) accept(leaseID string, res core.ShardResult) (CompleteInfo, bool
 		b.tracer.Observe("fleet.shard_ns;worker="+l.Worker, dur)
 	}
 	b.settling++
+	b.notifyLocked()
 	return info, true
 }
 
@@ -364,7 +432,16 @@ func (b *Board) expireLocked(now int64) int {
 			b.tracer.Count("fleet.requeues", 1)
 		}
 	}
+	if n > 0 {
+		b.notifyLocked()
+	}
 	return n
+}
+
+func (b *Board) notifyLocked() {
+	if b.wake != nil {
+		b.wake()
+	}
 }
 
 // dropLeaseLocked removes a lease from both indexes and closes its span.

@@ -1,17 +1,67 @@
 package fleet
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"coldboot/internal/core"
 )
 
-// fakeClock drives the board's monotonic clock by hand.
-type fakeClock struct{ t int64 }
+// fakeClock drives the board's monotonic clock, and the coordinator's
+// hold and straggler timers, by hand.
+type fakeClock struct {
+	mu     sync.Mutex
+	t      int64
+	timers map[*fakeTimer]bool
+}
 
-func (c *fakeClock) now() int64      { return c.t }
-func (c *fakeClock) advance(d int64) { c.t += d }
+type fakeTimer struct {
+	at int64
+	c  chan time.Time
+}
+
+func (c *fakeClock) now() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+// advance moves the clock forward and fires every timer now due.
+func (c *fakeClock) advance(d int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t += d
+	for tm := range c.timers {
+		if tm.at <= c.t {
+			tm.c <- time.Time{}
+			delete(c.timers, tm)
+		}
+	}
+}
+
+// timer is the Coordinator.timer of a coordinator on this clock.
+func (c *fakeClock) timer(d time.Duration) (<-chan time.Time, func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tm := &fakeTimer{at: c.t + int64(d), c: make(chan time.Time, 1)}
+	if tm.at <= c.t {
+		tm.c <- time.Time{}
+		return tm.c, func() bool { return false }
+	}
+	if c.timers == nil {
+		c.timers = make(map[*fakeTimer]bool)
+	}
+	c.timers[tm] = true
+	return tm.c, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		pending := c.timers[tm]
+		delete(c.timers, tm)
+		return pending
+	}
+}
+
 func testShards(n, blocks int) []core.Shard {
 	out := make([]core.Shard, n)
 	for i := range out {
@@ -112,21 +162,49 @@ func TestBoardHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
+// seedHistory records n completed-shard durations of d in the board's
+// straggler history, enough (n >= stragglerSampleFloor) to trust its
+// bound of about 2d.
+func seedHistory(b *Board, n int, d time.Duration) {
+	for i := 0; i < n; i++ {
+		b.history.Observe(int64(d))
+	}
+}
+
 // TestBoardWorkStealing: with the queue drained, an idle worker is handed
-// a duplicate lease on the straggling shard; the first completion wins and
-// the loser's result is dropped.
+// a duplicate lease on a shard only once that shard's grant is older than
+// the straggler bound; the first completion wins and the loser's result is
+// dropped.
 func TestBoardWorkStealing(t *testing.T) {
-	b, _ := testBoard(1, time.Minute)
+	b, clk := testBoard(1, time.Minute)
 	orig, ok := b.Lease("slow")
 	if !ok {
 		t.Fatal("no initial lease")
 	}
+	if _, ok := b.Lease("fast"); ok {
+		t.Fatal("shard stolen with no straggler history")
+	}
+	seedHistory(b, stragglerSampleFloor, 10*time.Millisecond)
+	clk.advance(int64(15 * time.Millisecond))
+	if _, ok := b.Lease("fast"); ok {
+		t.Fatal("shard stolen before its grant passed the straggler bound")
+	}
+	if d, ok := b.NextSteal(); !ok || d <= 0 {
+		t.Fatalf("NextSteal = %v, %v; want a wait before the shard turns straggler", d, ok)
+	}
+	clk.advance(int64(time.Second))
+	if d, ok := b.NextSteal(); !ok || d != 0 {
+		t.Fatalf("NextSteal = %v, %v past the bound; want 0, true", d, ok)
+	}
 	dup, ok := b.Lease("fast")
 	if !ok || !dup.Stolen || dup.Shard.Index != orig.Shard.Index {
-		t.Fatalf("no stolen duplicate: %+v ok=%v", dup, ok)
+		t.Fatalf("no stolen duplicate past the bound: %+v ok=%v", dup, ok)
 	}
 	if _, ok := b.Lease("third"); ok {
 		t.Fatal("shard with two outstanding leases stolen again")
+	}
+	if _, ok := b.NextSteal(); ok {
+		t.Fatal("NextSteal reports a shard that already has two workers")
 	}
 	if info, ok := b.Complete(dup.ID, result(dup.Shard), nil); !ok || info.Worker != "fast" || !info.Stolen {
 		t.Fatal("stealing worker's completion rejected")

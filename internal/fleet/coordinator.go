@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,6 +42,10 @@ type leaseResponse struct {
 	// the worker's send/receive timestamps it yields one NTP-style clock
 	// offset sample.
 	NowNs int64 `json:"now_ns"`
+	// HeldNs is how long the coordinator held the call before answering;
+	// the worker takes it out of the round trip, or a held call's offset
+	// sample would be off by half the hold.
+	HeldNs int64 `json:"held_ns,omitempty"`
 }
 
 type leaseRef struct {
@@ -91,6 +96,8 @@ type telemetryRequest struct {
 type CoordinatorStats struct {
 	Campaigns    int `json:"campaigns"`
 	WorkersAlive int `json:"workers_alive"`
+	// Waiting counts lease calls held for work right now.
+	Waiting int `json:"waiting"`
 	BoardStats
 }
 
@@ -101,12 +108,28 @@ type CoordinatorStats struct {
 type Coordinator struct {
 	ttl    time.Duration
 	tracer obs.Tracer
+	// hold is how long a lease call waits for work before answering 204:
+	// a quarter TTL, the expiry tick's period.
+	hold time.Duration
+	// timer starts the hold and straggler timers (a fake clock's in tests).
+	timer func(time.Duration) (<-chan time.Time, func() bool)
+	// history is every campaign's completed-shard durations: the boards
+	// share it for the straggler bound.
+	history obs.Histogram
 
 	mu       sync.Mutex
 	sessions map[string]*session
 	order    []string // session IDs, oldest first: lease scan order
 	seq      uint64
 	workers  map[string]int64 // worker name -> last contact (obs.Now)
+	// wake is closed and replaced whenever new work may be leasable (a
+	// campaign registered; a board's lease expired or completion landed,
+	// see Board.wake) or the coordinator closes; held lease calls take it
+	// together with the session list, so no wakeup can fall between their
+	// scan and their wait.
+	wake    chan struct{}
+	waiting int  // lease calls currently held
+	closed  bool // Close was called: lease calls are refused
 }
 
 type session struct {
@@ -139,9 +162,42 @@ func NewCoordinator(ttl time.Duration, tracer obs.Tracer) *Coordinator {
 	return &Coordinator{
 		ttl:      ttl,
 		tracer:   obs.OrNop(tracer),
+		hold:     ttl / 4,
+		timer:    startTimer,
 		sessions: make(map[string]*session),
 		workers:  make(map[string]int64),
+		wake:     make(chan struct{}),
 	}
+}
+
+func startTimer(d time.Duration) (<-chan time.Time, func() bool) {
+	t := time.NewTimer(d)
+	return t.C, t.Stop
+}
+
+// Close ends the lease protocol for shutdown: held lease calls return at
+// once and new ones are refused with 503, so an HTTP server's graceful
+// shutdown need not wait out a hold. Campaigns still running cannot be
+// leased any more; close only after they finished or were cancelled.
+func (c *Coordinator) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.closed = true
+		c.notifyLocked()
+	}
+}
+
+// notify wakes every held lease call.
+func (c *Coordinator) notify() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.notifyLocked()
+}
+
+func (c *Coordinator) notifyLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Register mounts the fleet protocol on mux.
@@ -183,16 +239,11 @@ func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.Ca
 		plan:    plan,
 		wire:    wire,
 		src:     src,
-		board:   NewBoard(plan.Shards, c.ttl, c.tracer, plan.Root()),
+		board:   c.newBoard(plan.Shards, plan.Root()),
 		col:     obs.FindCollector(cfg.Attack.Tracer),
 		flushes: make(map[string]*telemetryRequest),
 	}
-	c.mu.Lock()
-	c.seq++
-	s.id = "c" + strconv.FormatUint(c.seq, 10)
-	c.sessions[s.id] = s
-	c.order = append(c.order, s.id)
-	c.mu.Unlock()
+	c.register(s)
 	defer c.unregister(s.id)
 
 	// Tick lease expiry so a dead fleet's shards requeue (and ctx
@@ -231,6 +282,27 @@ func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.Ca
 	}
 }
 
+// newBoard builds a campaign's lease board on the coordinator's shared
+// completion history, waking held lease calls whenever the board may have
+// work for them. Lock order: a board's lock, then c.mu.
+func (c *Coordinator) newBoard(shards []core.Shard, parent obs.Span) *Board {
+	b := NewBoard(shards, c.ttl, c.tracer, parent)
+	b.history = &c.history
+	b.wake = c.notify
+	return b
+}
+
+// register makes a campaign leasable and wakes the held lease calls.
+func (c *Coordinator) register(s *session) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	s.id = "c" + strconv.FormatUint(c.seq, 10)
+	c.sessions[s.id] = s
+	c.order = append(c.order, s.id)
+	c.notifyLocked()
+}
+
 func (c *Coordinator) unregister(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -251,7 +323,7 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	for _, s := range c.sessions {
 		sessions = append(sessions, s)
 	}
-	st := CoordinatorStats{Campaigns: len(sessions)}
+	st := CoordinatorStats{Campaigns: len(sessions), Waiting: c.waiting}
 	horizon := obs.Now() - 2*int64(c.ttl)
 	for name, last := range c.workers {
 		if last >= horizon {
@@ -284,47 +356,136 @@ func (c *Coordinator) session(id, worker string) *session {
 	return c.sessions[id]
 }
 
-// liveSessions returns the campaigns in registration order.
-func (c *Coordinator) liveSessions(worker string) []*session {
+// leaseScan returns the campaigns in registration order, stamps the
+// calling worker alive, and returns the wake channel current at the scan:
+// taken under the same lock as the session list, it is closed by any
+// wakeup the scan could have missed.
+func (c *Coordinator) leaseScan(worker string) (sessions []*session, wake <-chan struct{}, closed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if worker != "" {
 		c.workers[worker] = obs.Now()
 	}
-	out := make([]*session, 0, len(c.order))
+	sessions = make([]*session, 0, len(c.order))
 	for _, id := range c.order {
-		out = append(out, c.sessions[id])
+		sessions = append(sessions, c.sessions[id])
 	}
-	return out
+	return sessions, c.wake, c.closed
 }
 
+// errClosed refuses lease calls after Close.
+var errClosed = errors.New("fleet: coordinator closed")
+
+// handleLease is a long poll: it answers a lease as soon as one is
+// available, 204 when the hold elapses without work, and 503 once the
+// coordinator is closed.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
 		http.Error(w, "bad lease request", http.StatusBadRequest)
 		return
 	}
-	for _, s := range c.liveSessions(req.Worker) {
-		l, ok := s.board.Lease(req.Worker)
-		if !ok {
-			continue
-		}
-		trace := s.plan.Trace
-		if s.col != nil {
-			trace.ParentSpan = s.col.SpanID(l.span)
-		}
-		writeJSON(w, leaseResponse{
-			Campaign: s.id,
-			Lease:    l.ID,
-			Stolen:   l.Stolen,
-			Shard:    l.Shard,
-			TTLNs:    int64(c.ttl),
-			Trace:    trace,
-			NowNs:    obs.Now(),
-		})
-		return
+	// Read the body to its end: only then does the server watch the
+	// connection, and cancel the request context when the caller hangs up
+	// during the hold.
+	io.Copy(io.Discard, io.LimitReader(r.Body, 1<<16))
+	resp, ok, err := c.awaitLease(r.Context(), req.Worker)
+	switch {
+	case errors.Is(err, errClosed):
+		http.Error(w, "coordinator shutting down", http.StatusServiceUnavailable)
+	case err != nil:
+		// The caller went away; nobody reads an answer.
+	case !ok:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		writeJSON(w, resp)
 	}
-	w.WriteHeader(http.StatusNoContent)
+}
+
+// awaitLease leases worker a shard from the oldest campaign that has one,
+// holding the call while none does. It scans again whenever the wake
+// channel fires or the first leased shard turns straggler, and gives up
+// when the hold elapses (ok false, nil error), ctx ends (ctx's error) or
+// the coordinator closes (errClosed).
+func (c *Coordinator) awaitLease(ctx context.Context, worker string) (leaseResponse, bool, error) {
+	arrived := obs.Now()
+	hold, stopHold := c.timer(c.hold)
+	defer stopHold()
+	for {
+		if err := ctx.Err(); err != nil {
+			return leaseResponse{}, false, err
+		}
+		sessions, wake, closed := c.leaseScan(worker)
+		if closed {
+			return leaseResponse{}, false, errClosed
+		}
+		for _, s := range sessions {
+			if l, ok := s.board.Lease(worker); ok {
+				return c.leaseResponse(s, l, arrived), true, nil
+			}
+		}
+		var (
+			steal     <-chan time.Time
+			stopSteal = func() bool { return false }
+		)
+		if d, ok := nextSteal(sessions); ok {
+			steal, stopSteal = c.timer(d)
+		}
+		c.setWaiting(+1)
+		elapsed := false
+		select {
+		case <-wake:
+		case <-steal:
+		case <-hold:
+			elapsed = true
+		case <-ctx.Done():
+		}
+		c.setWaiting(-1)
+		stopSteal()
+		if elapsed {
+			return leaseResponse{}, false, nil
+		}
+	}
+}
+
+// nextSteal is the earliest NextSteal over the campaigns.
+func nextSteal(sessions []*session) (time.Duration, bool) {
+	var (
+		first time.Duration
+		found bool
+	)
+	for _, s := range sessions {
+		if d, ok := s.board.NextSteal(); ok && (!found || d < first) {
+			first, found = d, true
+		}
+	}
+	return first, found
+}
+
+func (c *Coordinator) setWaiting(delta int) {
+	c.mu.Lock()
+	c.waiting += delta
+	c.mu.Unlock()
+}
+
+// leaseResponse is the wire grant for lease l of campaign s, answering a
+// call that arrived at obs.Now() == arrived.
+func (c *Coordinator) leaseResponse(s *session, l Lease, arrived int64) leaseResponse {
+	trace := s.plan.Trace
+	if s.col != nil {
+		trace.ParentSpan = s.col.SpanID(l.span)
+	}
+	now := obs.Now()
+	return leaseResponse{
+		Campaign: s.id,
+		Lease:    l.ID,
+		Stolen:   l.Stolen,
+		Shard:    l.Shard,
+		TTLNs:    int64(c.ttl),
+		Trace:    trace,
+		NowNs:    now,
+		HeldNs:   now - arrived,
+	}
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

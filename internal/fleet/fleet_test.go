@@ -146,7 +146,7 @@ func TestFleetParityWithLocalCampaign(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			w := &Worker{Base: srv.URL, Name: name, Poll: 10 * time.Millisecond}
+			w := &Worker{Base: srv.URL, Name: name}
 			w.Run(ctx)
 		}(name)
 	}
@@ -250,7 +250,7 @@ func TestRunWaitsForLastShardBooking(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			(&Worker{Base: srv.URL, Name: name, Poll: 10 * time.Millisecond}).Run(ctx)
+			(&Worker{Base: srv.URL, Name: name}).Run(ctx)
 		}(name)
 	}
 

@@ -245,15 +245,20 @@ func TestAbortWaitsForSettlingCompletion(t *testing.T) {
 	}
 }
 
-// TestStolenShardAttribution: when a shard is stolen, only the winning
-// completion's telemetry grafts; the loser's spans are dropped with its
-// results, so the timeline shows exactly one worker scanning the shard.
+// TestStolenShardAttribution: when a straggling shard is stolen, only the
+// winning completion's telemetry grafts; the loser's spans are dropped
+// with its results, so the timeline shows exactly one worker scanning the
+// shard.
 func TestStolenShardAttribution(t *testing.T) {
 	h := newTracingHarness(t, 1)
+	clk := &fakeClock{}
+	h.sess.board.now = clk.now
+	seedHistory(h.sess.board, stragglerSampleFloor, time.Millisecond)
 	slow, ok := h.sess.board.Lease("w-slow")
 	if !ok {
 		t.Fatal("no initial lease")
 	}
+	clk.advance(int64(time.Second)) // far past the ~2ms straggler bound
 	fast, ok := h.sess.board.Lease("w-fast")
 	if !ok || !fast.Stolen {
 		t.Fatal("no stolen duplicate")

@@ -15,24 +15,25 @@ import (
 	"coldboot/internal/obs"
 )
 
-// Worker is the client side of the fleet protocol: it polls the
+// Worker is the client side of the fleet protocol: it asks the
 // coordinator for shard leases, reconstructs the campaign plan from its
 // wire projection, scans leased shards with the shared per-shard
-// pipeline, and posts results back. Run until the context is cancelled;
-// transport errors back off and retry (the coordinator's lease expiry
-// covers the shard either way).
+// pipeline, and posts results back. A lease call is a long poll that the
+// coordinator holds until it has work, so the worker asks again at once
+// when one comes back empty; only transport errors and refusals back off
+// (leaseRetry). Run until the context is cancelled; the coordinator's
+// lease expiry covers a shard the worker drops either way.
 type Worker struct {
 	// Base is the coordinator's URL prefix, e.g. "http://host:7133".
 	Base string
 	// Name identifies this worker in leases and /metrics (required).
 	Name string
-	// Client is the HTTP client (nil means http.DefaultClient).
+	// Client is the HTTP client (nil means http.DefaultClient). Its
+	// timeout, if any, must exceed the coordinator's lease hold, a quarter
+	// of its lease TTL.
 	Client *http.Client
 	// Tracer observes the worker's scans. Nil means no tracing.
 	Tracer obs.Tracer
-	// Poll is the idle re-poll interval when the coordinator has no work
-	// (zero means 250ms).
-	Poll time.Duration
 
 	plans map[string]*core.CampaignPlan // campaign ID -> rebuilt plan
 	clock clockSync                     // coordinator clock offset estimate
@@ -81,6 +82,10 @@ func (w *Worker) client() *http.Client {
 	return http.DefaultClient
 }
 
+// leaseRetry is how long a worker waits before asking again after a lease
+// call failed (coordinator unreachable, shutting down, or erroring).
+const leaseRetry = 250 * time.Millisecond
+
 // Run leases and scans shards until ctx is cancelled. It returns
 // ctx.Err() on cancellation; it never gives up on transport errors.
 func (w *Worker) Run(ctx context.Context) error {
@@ -88,35 +93,34 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("fleet: worker needs a name")
 	}
 	tracer := obs.OrNop(w.Tracer)
-	poll := w.Poll
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
 	w.plans = make(map[string]*core.CampaignPlan)
 	defer func() {
 		for _, p := range w.plans {
 			p.Close()
 		}
 	}()
-	idle := time.NewTimer(0)
-	if !idle.Stop() {
-		<-idle.C
+	retry := time.NewTimer(0)
+	if !retry.Stop() {
+		<-retry.C
 	}
-	defer idle.Stop()
+	defer retry.Stop()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		lease, ok, err := w.lease(ctx)
-		if err != nil || !ok {
-			// No work (or the coordinator is unreachable): back off one
-			// poll interval and ask again.
-			idle.Reset(poll)
+		if err != nil {
+			retry.Reset(leaseRetry)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-idle.C:
+			case <-retry.C:
 			}
+			continue
+		}
+		if !ok {
+			// The coordinator held the call for its full hold and had no
+			// work: ask again at once.
 			continue
 		}
 		if err := w.scanLease(ctx, lease, tracer); err != nil && ctx.Err() != nil {
@@ -226,17 +230,23 @@ func (w *Worker) planFor(ctx context.Context, campaign string, tracer obs.Tracer
 	return p, nil
 }
 
+// lease makes one (long-poll) lease call: ok is false when the
+// coordinator had no work for the whole hold (204); any status but 200 and
+// 204 is an error.
 func (w *Worker) lease(ctx context.Context) (leaseResponse, bool, error) {
 	var out leaseResponse
 	t0 := obs.Now()
 	status, err := w.postJSON(ctx, "/v1/shards/lease", leaseRequest{Worker: w.Name}, &out)
-	if err != nil {
+	switch {
+	case err != nil:
 		return out, false, err
+	case status == http.StatusNoContent:
+		return out, false, nil
+	case status != http.StatusOK:
+		return out, false, fmt.Errorf("fleet: lease: HTTP %d", status)
 	}
-	if status == http.StatusOK {
-		w.clock.sample(t0, obs.Now(), out.NowNs)
-	}
-	return out, status == http.StatusOK, nil
+	w.clock.sample(t0+out.HeldNs, obs.Now(), out.NowNs)
+	return out, true, nil
 }
 
 func (w *Worker) heartbeat(ctx context.Context, lease leaseResponse) bool {

@@ -3,11 +3,14 @@ package service
 import (
 	"context"
 	"encoding/hex"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +228,52 @@ func TestDurableSpoolLossFailsJob(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDrainReleasesHeldLease: a worker's lease call held for
+// work must not hold up shutdown. Drain plus the HTTP server's graceful
+// Shutdown, in coldbootd's order, return well inside the lease hold.
+func TestCoordinatorDrainReleasesHeldLease(t *testing.T) {
+	svc, err := New(Config{Workers: 1, Role: RoleCoordinator, LeaseTTL: 30 * time.Second, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: svc.Handler()}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+
+	wctx, wcancel := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		(&fleet.Worker{Base: "http://" + ln.Addr().String(), Name: "w-held"}).Run(wctx)
+	}()
+	defer func() { wcancel(); <-workerDone }()
+	for deadline := time.Now().Add(10 * time.Second); svc.coord.Stats().Waiting != 1; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("worker's lease call never parked")
+		}
+	}
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Drain+Shutdown took %v with a lease call held", took)
+	}
+	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatal(err)
+	}
+}
+
 // TestCoordinatorRoleEndToEnd: a coordinator-role server plus one fleet
 // worker recovers a planted master through the HTTP job API, and the
 // fleet gauges surface on /metrics.
@@ -243,7 +292,7 @@ func TestCoordinatorRoleEndToEnd(t *testing.T) {
 
 	wctx, wcancel := context.WithCancel(context.Background())
 	defer wcancel()
-	w := &fleet.Worker{Base: ts.URL, Name: "w-e2e", Poll: 10 * time.Millisecond}
+	w := &fleet.Worker{Base: ts.URL, Name: "w-e2e"}
 	go w.Run(wctx)
 
 	code, doc := postDump(t, ts, "", container)

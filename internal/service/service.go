@@ -276,9 +276,14 @@ func (s *Server) foldLocked(tel *jobTelemetry) {
 // Drain gracefully shuts the worker pool down: running jobs finish, queued
 // jobs are journaled as abandoned (requeued on the next boot) and counted
 // in Stats.Abandoned, new submissions get 503. The write-ahead log is
-// closed once the pool is quiet.
+// closed once the pool is quiet. In the coordinator role the fleet's lease
+// calls are then released and refused, so an HTTP shutdown that follows
+// does not wait out workers' held lease calls.
 func (s *Server) Drain(ctx context.Context) error {
 	err := s.pool.Drain(ctx)
+	if s.coord != nil {
+		s.coord.Close()
+	}
 	if s.store != nil {
 		if cerr := s.store.Close(); err == nil {
 			err = cerr

@@ -204,7 +204,7 @@ func TestMetricsInventory(t *testing.T) {
 	_, coord := testServer(t, Config{Workers: 1, Role: RoleCoordinator, LeaseTTL: 5 * time.Second, ShardBlocks: 2048})
 	wctx, wcancel := context.WithCancel(context.Background())
 	defer wcancel()
-	w := &fleet.Worker{Base: coord.URL, Name: "w-inventory", Poll: 10 * time.Millisecond}
+	w := &fleet.Worker{Base: coord.URL, Name: "w-inventory"}
 	go w.Run(wctx)
 	runJob(coord)
 
