@@ -28,13 +28,18 @@
 #   make fuzz-smoke     run every fuzz target for 10s each (corpus seeds
 #                       under */testdata/fuzz are always run by plain
 #                       `go test` too)
-#   make serve-smoke    build coldbootd, boot it on a random port, push a
+#   make serve-smoke    smoke driver (cmd/servesmoke) scenario serve:
+#                       build coldbootd, boot it on a random port, push a
 #                       scrambled+decayed fixture dump through the HTTP
 #                       API end to end, and require a clean SIGTERM drain
-#   make crash-smoke    build coldbootd, SIGKILL it mid-hunt, restart it
-#                       against the same data dir, and require the WAL
-#                       replay to resume every submitted job and recover
-#                       the planted masters
+#   make crash-smoke    smoke driver scenarios kill-standalone,
+#                       kill-coordinator and kill-worker: SIGKILL each
+#                       process role mid-campaign and require every job to
+#                       finish with its planted masters (a standalone or
+#                       coordinator restarts on the same data dir and
+#                       replays its WAL; a coordinator's workers re-attach
+#                       unrestarted; a dead worker's leased shard comes
+#                       back through lease expiry or a straggler steal)
 #   make bench          run the paper-figure benchmarks once
 #   make bench-hotpath  regenerate BENCH_hotpath.json (attack hot-path
 #                       kernels, machine-readable; commit the result so the
@@ -98,10 +103,10 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 
 serve-smoke:
-	$(GO) run ./cmd/servesmoke
+	$(GO) run ./cmd/servesmoke serve
 
 crash-smoke:
-	$(GO) run ./cmd/crashsmoke
+	$(GO) run ./cmd/servesmoke kill-standalone kill-coordinator kill-worker
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

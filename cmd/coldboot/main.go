@@ -52,7 +52,7 @@ func main() {
 	reboot := flag.Bool("reboot", false, "same-machine reboot instead of DIMM transfer")
 	protection := flag.String("protection", "stock", "victim memory protection: stock | off | chacha8 | aes128")
 	seed := flag.Int64("seed", 1, "experiment seed")
-	repair := flag.Int("repair", 1, "decay window repair: 0 off, 1 single-bit flips, 2 adds a rationed double-bit search")
+	repair := flag.Int("repair", 1, "decay window repair: 0 off, 1 single-bit flips")
 	list := flag.Bool("list", false, "list Table I CPU models and exit")
 	captureTo := flag.String("capture", "", "capture the dump to this file instead of attacking")
 	analyzeFrom := flag.String("analyze", "", "attack a previously captured dump file (streamed, not loaded whole)")

@@ -384,18 +384,17 @@ const (
 // Both modes run the same depth-first search over a list of window bit
 // positions:
 //   - blind (groundDump nil): every window bit is a position, and one
-//     unbudgeted pass tries each single flip b1 in ascending order,
-//     followed (maxFlips 2) by every double flip (b1, b2 > b1);
+//     unbudgeted pass tries each single flip in ascending order;
 //   - ground (see groundrepair.go): only the window's suspect bits are
-//     positions, searched to depth 1, then 2, up to maxFlips in turn,
-//     with at most repairScoreBudget candidates scored in all.
+//     positions, searched to depth 1, then 2, up to groundRepairFlips in
+//     turn, with at most repairScoreBudget candidates scored in all.
 //
 // The first candidate to score >= minVerifyScore is returned with its
 // exact score and ok; when none does, ok is false. block is the
 // descrambled 64-byte block containing the hit; dump (and groundDump) are
 // the full captures. The returned master aliases rs.best and is valid
 // until the scratch is reused.
-func repairWindowScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int) ([]byte, float64, bool) {
+func repairWindowScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant) ([]byte, float64, bool) {
 	r := newRepairer(rs, dump, keys, block, blockIdx, hit, v, minVerifyScore)
 	if r.fixed > r.budget {
 		return nil, 0, false // keyless blocks alone sink every candidate
@@ -418,13 +417,13 @@ func repairWindowScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDir
 		}
 	}
 	rs.flipBits = positions
-	// Blind repair makes one unbudgeted pass at full depth; ground repair
+	// Blind repair makes one unbudgeted single-flip pass; ground repair
 	// deepens from one flip under the score budget.
-	depth, budget := maxFlips, math.MaxInt
+	maxFlips, budget := 1, math.MaxInt
 	if groundDump != nil {
-		depth, budget = 1, repairScoreBudget
+		maxFlips, budget = groundRepairFlips, repairScoreBudget
 	}
-	for ; depth <= maxFlips && budget > 0; depth++ {
+	for depth := 1; depth <= maxFlips && budget > 0; depth++ {
 		if r.search(positions, 0, depth, &budget) {
 			return rs.best[:v.KeyBytes()], r.score, true
 		}

@@ -32,9 +32,8 @@ type Config struct {
 	// literal step 2) instead of the stride-inferred per-address-class
 	// directory. Much slower; used for validation on small dumps.
 	Exhaustive bool
-	// RepairFlips enables window repair of decayed anchors (0 = off,
-	// 1 = single-bit, 2 or more = single-bit plus a double-bit search on
-	// the first four failing hits of each (block, key) pair).
+	// RepairFlips enables single-bit window repair of decayed anchors
+	// (0 = off; any positive value turns it on).
 	RepairFlips int
 	// GroundDump, when non-nil (same length as the dump), enables
 	// ground-state-aware repair: a second dump of the same DIMM taken
@@ -467,10 +466,8 @@ func (run *attackRun) huntStage(ctx context.Context) error {
 					sc.hits = aesLitmusWords(words, cfg.Variant, DefaultAESTolerance, sc.hits[:0])
 					localHits += int64(len(sc.hits))
 					// Single-flip repair is cheap (prediction-prefiltered), so
-					// every failing hit may try it; the quadratic double-flip
-					// and cubic ground-state searches are rationed per
-					// (block, key) pair.
-					doubleRepairsLeft := 4
+					// every failing hit may try it; the cubic ground-state
+					// search is rationed per (block, key) pair.
 					groundRepairsLeft := 4
 					for _, hit := range sc.hits {
 						if windowDegenerateWords(words, hit, nk) {
@@ -508,15 +505,10 @@ func (run *attackRun) huntStage(ctx context.Context) error {
 						if !verified && cfg.GroundDump != nil && groundRepairsLeft > 0 {
 							groundRepairsLeft--
 							master, _, verified = repairWindowScratch(&sc.repair, dump, cfg.GroundDump,
-								run.directory, sc.descrambled[:], b, hit, cfg.Variant, groundRepairFlips)
+								run.directory, sc.descrambled[:], b, hit, cfg.Variant)
 						} else if !verified && cfg.RepairFlips > 0 {
-							flips := 1
-							if cfg.RepairFlips >= 2 && doubleRepairsLeft > 0 {
-								doubleRepairsLeft--
-								flips = 2
-							}
 							master, _, verified = repairWindowScratch(&sc.repair, dump, nil,
-								run.directory, sc.descrambled[:], b, hit, cfg.Variant, flips)
+								run.directory, sc.descrambled[:], b, hit, cfg.Variant)
 						}
 						if verified {
 							// Correct residual linear-chain bit errors via

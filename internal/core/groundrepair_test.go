@@ -97,7 +97,7 @@ func TestGroundRepairDirect(t *testing.T) {
 			continue
 		}
 		var rs repairScratch
-		m, score, ok := repairWindowScratch(&rs, dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, groundRepairFlips)
+		m, score, ok := repairWindowScratch(&rs, dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256)
 		wm, ws := refRepairWindowGround(dump, groundDump, dir, descrambled, blockIdx, hit, aes.AES256, groundRepairFlips, minVerifyScore)
 		checkRepairContract(t, "ground repairWindowScratch", m, score, ok, wm, ws, minVerifyScore)
 		if ok && score >= 0.8 && bytes.Equal(m, master) {

@@ -14,7 +14,7 @@
 //     even be missing.
 //  4. Tolerate bit decay everywhere via hamming-distance comparisons,
 //     majority voting over repeated keystream sightings, and optional
-//     single/double-bit window repair.
+//     single-bit window repair.
 //
 // A DDR3 baseline attack (frequency analysis + the reboot universal key,
 // after Bauer et al.) is included for comparison.

@@ -545,7 +545,6 @@ func refAttack(dump []byte, cfg Config) *Result {
 			res.PairsTested++
 			bitutil.XORBlock64(descrambled, stored, key)
 			blockHits := refAESLitmus(descrambled, cfg.Variant, DefaultAESTolerance)
-			doubleRepairsLeft := 4
 			groundRepairsLeft := 4
 			for _, hit := range blockHits {
 				if refWindowDegenerate(descrambled, hit, nk) {
@@ -562,13 +561,10 @@ func refAttack(dump []byte, cfg Config) *Result {
 					master, score = refRepairWindowGround(dump, cfg.GroundDump, directory,
 						descrambled, b, hit, cfg.Variant, 3, minVerifyScore)
 				} else if score < minVerifyScore && cfg.RepairFlips > 0 {
-					flips := 1
-					if cfg.RepairFlips >= 2 && doubleRepairsLeft > 0 {
-						doubleRepairsLeft--
-						flips = cfg.RepairFlips
-					}
+					// Re-frozen when the double-flip depth was deleted: any
+					// positive RepairFlips searches single flips only.
 					master, score = refRepairWindow(dump, directory, descrambled, b, hit,
-						cfg.Variant, flips, minVerifyScore)
+						cfg.Variant, 1, minVerifyScore)
 				}
 				if score >= minVerifyScore {
 					master, score = refRefineMaster(dump, directory, master, start, cfg.Variant)

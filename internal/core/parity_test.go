@@ -261,12 +261,12 @@ func TestVerifyRepairParity(t *testing.T) {
 			}
 
 			var scratch repairScratch
-			rm, rs, rok := repairWindowScratch(&scratch, dump, nil, directory, descrambled, headBlock, hit, v, 2)
-			wrm, wrs := refRepairWindow(dump, directory, descrambled, headBlock, hit, v, 2, minVerifyScore)
+			rm, rs, rok := repairWindowScratch(&scratch, dump, nil, directory, descrambled, headBlock, hit, v)
+			wrm, wrs := refRepairWindow(dump, directory, descrambled, headBlock, hit, v, 1, minVerifyScore)
 			checkRepairContract(t, "blind repairWindowScratch", rm, rs, rok, wrm, wrs, minVerifyScore)
 
 			gmaster, gscore, gok := repairWindowScratch(&scratch, dump, groundDump, directory, descrambled,
-				headBlock, hit, v, groundRepairFlips)
+				headBlock, hit, v)
 			wgm, wgs := refRepairWindowGround(dump, groundDump, directory, descrambled,
 				headBlock, hit, v, groundRepairFlips, minVerifyScore)
 			checkRepairContract(t, "ground repairWindowScratch", gmaster, gscore, gok, wgm, wgs, minVerifyScore)
@@ -314,7 +314,8 @@ func TestAttackPipelineParity(t *testing.T) {
 			dump := buildAttackDump(t, 1<<20, 63, workload.LightSystem,
 				testMaster(603, 32), 1024*BlockBytes)
 			// Flip a bit in the first word of several interior table blocks so
-			// the double-flip repair path has real work.
+			// window repair has real work; RepairFlips 2 searches single
+			// flips, as 1 does.
 			for _, blk := range []int{1025, 1026, 1027} {
 				dump[blk*BlockBytes+2] ^= 0x20
 			}

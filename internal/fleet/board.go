@@ -313,14 +313,17 @@ func (b *Board) Heartbeat(leaseID string) bool {
 const stragglerSampleFloor = 8
 
 // LeaseAlive reports whether a lease is still outstanding (not expired,
-// not completed). Telemetry flushes for dead leases are discarded on the
-// strength of this check.
-func (b *Board) LeaseAlive(leaseID string) bool {
+// not completed), and if so its shard. Telemetry flushes and shard-data
+// reads for dead leases are refused on the strength of this check.
+func (b *Board) LeaseAlive(leaseID string) (core.Shard, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.expireLocked(b.now())
-	_, ok := b.leases[leaseID]
-	return ok
+	l, ok := b.leases[leaseID]
+	if !ok {
+		return core.Shard{}, false
+	}
+	return l.Shard, true
 }
 
 // Complete records a shard's results under the given lease. accepted is

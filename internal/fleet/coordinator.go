@@ -116,12 +116,19 @@ type Coordinator struct {
 	// history is every campaign's completed-shard durations: the boards
 	// share it for the straggler bound.
 	history obs.Histogram
+	// prefix is random per coordinator process and starts every campaign
+	// ID: workers cache plans by campaign ID and outlive a coordinator
+	// restart, so a restarted coordinator must never reuse an ID.
+	prefix string
 
 	mu       sync.Mutex
 	sessions map[string]*session
 	order    []string // session IDs, oldest first: lease scan order
 	seq      uint64
-	workers  map[string]int64 // worker name -> last contact (obs.Now)
+	// retired is the requeue, steal and straggler tally of finished
+	// campaigns, so the fleet counters never fall when one unregisters.
+	retired BoardStats
+	workers map[string]int64 // worker name -> last contact (obs.Now)
 	// wake is closed and replaced whenever new work may be leasable (a
 	// campaign registered; a board's lease expired or completion landed,
 	// see Board.wake) or the coordinator closes; held lease calls take it
@@ -164,6 +171,7 @@ func NewCoordinator(ttl time.Duration, tracer obs.Tracer) *Coordinator {
 		tracer:   obs.OrNop(tracer),
 		hold:     ttl / 4,
 		timer:    startTimer,
+		prefix:   obs.NewTraceID(),
 		sessions: make(map[string]*session),
 		workers:  make(map[string]int64),
 		wake:     make(chan struct{}),
@@ -244,7 +252,7 @@ func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.Ca
 		flushes: make(map[string]*telemetryRequest),
 	}
 	c.register(s)
-	defer c.unregister(s.id)
+	defer c.unregister(s)
 
 	// Tick lease expiry so a dead fleet's shards requeue (and ctx
 	// cancellation is noticed) even when no worker traffic arrives.
@@ -297,33 +305,41 @@ func (c *Coordinator) register(s *session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
-	s.id = "c" + strconv.FormatUint(c.seq, 10)
+	s.id = c.prefix + "-" + strconv.FormatUint(c.seq, 10)
 	c.sessions[s.id] = s
 	c.order = append(c.order, s.id)
 	c.notifyLocked()
 }
 
-func (c *Coordinator) unregister(id string) {
+// unregister retires a finished campaign. Its board is read before c.mu
+// is taken (lock order: a board's lock, then c.mu).
+func (c *Coordinator) unregister(s *session) {
+	bs := s.board.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.sessions, id)
+	c.retired.Requeues += bs.Requeues
+	c.retired.Steals += bs.Steals
+	c.retired.Stragglers += bs.Stragglers
+	delete(c.sessions, s.id)
 	for i, sid := range c.order {
-		if sid == id {
+		if sid == s.id {
 			c.order = append(c.order[:i], c.order[i+1:]...)
 			break
 		}
 	}
 }
 
-// Stats aggregates board gauges across live campaigns. Workers count as
-// alive when they contacted the coordinator within two lease TTLs.
+// Stats aggregates board gauges across live campaigns; the requeue,
+// steal and straggler counts also include finished campaigns. Workers
+// count as alive when they contacted the coordinator within two lease
+// TTLs.
 func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	sessions := make([]*session, 0, len(c.sessions))
 	for _, s := range c.sessions {
 		sessions = append(sessions, s)
 	}
-	st := CoordinatorStats{Campaigns: len(sessions), Waiting: c.waiting}
+	st := CoordinatorStats{Campaigns: len(sessions), Waiting: c.waiting, BoardStats: c.retired}
 	horizon := obs.Now() - 2*int64(c.ttl)
 	for name, last := range c.workers {
 		if last >= horizon {
@@ -517,7 +533,7 @@ func (c *Coordinator) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such campaign", http.StatusGone)
 		return
 	}
-	if !s.board.LeaseAlive(req.Lease) {
+	if _, ok := s.board.LeaseAlive(req.Lease); !ok {
 		s.fmu.Lock()
 		delete(s.flushes, req.Lease)
 		s.fmu.Unlock()
@@ -625,7 +641,9 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 	w.Write(s.wire)
 }
 
-// handleData streams one leased shard's raw bytes to its worker.
+// handleData streams one leased shard's raw bytes to its worker: the
+// caller names its lease, and only that live lease's exact shard range is
+// served (410 otherwise, like every other call on a dead lease).
 func (c *Coordinator) handleData(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	id := q.Get("campaign")
@@ -638,6 +656,10 @@ func (c *Coordinator) handleData(w http.ResponseWriter, r *http.Request) {
 	blocks, err2 := strconv.Atoi(q.Get("blocks"))
 	if err1 != nil || err2 != nil || first < 0 || blocks <= 0 || blocks > s.plan.TotalBlocks-first {
 		http.Error(w, "bad shard range", http.StatusBadRequest)
+		return
+	}
+	if sh, ok := s.board.LeaseAlive(q.Get("lease")); !ok || sh.FirstBlock != first || sh.Blocks != blocks {
+		http.Error(w, "lease gone", http.StatusGone)
 		return
 	}
 	buf := make([]byte, blocks*core.BlockBytes)

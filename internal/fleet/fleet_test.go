@@ -101,7 +101,7 @@ func buildDecayedDumpOpt(t testing.TB, decay bool) (dump, vera, luksData []byte)
 func parityConfig() core.CampaignConfig {
 	return core.CampaignConfig{
 		ShardBlocks: 4096, // 8 shards over the 2 MiB fixture
-		Attack:      core.Config{RepairFlips: 2, Workers: 2},
+		Attack:      core.Config{RepairFlips: 1, Workers: 2},
 	}
 }
 
@@ -484,9 +484,9 @@ func leaseOne(t *testing.T, base string) leaseResponse {
 	return leaseResponse{}
 }
 
-func getData(t *testing.T, base, campaign string, first, blocks int) int {
+func getData(t *testing.T, base, campaign, lease string, first, blocks int) int {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/shards/data?campaign=" + campaign +
+	resp, err := http.Get(base + "/v1/shards/data?campaign=" + campaign + "&lease=" + lease +
 		"&first_block=" + strconv.Itoa(first) + "&blocks=" + strconv.Itoa(blocks))
 	if err != nil {
 		t.Fatal(err)
@@ -520,7 +520,9 @@ func TestDataAfterCampaignEndsIsGone(t *testing.T) {
 
 	src.armed.Store(true)
 	status := make(chan int, 1)
-	go func() { status <- getData(t, srv.URL, lease.Campaign, lease.Shard.FirstBlock, lease.Shard.Blocks) }()
+	go func() {
+		status <- getData(t, srv.URL, lease.Campaign, lease.Lease, lease.Shard.FirstBlock, lease.Shard.Blocks)
+	}()
 	<-src.entered
 	cancel()
 	<-runDone
@@ -528,7 +530,7 @@ func TestDataAfterCampaignEndsIsGone(t *testing.T) {
 	if got := <-status; got != http.StatusGone {
 		t.Errorf("data read in flight as the campaign ended: HTTP %d, want 410", got)
 	}
-	if got := getData(t, srv.URL, lease.Campaign, lease.Shard.FirstBlock, lease.Shard.Blocks); got != http.StatusGone {
+	if got := getData(t, srv.URL, lease.Campaign, lease.Lease, lease.Shard.FirstBlock, lease.Shard.Blocks); got != http.StatusGone {
 		t.Errorf("data read after Run returned: HTTP %d, want 410", got)
 	}
 }
@@ -552,11 +554,155 @@ func TestDataRangeOverflowRejected(t *testing.T) {
 	lease := leaseOne(t, srv.URL)
 
 	for _, r := range [][2]int{{1, math.MaxInt}, {math.MaxInt, 1}, {math.MaxInt - 3, 8}, {0, len(dump)/core.BlockBytes + 1}} {
-		if got := getData(t, srv.URL, lease.Campaign, r[0], r[1]); got != http.StatusBadRequest {
+		if got := getData(t, srv.URL, lease.Campaign, lease.Lease, r[0], r[1]); got != http.StatusBadRequest {
 			t.Errorf("first_block=%d blocks=%d: HTTP %d, want 400", r[0], r[1], got)
 		}
 	}
-	if got := getData(t, srv.URL, lease.Campaign, lease.Shard.FirstBlock, lease.Shard.Blocks); got != http.StatusOK {
+	if got := getData(t, srv.URL, lease.Campaign, lease.Lease, lease.Shard.FirstBlock, lease.Shard.Blocks); got != http.StatusOK {
 		t.Errorf("leased shard range: HTTP %d, want 200", got)
+	}
+}
+
+// TestDataRequiresLiveLease: shard data is served only to a live lease,
+// and only for that lease's exact shard. A missing, expired or completed
+// lease and an off-lease range all answer 410.
+func TestDataRequiresLiveLease(t *testing.T) {
+	h := newTracingHarness(t, 4)
+	clk := &fakeClock{}
+	h.sess.board.now = clk.now
+	h.sess.src = core.BytesSource(make([]byte, 4*128*core.BlockBytes))
+	get := func(lease string, sh core.Shard) int {
+		wr := httptest.NewRecorder()
+		h.coord.handleData(wr, httptest.NewRequest(http.MethodGet, "/v1/shards/data?campaign=c1&lease="+lease+
+			"&first_block="+strconv.Itoa(sh.FirstBlock)+"&blocks="+strconv.Itoa(sh.Blocks), nil))
+		return wr.Code
+	}
+	l, ok := h.sess.board.Lease("w1")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	if got := get(l.ID, l.Shard); got != http.StatusOK {
+		t.Fatalf("leased shard: HTTP %d, want 200", got)
+	}
+	other := testShards(4, 128)[l.Shard.Index+1]
+	part := core.Shard{FirstBlock: l.Shard.FirstBlock, Blocks: 1}
+	for name, tc := range map[string]struct {
+		lease string
+		sh    core.Shard
+	}{
+		"another shard's range": {l.ID, other},
+		"part of the shard":     {l.ID, part},
+		"no lease":              {"", l.Shard},
+		"unknown lease":         {"l99", l.Shard},
+	} {
+		if got := get(tc.lease, tc.sh); got != http.StatusGone {
+			t.Errorf("%s: HTTP %d, want 410", name, got)
+		}
+	}
+
+	clk.advance(int64(time.Minute) + 1)
+	if got := get(l.ID, l.Shard); got != http.StatusGone {
+		t.Errorf("expired lease: HTTP %d, want 410", got)
+	}
+	done, _ := h.sess.board.Lease("w2")
+	if _, ok := h.sess.board.Complete(done.ID, result(done.Shard), nil); !ok {
+		t.Fatal("completion refused")
+	}
+	if got := get(done.ID, done.Shard); got != http.StatusGone {
+		t.Errorf("completed lease: HTTP %d, want 410", got)
+	}
+}
+
+// TestStatsKeepFinishedCampaignCounters: requeues, steals and stragglers
+// are exported as counters, so a finished campaign's share stays in
+// Stats after it unregisters.
+func TestStatsKeepFinishedCampaignCounters(t *testing.T) {
+	h := newTracingHarness(t, 2)
+	clk := &fakeClock{}
+	h.sess.board.now = clk.now
+	h.sess.board.Lease("w1")
+	clk.advance(int64(time.Minute) + 1)
+	h.sess.board.Expire()
+	if st := h.coord.Stats(); st.Requeues != 1 {
+		t.Fatalf("live campaign: %d requeues, want 1", st.Requeues)
+	}
+	h.coord.unregister(h.sess)
+	if st := h.coord.Stats(); st.Campaigns != 0 || st.Requeues != 1 {
+		t.Fatalf("after unregister: %d campaigns, %d requeues, want 0 and 1", st.Campaigns, st.Requeues)
+	}
+}
+
+// plantedDump is a scrambled, undecayed image with one AES-256 master
+// planted; the seed picks the contents, the master and the scrambler key.
+func plantedDump(t testing.TB, seed int64) (dump, master []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	master = make([]byte, 32)
+	rng.Read(master)
+	plain := make([]byte, fxSize)
+	if err := workload.Fill(plain, seed, workload.LightSystem); err != nil {
+		t.Fatal(err)
+	}
+	copy(plain[fxVeraStart:], aes.ExpandKeyBytes(master))
+	dump = make([]byte, fxSize)
+	scramble.NewSkylakeDDR4(uint64(seed)*31+7).Scramble(dump, plain, 0)
+	return dump, master
+}
+
+// TestWorkerOutlivesCoordinatorRestart: a worker keeps running while the
+// coordinator behind its URL is replaced by a fresh process that runs a
+// different dump. Workers cache plans by campaign ID, so the new
+// process's first campaign must not share an ID with the old one's: the
+// fleet result must be byte-identical to a local campaign over the new
+// dump, not a scan with the old dump's plan.
+func TestWorkerOutlivesCoordinatorRestart(t *testing.T) {
+	dumpA, _ := plantedDump(t, 501)
+	dumpB, masterB := plantedDump(t, 777)
+	cfg := core.CampaignConfig{ShardBlocks: 4096, Attack: core.Config{Workers: 1}}
+	local, err := core.RunCampaignSource(context.Background(), core.BytesSource(dumpB), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Keys) == 0 || !bytes.Equal(local.Keys[0].Master, masterB) {
+		t.Fatalf("local campaign missed the planted master (%d keys); the comparison would be vacuous", len(local.Keys))
+	}
+
+	var current atomic.Pointer[http.ServeMux]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	boot := func() *Coordinator {
+		c := NewCoordinator(5*time.Second, nil)
+		mux := http.NewServeMux()
+		c.Register(mux)
+		current.Store(mux)
+		return c
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		(&Worker{Base: srv.URL, Name: "w1"}).Run(ctx)
+	}()
+
+	first := boot()
+	if _, err := first.Run(ctx, core.BytesSource(dumpA), cfg); err != nil {
+		t.Fatal(err)
+	}
+	second := boot()
+	first.Close() // ends the worker's held lease call on the old process
+	fleet, err := second.Run(ctx, core.BytesSource(dumpB), cfg)
+	cancel()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	localJSON, _ := json.Marshal(local.Keys)
+	fleetJSON, _ := json.Marshal(fleet.Keys)
+	if string(localJSON) != string(fleetJSON) {
+		t.Fatalf("fleet result after the coordinator restart diverged from the local campaign:\nlocal: %s\nfleet: %s", localJSON, fleetJSON)
 	}
 }

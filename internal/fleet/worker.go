@@ -266,6 +266,7 @@ func (w *Worker) heartbeat(ctx context.Context, lease leaseResponse) bool {
 
 func (w *Worker) shardData(ctx context.Context, lease leaseResponse) ([]byte, error) {
 	u := w.Base + "/v1/shards/data?campaign=" + lease.Campaign +
+		"&lease=" + lease.Lease +
 		"&first_block=" + strconv.Itoa(lease.Shard.FirstBlock) +
 		"&blocks=" + strconv.Itoa(lease.Shard.Blocks)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)

@@ -66,8 +66,13 @@ func bucketBounds(i int) (lo, hi int64) {
 // Snapshot captures the histogram's current counts, cumulative buckets
 // (trimmed to the occupied range), and p50/p90/p99 estimates. Concurrent
 // Observe calls may land between bucket reads; the snapshot is internally
-// consistent with whatever subset it saw.
+// consistent with whatever subset it saw. A nil histogram (what
+// Collector.Histogram returns before anything was observed) snapshots as
+// empty.
 func (h *Histogram) Snapshot(name string) HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{Name: name}
+	}
 	var counts [histBuckets]int64
 	var total int64
 	first, last := -1, -1

@@ -274,6 +274,21 @@ func TestCoordinatorDrainReleasesHeldLease(t *testing.T) {
 	}
 }
 
+// TestCoordinatorMetricsBeforeFirstLease: a fresh coordinator serves
+// /metrics before any shard was leased; the lease-wait p99 reads 0.
+func TestCoordinatorMetricsBeforeFirstLease(t *testing.T) {
+	svc, err := New(Config{Workers: 1, Role: RoleCoordinator})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain(context.Background())
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "\ncoldbootd_fleet_lease_wait_p99_ns 0\n") {
+		t.Fatalf("/metrics before the first lease: HTTP %d\n%s", rec.Code, rec.Body)
+	}
+}
+
 // TestCoordinatorRoleEndToEnd: a coordinator-role server plus one fleet
 // worker recovers a planted master through the HTTP job API, and the
 // fleet gauges surface on /metrics.

@@ -316,8 +316,8 @@ func (s *Server) jobDone(j *jobs.Job) {
 
 // handleSubmit streams the posted container to disk and enqueues its
 // analysis. Query parameters: priority (int, default 0, higher first),
-// repair (0 off, 1 single-bit window repair, 2 adds the rationed
-// double-bit search), variant (128/192/256, default 256),
+// repair (0 off, 1 single-bit window repair; 2 is still accepted and
+// means 1), variant (128/192/256, default 256),
 // formats (comma-separated target-format names, default all registered),
 // reveal=keys (persist raw recovered masters in the durable journal, so
 // they survive a restart; default: fingerprints only).
@@ -346,7 +346,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "bad repair %q (want 0..2)", v)
 			return
 		}
-		pl.RepairFlips = n
+		pl.RepairFlips = min(n, 1)
 	}
 	if v := q.Get("variant"); v != "" {
 		switch v {
