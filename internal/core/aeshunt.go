@@ -46,85 +46,163 @@ func AESLitmus(block []byte, v aes.Variant, tolerance int) []ScheduleHit {
 	if len(block) != BlockBytes {
 		panic("core: AES litmus block must be 64 bytes")
 	}
-	return aesLitmusWords(aes.BytesToWords(block), v, tolerance, nil)
+	return aesLitmusWords(aes.BytesToWords(block), v, tolerance, false, nil)
 }
 
 // aesLitmusWords is AESLitmus on a pre-converted word view, appending hits
 // onto the caller's slice — the hunt workers reuse both the word buffer and
-// the hit slice across every (block, key) pair. The hit set is identical to
-// the plain nested scan's.
-func aesLitmusWords(words []uint32, v aes.Variant, tolerance int, hits []ScheduleHit) []ScheduleHit {
+// the hit slice across every (block, key) pair. With skipDegenerate set,
+// window positions whose words windowDegenerateWords flags are skipped
+// before any trial (their masters are meaningless); without it the hit
+// set is identical to the plain nested scan's.
+func aesLitmusWords(words []uint32, v aes.Variant, tolerance int, skipDegenerate bool, hits []ScheduleHit) []ScheduleHit {
 	nk := v.Nk()
 	total := v.ScheduleWords()
 	const blockWords = BlockBytes / 4
+	var tb trialBounds
 	for j := 0; j+nk+MinVerifyWords <= blockWords; j++ {
+		if !tb.init(words, j, nk, tolerance) {
+			continue
+		}
+		if skipDegenerate && windowDegenerateWords(words[j:j+nk]) {
+			continue
+		}
 		maxVerify := blockWords - j - nk
-		// First-word prefilter: the first predicted word of trial (j, a) is
-		// words[j] ^ f(words[j+nk-1], a+nk), compared against words[j+nk].
-		// Its distance depends on a only through the congruence class of
-		// a+nk mod nk (plus the rcon byte in the rotate class), so the class
-		// distances are computed once per window position j and almost every
-		// a is rejected with two table lookups instead of a full prediction
-		// walk. A trial is skipped exactly when predictAndCompare would fail
-		// on its first compared word, so the hit set is unchanged.
-		prev := words[j+nk-1]
-		base0 := words[j] ^ words[j+nk]
-		dIdent := bits.OnesCount32(base0 ^ prev)
-		rotBase := base0 ^ aes.SubWord(aes.RotWord(prev))
-		dRotLow := bits.OnesCount32(rotBase & 0x00FFFFFF)
-		rotHigh := byte(rotBase >> 24)
-		if dIdent <= tolerance {
-			// A live identity class (real keystream windows land here) means
-			// almost every a survives the prefilter: walk them all.
-			dSub := -1 // lazy: only nk > 6 schedules have the subword class
-			for a := 0; a+nk+MinVerifyWords <= total; a++ {
-				i := a + nk // absolute index of the first predicted word
-				var d0 int
-				switch {
-				case i%nk == 0:
-					d0 = dRotLow + bits.OnesCount8(rotHigh^byte(aes.Rcon(i/nk)>>24))
-				case nk > 6 && i%nk == 4:
-					if dSub < 0 {
-						dSub = bits.OnesCount32(base0 ^ aes.SubWord(prev))
-					}
-					d0 = dSub
-				default:
-					d0 = dIdent
+		// Walk only the live residues, in the same ascending-a order as the
+		// full loop; round is the key-expansion round of schedule word a0+nk.
+		for a0, round := 0, 1; a0+nk+MinVerifyWords <= total; a0, round = a0+nk, round+1 {
+			for _, r := range tb.live[:tb.nLive] {
+				a := a0 + int(r)
+				if a+nk+MinVerifyWords > total {
+					break
 				}
-				if d0 > tolerance {
-					continue
-				}
-				hits = tryHit(hits, words, j, a, v, total, maxVerify, tolerance)
-			}
-			continue
-		}
-		// Dead identity class — the overwhelmingly common case on non-key
-		// data. Every a with (a+nk) % nk ∉ {0, 4} shares dIdent and is
-		// rejected, so only the rotate class (a ≡ 0 mod nk) and, for
-		// nk > 6, the subword class (a ≡ 4 mod nk) can survive: walk just
-		// those few, in the same ascending-a order as the full loop.
-		rotDead := dRotLow > tolerance
-		subDead := nk <= 6
-		if !subDead {
-			subDead = bits.OnesCount32(base0^aes.SubWord(prev)) > tolerance
-		}
-		if rotDead && subDead {
-			continue
-		}
-		for a := 0; a+nk+MinVerifyWords <= total; a += nk {
-			if !rotDead {
-				if d0 := dRotLow + bits.OnesCount8(rotHigh^byte(aes.Rcon((a+nk)/nk)>>24)); d0 <= tolerance {
+				if tb.dist(r, round) <= tolerance {
 					hits = tryHit(hits, words, j, a, v, total, maxVerify, tolerance)
-				}
-			}
-			if !subDead {
-				if as := a + 4; as+nk+MinVerifyWords <= total {
-					hits = tryHit(hits, words, j, as, v, total, maxVerify, tolerance)
 				}
 			}
 		}
 	}
 	return hits
+}
+
+// trialBounds is the two-word class prefilter for one window position j.
+// The first two words trial (j, a) predicts are
+//
+//	p0 = words[j]   ^ f(a+nk,   words[j+nk-1])   vs. words[j+nk]
+//	p1 = words[j+1] ^ f(a+nk+1, p0)              vs. words[j+nk+1]
+//
+// where f is the schedule step: RotWord+SubWord+rcon at an index ≡ 0
+// (mod nk), SubWord at ≡ 4 for nk > 6, identity otherwise. Both steps
+// depend on a only through its residue r = a mod nk, except for the rcon
+// byte, which only touches the top byte of a rotate-class word. So the
+// summed two-word distance is one rcon-free constant per residue plus, for
+// r = 0 (rotate, identity) and r = nk-1 (identity, rotate), the top-byte
+// popcounts against that round's rcon. predictAndCompare accumulates the
+// same two distances first and fails as soon as the sum passes the
+// tolerance, so a trial whose summed distance is over the tolerance is
+// skipped exactly when the walk would fail within MinVerifyWords words.
+type trialBounds struct {
+	nk int
+	// base is the rcon-free two-word distance per residue.
+	base [8]int
+	// rotHi holds, for r = 0, the top bytes of both compared words before
+	// the rcon is applied to p0 (p1 inherits it through the identity
+	// step); lastHi is, for r = nk-1, the top byte of the second compared
+	// word before the rcon.
+	rotHi  [2]byte
+	lastHi byte
+	// live lists, ascending, the residues whose base is within tolerance.
+	live  [8]uint8
+	nLive int
+}
+
+// init computes the bounds for window position j and reports whether any
+// residue can still pass. It derives second-word terms only for residues
+// whose first word is already within tolerance: on non-key data almost
+// every position ends after the first-word distances.
+func (tb *trialBounds) init(words []uint32, j, nk, tolerance int) bool {
+	tb.nk, tb.nLive = nk, 0
+	w0, w1 := words[j], words[j+1]
+	o0, o1 := words[j+nk], words[j+nk+1]
+	prev := words[j+nk-1]
+	fail := tolerance + 1
+
+	// First-word distances of the three step classes. SubWord is bytewise,
+	// so it commutes with RotWord and one S-box pass over prev serves both
+	// the rotate and the subword class.
+	idP0 := w0 ^ prev
+	dId := bits.OnesCount32(idP0 ^ o0)
+	subPrev := aes.SubWord(prev)
+	rotP0 := w0 ^ aes.RotWord(subPrev)
+	rotX0 := rotP0 ^ o0
+	dRotId := bits.OnesCount32(rotX0 & 0x00FFFFFF) // rcon-free
+	subP0 := w0 ^ subPrev
+	dSubId := fail
+	if nk > 6 {
+		dSubId = bits.OnesCount32(subP0 ^ o0)
+	}
+	if dId > tolerance && dRotId > tolerance && dSubId > tolerance {
+		return false // the common case on non-key data
+	}
+
+	// Add the second word. After an identity first step, the second
+	// step's class picks the term; after a rotate or subword first step the
+	// second step is the identity.
+	dIdId, dIdSub, dIdRot := fail, fail, fail
+	var idRotX, rotY uint32
+	if dId <= tolerance {
+		dIdId = dId + bits.OnesCount32(w1^idP0^o1)
+		sub := aes.SubWord(idP0)
+		idRotX = w1 ^ aes.RotWord(sub) ^ o1
+		dIdRot = dId + bits.OnesCount32(idRotX&0x00FFFFFF)
+		if nk > 6 {
+			dIdSub = dId + bits.OnesCount32(w1^sub^o1)
+		}
+	}
+	if dRotId <= tolerance {
+		rotY = w1 ^ rotP0 ^ o1
+		dRotId += bits.OnesCount32(rotY & 0x00FFFFFF)
+	}
+	if dSubId <= tolerance {
+		dSubId += bits.OnesCount32(w1 ^ subP0 ^ o1)
+	}
+	tb.rotHi = [2]byte{byte(rotX0 >> 24), byte(rotY >> 24)}
+	tb.lastHi = byte(idRotX >> 24)
+
+	for r := 0; r < nk; r++ {
+		d := dIdId
+		switch {
+		case r == 0:
+			d = dRotId
+		case r == nk-1:
+			d = dIdRot
+		case nk > 6 && r == 3:
+			d = dIdSub
+		case nk > 6 && r == 4:
+			d = dSubId
+		}
+		tb.base[r] = d
+		if d <= tolerance {
+			tb.live[tb.nLive] = uint8(r)
+			tb.nLive++
+		}
+	}
+	return tb.nLive > 0
+}
+
+// dist returns the summed two-word distance of a live residue r's trial in
+// the round-th row, where round is the expansion round of the first
+// predicted word (a/nk + 1).
+func (tb *trialBounds) dist(r uint8, round int) int {
+	switch int(r) {
+	case 0:
+		rc := byte(aes.Rcon(round) >> 24)
+		return tb.base[0] + bits.OnesCount8(tb.rotHi[0]^rc) + bits.OnesCount8(tb.rotHi[1]^rc)
+	case tb.nk - 1:
+		// The rotate step is the second word's, one round later.
+		return tb.base[r] + bits.OnesCount8(tb.lastHi^byte(aes.Rcon(round+1)>>24))
+	}
+	return tb.base[r]
 }
 
 // tryHit runs the full prediction walk for trial (j, a) and appends a
@@ -169,18 +247,6 @@ func predictAndCompare(words []uint32, j, a int, v aes.Variant, verify, toleranc
 		}
 	}
 	return dist, true
-}
-
-// MasterFromHit derives the master key implied by a hit: the window words
-// are taken as schedule words at the hit's absolute index and extended
-// backwards to word zero. A clean (undecayed) window yields the true master
-// key; a corrupted window yields garbage that full-schedule verification
-// rejects.
-func MasterFromHit(block []byte, hit ScheduleHit, v aes.Variant) []byte {
-	words := aes.BytesToWords(block)
-	nk := v.Nk()
-	window := words[hit.WordOffset : hit.WordOffset+nk]
-	return aes.RecoverMasterKey(window, hit.ScheduleIndex, v)
 }
 
 // TableStart returns the dump byte offset at which the schedule containing

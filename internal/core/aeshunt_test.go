@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,13 @@ func plantSchedule(t *testing.T, key []byte, byteOff int) ([]byte, []byte) {
 	block := make([]byte, BlockBytes)
 	copy(block, sched[byteOff:byteOff+BlockBytes])
 	return block, sched
+}
+
+// hitMaster derives the master key a hit implies: the window's words are
+// taken as schedule words at the hit's index and extended back to word 0.
+func hitMaster(block []byte, h ScheduleHit, v aes.Variant) []byte {
+	words := aes.BytesToWords(block)
+	return aes.RecoverMasterKey(words[h.WordOffset:h.WordOffset+v.Nk()], h.ScheduleIndex, v)
 }
 
 func TestAESLitmusFindsPlantedSchedule256(t *testing.T) {
@@ -56,7 +64,7 @@ func TestAESLitmusMasterRecovery(t *testing.T) {
 		}
 		recovered := false
 		for _, h := range hits {
-			if bytes.Equal(MasterFromHit(block, h, v), key) {
+			if bytes.Equal(hitMaster(block, h, v), key) {
 				recovered = true
 				break
 			}
@@ -83,7 +91,7 @@ func TestAESLitmusAllWordAlignments(t *testing.T) {
 		hits := AESLitmus(block, aes.AES256, 0)
 		ok := false
 		for _, h := range hits {
-			if bytes.Equal(MasterFromHit(block, h, aes.AES256), key) {
+			if bytes.Equal(hitMaster(block, h, aes.AES256), key) {
 				ok = true
 				break
 			}
@@ -107,7 +115,7 @@ func TestAESLitmusToleratesVerifyDecay(t *testing.T) {
 	hits := AESLitmus(block, aes.AES256, DefaultAESTolerance)
 	ok := false
 	for _, h := range hits {
-		if h.WordOffset == 0 && bytes.Equal(MasterFromHit(block, h, aes.AES256), key) {
+		if h.WordOffset == 0 && bytes.Equal(hitMaster(block, h, aes.AES256), key) {
 			ok = true
 		}
 	}
@@ -170,6 +178,82 @@ func TestPredictAndCompareMatchesExpandKey(t *testing.T) {
 			if d, ok := predictAndCompare(words[:], 0, a, v, verify, 0); ok || d != 1 {
 				t.Fatalf("%v a=%d: flipped last word: distance %d, ok %v; want 1, false", v, a, d, ok)
 			}
+		}
+	}
+}
+
+// TestTrialBoundsExact holds the two-word class prefilter to its contract
+// for every variant: a trial it skips fails predictAndCompare within
+// MinVerifyWords words, and a trial it keeps is within tolerance over
+// those two words, with the summed distance the prefilter computed.
+func TestTrialBoundsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, v := range []aes.Variant{aes.AES128, aes.AES192, aes.AES256} {
+		nk := v.Nk()
+		sched := aes.ExpandKeyBytes(testMaster(int64(8*nk), v.KeyBytes()))
+		blocks := []struct {
+			name string
+			fill func([]byte)
+		}{
+			{"noise", func(b []byte) { rng.Read(b) }},
+			{"schedule", func(b []byte) {
+				off := 4 * rng.Intn(len(sched)/4-BlockBytes/4)
+				copy(b, sched[off:off+BlockBytes])
+			}},
+			{"decayed_schedule", func(b []byte) {
+				off := 4 * rng.Intn(len(sched)/4-BlockBytes/4)
+				copy(b, sched[off:off+BlockBytes])
+				for i := 0; i < 1+rng.Intn(6); i++ {
+					bit := rng.Intn(BlockBytes * 8)
+					b[bit/8] ^= 1 << uint(bit%8)
+				}
+			}},
+			{"repeated_word", func(b []byte) {
+				w := rng.Uint32()
+				for i := 0; i < BlockBytes; i += 4 {
+					binary.LittleEndian.PutUint32(b[i:], w)
+				}
+				b[rng.Intn(BlockBytes)] ^= byte(1 << uint(rng.Intn(8)))
+			}},
+		}
+		for _, bc := range blocks {
+			t.Run(v.String()+"/"+bc.name, func(t *testing.T) {
+				block := make([]byte, BlockBytes)
+				var kept, skipped int
+				for trial := 0; trial < 200; trial++ {
+					bc.fill(block)
+					words := aes.BytesToWords(block)
+					for _, tol := range []int{0, DefaultAESTolerance, 20} {
+						for j := 0; j+nk+MinVerifyWords <= BlockBytes/4; j++ {
+							var tb trialBounds
+							live := tb.init(words, j, nk, tol)
+							for a := 0; a+nk+MinVerifyWords <= v.ScheduleWords(); a++ {
+								r := uint8(a % nk)
+								walk := live && bytes.IndexByte(tb.live[:tb.nLive], r) >= 0 &&
+									tb.dist(r, a/nk+1) <= tol
+								d, _ := predictAndCompare(words, j, a, v, MinVerifyWords, 1<<30)
+								_, ok := predictAndCompare(words, j, a, v, MinVerifyWords, tol)
+								switch {
+								case !walk && ok:
+									t.Fatalf("tol %d trial (%d, %d) skipped, but its two words are %d bits off", tol, j, a, d)
+								case walk && !ok:
+									t.Fatalf("tol %d trial (%d, %d) walked, but its two words are %d bits off", tol, j, a, d)
+								case walk && tb.dist(r, a/nk+1) != d:
+									t.Fatalf("tol %d trial (%d, %d): prefilter distance %d, walk %d", tol, j, a, tb.dist(r, a/nk+1), d)
+								}
+								if walk {
+									kept++
+								} else {
+									skipped++
+								}
+							}
+						}
+					}
+				}
+				if bc.name != "noise" && kept == 0 {
+					t.Errorf("no trial survived the prefilter (%d skipped)", skipped)
+				}
+			})
 		}
 	}
 }

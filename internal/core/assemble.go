@@ -461,13 +461,14 @@ func (r *repairer) search(positions []int, startIdx, remaining int, budget *int)
 // these conditions ever hold for a genuine hit.
 func windowDegenerate(block []byte, hit ScheduleHit, nk int) bool {
 	var w [BlockBytes / 4]uint32
-	return windowDegenerateWords(aes.BytesToWordsInto(w[:0], block), hit, nk)
+	words := aes.BytesToWordsInto(w[:0], block)
+	return windowDegenerateWords(words[hit.WordOffset : hit.WordOffset+nk])
 }
 
-// windowDegenerateWords is windowDegenerate on a pre-converted word view
-// (what the hunt workers hold).
-func windowDegenerateWords(words []uint32, hit ScheduleHit, nk int) bool {
-	win := words[hit.WordOffset : hit.WordOffset+nk]
+// windowDegenerateWords is windowDegenerate on one window's words (what the
+// hunt's litmus holds).
+func windowDegenerateWords(win []uint32) bool {
+	nk := len(win)
 	// Distinct-word count by pairwise compare: nk <= 8, so this beats any
 	// set structure and allocates nothing.
 	distinct := 0

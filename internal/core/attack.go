@@ -463,16 +463,16 @@ func (run *attackRun) huntStage(ctx context.Context) error {
 						continue
 					}
 					words := aes.BytesToWordsInto(sc.words[:0], sc.descrambled[:])
-					sc.hits = aesLitmusWords(words, cfg.Variant, DefaultAESTolerance, sc.hits[:0])
+					// Degenerate windows (zero, pattern or text data) yield
+					// meaningless masters, so the litmus skips them before
+					// any trial.
+					sc.hits = aesLitmusWords(words, cfg.Variant, DefaultAESTolerance, true, sc.hits[:0])
 					localHits += int64(len(sc.hits))
 					// Single-flip repair is cheap (prediction-prefiltered), so
 					// every failing hit may try it; the cubic ground-state
 					// search is rationed per (block, key) pair.
 					groundRepairsLeft := 4
 					for _, hit := range sc.hits {
-						if windowDegenerateWords(words, hit, nk) {
-							continue
-						}
 						start := hit.TableStart(b)
 						if start < 0 || start+cfg.Variant.ScheduleBytes() > len(dump) {
 							continue

@@ -62,9 +62,12 @@ func ExampleAESLitmus() {
 	copy(block, sched[64:128]) // schedule words 16..31
 
 	hits := core.AESLitmus(block, aes.AES256, 0)
+	words := aes.BytesToWords(block)
 	recovered := false
 	for _, h := range hits {
-		if bytes.Equal(core.MasterFromHit(block, h, aes.AES256), master) {
+		// Extend the hit's window back to schedule word 0: the master.
+		window := words[h.WordOffset : h.WordOffset+aes.AES256.Nk()]
+		if bytes.Equal(aes.RecoverMasterKey(window, h.ScheduleIndex, aes.AES256), master) {
 			recovered = true
 		}
 	}

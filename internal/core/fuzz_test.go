@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"coldboot/internal/aes"
+	"coldboot/internal/scramble"
 )
 
 // Fuzz targets: the attack parses adversarial memory dumps, so nothing in
@@ -28,40 +30,70 @@ func FuzzKeyLitmus(f *testing.F) {
 	})
 }
 
+// litmusVariants maps a fuzzed selector byte onto a variant.
+var litmusVariants = []aes.Variant{aes.AES128, aes.AES192, aes.AES256}
+
+// scheduleBlock returns 16 schedule words of a fixed master of variant v,
+// starting at schedule word first.
+func scheduleBlock(v aes.Variant, first int) []byte {
+	sched := aes.ExpandKeyBytes(testMaster(int64(v.Nk()), v.KeyBytes()))
+	return append([]byte(nil), sched[4*first:4*first+BlockBytes]...)
+}
+
+// FuzzAESLitmus is differential: the class-prefiltered litmus must return
+// exactly the seed scan's hits for every block and variant. The seeds put
+// a live window of each step class at word 0: identity (AES-128 from
+// schedule word 1), rotate (AES-192 from word 6, with a flipped bit) and
+// AES-256's subword class (from word 4).
 func FuzzAESLitmus(f *testing.F) {
 	f.Add(make([]byte, 64), uint8(0))
+	f.Add(scheduleBlock(aes.AES128, 1), uint8(0))
+	rot := scheduleBlock(aes.AES192, 6)
+	rot[4*6+1] ^= 0x10
+	f.Add(rot, uint8(1))
+	f.Add(scheduleBlock(aes.AES256, 4), uint8(2))
 	f.Fuzz(func(t *testing.T, block []byte, variant uint8) {
 		if len(block) != 64 {
 			return
 		}
-		v := []aes.Variant{aes.AES128, aes.AES192, aes.AES256}[int(variant)%3]
-		for _, h := range AESLitmus(block, v, DefaultAESTolerance) {
-			if h.WordOffset < 0 || h.WordOffset > 15 {
-				t.Fatalf("hit offset %d out of range", h.WordOffset)
-			}
+		v := litmusVariants[int(variant)%len(litmusVariants)]
+		got := AESLitmus(block, v, DefaultAESTolerance)
+		if want := refAESLitmus(block, v, DefaultAESTolerance); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: hits differ\n got  %+v\n want %+v", v, got, want)
+		}
+		for _, h := range got {
 			// Master derivation must not panic either.
-			if m := MasterFromHit(block, h, v); len(m) != v.KeyBytes() {
+			if m := hitMaster(block, h, v); len(m) != v.KeyBytes() {
 				t.Fatalf("master length %d", len(m))
 			}
 		}
 	})
 }
 
+// FuzzMineKeys is differential: the three-step merge must return exactly
+// the seed miner's result. The litmus tolerance and merge distance are
+// fuzzed too (0 means the default), so arbitrary bytes pass the litmus and
+// merge; distances of 64 and more take the linear canonical scan.
 func FuzzMineKeys(f *testing.F) {
-	f.Add(make([]byte, 256))
-	f.Fuzz(func(t *testing.T, dump []byte) {
+	f.Add(make([]byte, 256), uint8(0), uint8(0))
+	keys := make([]byte, 16*BlockBytes)
+	s := scramble.NewSkylakeDDR4(5)
+	for i := 0; i < 16; i++ {
+		copy(keys[i*BlockBytes:], s.KeyAt(uint64(i%5)*BlockBytes))
+	}
+	decayBits(keys, 5, 12)
+	f.Add(keys, uint8(0), uint8(0))
+	f.Add(keys, uint8(255), uint8(70))
+	f.Fuzz(func(t *testing.T, dump []byte, tolerance, mergeDistance uint8) {
 		dump = dump[:len(dump)&^63]
 		if len(dump) == 0 {
 			return
 		}
-		res, err := MineKeys(context.Background(), dump, MineOptions{})
+		opt := MineOptions{Tolerance: int(tolerance), MergeDistance: int(mergeDistance % 80)}
+		res, err := MineKeys(context.Background(), dump, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range res.Keys {
-			if len(k.Key) != 64 || k.Count < 1 {
-				t.Fatal("malformed mined key")
-			}
-		}
+		assertMineParity(t, res, refMineKeys(dump, opt))
 	})
 }

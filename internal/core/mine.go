@@ -7,8 +7,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"coldboot/internal/bitutil"
 )
@@ -220,41 +222,57 @@ func (m *miner) growProbe() {
 }
 
 // finish runs pass 2 — merge near-duplicate groups (decayed copies) into
-// canonical keys, largest groups first so canonicals are the least-decayed
-// representatives — and returns the completed result. The output is
-// bit-identical to the straightforward map-and-rescan aggregation (the
-// parity tests pin this), but the near-duplicate search is segment-indexed
-// instead of quadratic, majority votes are tallied only at the bits decay
-// flipped, and positions are partitioned in one counting pass.
+// canonical keys — and returns the completed result. The reference merge
+// walks every group in (count desc, rep asc) order, so canonicals are the
+// least-decayed representatives, and joins each to the FIRST canonical
+// within MergeDistance. finish reaches the same canonicals, indices and
+// votes in three steps that sort only the groups whose order matters:
+//
+//  1. Groups seen at least twice merge in reference order.
+//  2. Every singleton (count 1, nearly all the decayed sightings) is looked
+//     up read-only against step 1's canonicals, fanned out over GOMAXPROCS.
+//     Singletons come last in reference order and step 1's canonicals have
+//     the lowest indices, so a match here is the reference's first match;
+//     vote tallies are sums, so the order they are added in is free. A
+//     lookup stops at a close enough match on a lone canonical (markLone).
+//  3. The unmatched singletons merge in reference order against an index
+//     of only the canonicals they create themselves.
+//
+// The output is bit-identical to the straightforward map-and-rescan
+// aggregation (the parity tests pin this). The near-duplicate search is
+// segment-indexed instead of quadratic, majority votes are tallied only at
+// the bits decay flipped, and positions are partitioned in one counting
+// pass.
 func (m *miner) finish() *MineResult {
 	res := m.res
 	nGroups := len(m.hashes)
-	// Process groups by (count desc, rep asc) so canonicals are the
-	// least-decayed representatives. The big-endian first 8 bytes order
-	// like the representative itself, so bytes.Compare only runs on ties.
-	type groupKey struct {
-		prefix uint64
-		count  int32
-		g      int32
-	}
-	order := make([]groupKey, nGroups)
-	for g := range order {
-		order[g] = groupKey{binary.BigEndian.Uint64(m.rep(int32(g))), m.counts[g], int32(g)}
-	}
-	slices.SortFunc(order, func(a, b groupKey) int {
-		if a.count != b.count {
-			return cmp.Compare(b.count, a.count)
+	var multi, single []int32
+	for g, n := range m.counts {
+		if n >= 2 {
+			multi = append(multi, int32(g))
+		} else {
+			single = append(single, int32(g))
 		}
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
-		}
-		return bytes.Compare(m.rep(a.g), m.rep(b.g))
-	})
+	}
 
 	cm := newCanonMerger(m.opt.MergeDistance)
 	groupCanon := make([]int32, nGroups)
-	for _, k := range order {
-		groupCanon[k.g] = cm.add(m.rep(k.g), k.count)
+	for _, g := range m.refOrder(multi) {
+		groupCanon[g] = cm.add(m.rep(g), m.counts[g])
+	}
+	cm.markLone()
+	m.lookupSingles(cm, single, groupCanon)
+	unmatched := single[:0]
+	for _, g := range single {
+		if c := groupCanon[g]; c >= 0 {
+			cm.tally(c, m.rep(g), 1)
+		} else {
+			unmatched = append(unmatched, g)
+		}
+	}
+	cm.restartIndex()
+	for _, g := range m.refOrder(unmatched) {
+		groupCanon[g] = cm.add(m.rep(g), 1)
 	}
 
 	// Partition the observation log by canonical key. The log is in scan
@@ -326,6 +344,67 @@ func (m *miner) finish() *MineResult {
 	return res
 }
 
+// refOrder sorts groups in place into the reference merge order: count
+// descending, then representative ascending. The big-endian first 8 bytes
+// order like the representative itself, so bytes.Compare only runs on
+// prefix ties.
+func (m *miner) refOrder(groups []int32) []int32 {
+	type groupKey struct {
+		prefix uint64
+		count  int32
+		g      int32
+	}
+	keys := make([]groupKey, len(groups))
+	for i, g := range groups {
+		keys[i] = groupKey{binary.BigEndian.Uint64(m.rep(g)), m.counts[g], g}
+	}
+	slices.SortFunc(keys, func(a, b groupKey) int {
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
+		}
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return bytes.Compare(m.rep(a.g), m.rep(b.g))
+	})
+	for i, k := range keys {
+		groups[i] = k.g
+	}
+	return groups
+}
+
+// minParallelLookups is the singleton count per goroutine below which
+// finish does not fan the lookups out: a run this short takes well under
+// a millisecond, too little to be worth a goroutine.
+const minParallelLookups = 1 << 11
+
+// lookupSingles sets groupCanon[g] to each singleton's first canonical
+// match, or -1, splitting the singletons into contiguous runs across
+// GOMAXPROCS goroutines. cm is only read, and each run writes its own
+// groups' slots.
+func (m *miner) lookupSingles(cm *canonMerger, single []int32, groupCanon []int32) {
+	lookup := func(run []int32) {
+		for _, g := range run {
+			groupCanon[g] = cm.lookup(m.rep(g))
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(single)/minParallelLookups)
+	if workers <= 1 {
+		lookup(single)
+		return
+	}
+	var wg sync.WaitGroup
+	per := (len(single) + workers - 1) / workers
+	for lo := 0; lo < len(single); lo += per {
+		wg.Add(1)
+		go func(run []int32) {
+			defer wg.Done()
+			lookup(run)
+		}(single[lo:min(lo+per, len(single))])
+	}
+	wg.Wait()
+}
+
 // canonMerger folds near-duplicate groups into canonical keys. The merge
 // rule is the reference one — a group joins the FIRST (lowest-index)
 // canonical whose representative is within MergeDistance bits — but
@@ -348,6 +427,16 @@ type canonMerger struct {
 	// linear falls back to the reference scan when segments would be
 	// narrower than one byte (enormous MergeDistance).
 	linear bool
+	// base is the first canonical the index holds: lookups see only
+	// canonicals added since the last restartIndex.
+	base int32
+	// bounds[s]..bounds[s+1] is segment s's byte range.
+	bounds [BlockBytes + 1]uint8
+	// lone[c] is set when markLone found no other indexed canonical within
+	// MergeDistance+loneSlack bits of canonical c; nil while the index
+	// grows.
+	lone      []bool
+	loneSlack int
 }
 
 // canonEntry is one canonical key. dis counts, per bit, the sightings that
@@ -366,21 +455,19 @@ func newCanonMerger(mergeDistance int) *canonMerger {
 		cm.linear = true
 		return cm
 	}
+	for s := range cm.bounds[:cm.segs+1] {
+		cm.bounds[s] = uint8(s * BlockBytes / cm.segs)
+	}
 	cm.segTable = make([]uint64, 1024)
 	return cm
 }
 
-// segBounds returns segment s's byte range within a representative.
-func (cm *canonMerger) segBounds(s int) (int, int) {
-	return s * BlockBytes / cm.segs, (s + 1) * BlockBytes / cm.segs
-}
-
-// segHash hashes one segment, salted by its index so equal bytes in
-// different segments don't collide into shared buckets.
-func segHash(s int, seg []byte) uint32 {
+// segHash hashes segment s of rep, salted by the segment's index so equal
+// bytes in different segments don't collide into shared buckets.
+func (cm *canonMerger) segHash(rep []byte, s int) uint32 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037) ^ uint64(s)*prime
-	for _, b := range seg {
+	for _, b := range rep[cm.bounds[s]:cm.bounds[s+1]] {
 		h ^= uint64(b)
 		h *= prime
 	}
@@ -388,18 +475,33 @@ func segHash(s int, seg []byte) uint32 {
 	return uint32(h ^ h>>32)
 }
 
+// segHashes hashes every segment of rep into hs.
+func (cm *canonMerger) segHashes(rep []byte, hs *[BlockBytes]uint32) {
+	for s := range hs[:cm.segs] {
+		hs[s] = cm.segHash(rep, s)
+	}
+}
+
 // add merges one group of n sightings (processed in reference order) and
 // returns its canonical index.
 func (cm *canonMerger) add(rep []byte, n int32) int32 {
-	c := cm.lookup(rep)
+	var hs [BlockBytes]uint32
+	c := cm.lookupHashed(rep, &hs)
 	if c < 0 {
 		c = int32(len(cm.canon))
 		cm.canon = append(cm.canon, canonEntry{rep: rep})
 		if !cm.linear {
-			cm.insertSegs(rep, c)
+			cm.insertSegs(&hs, c)
 		}
 		return c
 	}
+	cm.tally(c, rep, n)
+	return c
+}
+
+// tally adds n sightings of rep to canonical c's per-bit disagreement
+// counts.
+func (cm *canonMerger) tally(c int32, rep []byte, n int32) {
 	e := &cm.canon[c]
 	if e.dis == nil {
 		e.dis = make([]int32, BlockBytes*8)
@@ -410,30 +512,103 @@ func (cm *canonMerger) add(rep []byte, n int32) int32 {
 			e.dis[w*8+bits.TrailingZeros64(x)] += n
 		}
 	}
-	return c
 }
 
-// lookup returns the lowest canonical index within MergeDistance of rep,
+// restartIndex empties the lookup index: later lookups see only the
+// canonicals added after this call.
+func (cm *canonMerger) restartIndex() {
+	cm.base = int32(len(cm.canon))
+	cm.lone = nil
+	if !cm.linear {
+		cm.segTable = make([]uint64, 1024)
+	}
+}
+
+// markLone flags each indexed canonical c that has no other indexed
+// canonical within r = min(2·MergeDistance, 31) bits. Any canonical within
+// MergeDistance of a rep that is itself within loneSlack = r −
+// MergeDistance bits of a lone c would be within r of c, so c is that
+// rep's only possible match and its lookup may stop there. Neighbours are
+// found through a second pigeonhole index of r+1 segments; capping r at 31
+// keeps those segments at least 2 bytes wide, so unrelated keys rarely
+// share one. The flags hold until the index next changes: call markLone
+// once the index is final, as finish does before its read-only singleton
+// lookups.
+func (cm *canonMerger) markLone() {
+	r := min(2*cm.md, BlockBytes/2-1)
+	cm.lone, cm.loneSlack = make([]bool, len(cm.canon)), r-cm.md
+	if cm.linear || r < cm.md {
+		return
+	}
+	wide := newCanonMerger(r)
+	n := len(cm.canon) - int(cm.base)
+	size := len(wide.segTable)
+	for size*2 < n*wide.segs*3 { // load factor at most 2/3
+		size *= 2
+	}
+	wide.segTable = make([]uint64, size)
+	wide.canon = cm.canon // read-only: the same representatives
+	var hs [BlockBytes]uint32
+	for c := int(cm.base); c < len(cm.canon); c++ {
+		wide.segHashes(cm.canon[c].rep, &hs)
+		for _, h := range hs[:wide.segs] {
+			wide.place(uint64(h) | uint64(c+1)<<32)
+		}
+	}
+	for c := int(cm.base); c < len(cm.canon); c++ {
+		wide.segHashes(cm.canon[c].rep, &hs)
+		cm.lone[c] = !wide.hasNeighbor(int32(c), &hs)
+	}
+}
+
+// hasNeighbor reports whether an indexed canonical other than c lies
+// within MergeDistance of c's representative, whose segment hashes are hs.
+func (cm *canonMerger) hasNeighbor(c int32, hs *[BlockBytes]uint32) bool {
+	rep := cm.canon[c].rep
+	mask := uint32(len(cm.segTable) - 1)
+	for _, h := range hs[:cm.segs] {
+		for i := h & mask; cm.segTable[i] != 0; i = (i + 1) & mask {
+			o := int32(cm.segTable[i]>>32) - 1
+			if uint32(cm.segTable[i]) == h && o != c && bitutil.NearEqual(cm.canon[o].rep, rep, cm.md) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// lookup returns the lowest indexed canonical within MergeDistance of rep,
 // or -1.
 func (cm *canonMerger) lookup(rep []byte) int32 {
+	var hs [BlockBytes]uint32
+	return cm.lookupHashed(rep, &hs)
+}
+
+// lookupHashed is lookup that leaves rep's segment hashes in hs, for
+// insertSegs (all of them whenever it returns -1).
+func (cm *canonMerger) lookupHashed(rep []byte, hs *[BlockBytes]uint32) int32 {
 	if cm.linear {
-		for c := range cm.canon {
+		for c := int(cm.base); c < len(cm.canon); c++ {
 			if bitutil.NearEqual(cm.canon[c].rep, rep, cm.md) {
 				return int32(c)
 			}
 		}
 		return -1
 	}
-	// Hash every segment before probing, so the table loads (mostly cache
-	// misses) issue back to back instead of each waiting behind a hash.
-	var hs [BlockBytes]uint32
-	for s := range hs[:cm.segs] {
-		lo, hi := cm.segBounds(s)
-		hs[s] = segHash(s, rep[lo:hi])
-	}
 	best := int32(-1)
 	mask := uint32(len(cm.segTable) - 1)
-	for _, h := range hs[:cm.segs] {
+	// Segment 0 is probed on its own: a decayed sighting of a lone
+	// canonical almost always keeps it intact, and the lookup ends there.
+	// Otherwise the rest are hashed together before probing, so their
+	// table loads (mostly cache misses) issue back to back.
+	hs[0] = cm.segHash(rep, 0)
+	for s, h := range hs[:cm.segs] {
+		if s == 1 {
+			for t := 1; t < cm.segs; t++ {
+				hs[t] = cm.segHash(rep, t)
+			}
+			h = hs[1]
+		}
 		for i := h & mask; cm.segTable[i] != 0; i = (i + 1) & mask {
 			if uint32(cm.segTable[i]) != h {
 				continue
@@ -442,7 +617,10 @@ func (cm *canonMerger) lookup(rep []byte) int32 {
 			if best >= 0 && c >= best {
 				continue
 			}
-			if bitutil.NearEqual(cm.canon[c].rep, rep, cm.md) {
+			if d := bitutil.HammingDistance(cm.canon[c].rep, rep); d <= cm.md {
+				if d <= cm.loneSlack && int(c) < len(cm.lone) && cm.lone[c] {
+					return c // the only canonical within reach (markLone)
+				}
 				best = c
 			}
 		}
@@ -450,10 +628,10 @@ func (cm *canonMerger) lookup(rep []byte) int32 {
 	return best
 }
 
-// insertSegs indexes canonical c's segments, doubling the table first if
-// they would push its load factor to 1/2.
-func (cm *canonMerger) insertSegs(rep []byte, c int32) {
-	if (int(c)+1)*cm.segs*2 >= len(cm.segTable) {
+// insertSegs indexes canonical c under its segment hashes hs, doubling
+// the table first if they would push its load factor to 1/2.
+func (cm *canonMerger) insertSegs(hs *[BlockBytes]uint32, c int32) {
+	if int(c-cm.base+1)*cm.segs*2 >= len(cm.segTable) {
 		old := cm.segTable
 		cm.segTable = make([]uint64, len(old)*2)
 		for _, e := range old {
@@ -462,9 +640,8 @@ func (cm *canonMerger) insertSegs(rep []byte, c int32) {
 			}
 		}
 	}
-	for s := 0; s < cm.segs; s++ {
-		lo, hi := cm.segBounds(s)
-		cm.place(uint64(segHash(s, rep[lo:hi])) | uint64(c+1)<<32)
+	for _, h := range hs[:cm.segs] {
+		cm.place(uint64(h) | uint64(c+1)<<32)
 	}
 }
 

@@ -115,6 +115,85 @@ func TestMineKeysParityPrefixTies(t *testing.T) {
 	assertMineParity(t, got, refMineKeys(dump, opt))
 }
 
+// TestMineKeysParitySingletonChains plants the cases the three-step merge
+// must order exactly like the reference. Every block passes the litmus
+// (tolerance 256), so the random filler is a few thousand singletons that
+// match nothing: enough to fan the step-2 lookups out, and all merged in
+// step 3. Per key K, seen twice (a step-1 canonical):
+//
+//   - S1 = K + 10 flips and S2 = K + another 10 flips match K in step 2;
+//   - U = K + 20 flips, S2's 10 among them, is too far from K, so it is
+//     left to step 3, although S2 is within 10 bits of it too: S2 must
+//     still join K, the lower-indexed canonical;
+//   - T1 and T2 add 3 and 5 flips of their own to U: U, T1 and T2 merge
+//     in step 3 into whichever of them sorts first.
+//
+// A key V seen only as singletons is built entirely in step 3, as the
+// chain V, V + 10 flips, V + 20 flips: the ends are 20 bits apart, so only
+// the reference order decides whether the chain folds into one key or two.
+// Finally P and Q = P + 24 flips, each seen twice, are step-1 canonicals
+// close enough that neither is lone, and R, 12 flips from each, shares its
+// first segment with Q alone: its lookup must not stop at Q when P is the
+// lower-indexed canonical.
+func TestMineKeysParitySingletonChains(t *testing.T) {
+	opt := MineOptions{Tolerance: 256}
+	rng := rand.New(rand.NewSource(29))
+	dump := make([]byte, 5000*BlockBytes)
+	rng.Read(dump)
+	free := rng.Perm(len(dump) / BlockBytes)
+	plant := func(v []byte) {
+		copy(dump[free[0]*BlockBytes:], v)
+		free = free[1:]
+	}
+	flipped := func(v []byte, bits []int) []byte {
+		v = append([]byte(nil), v...)
+		for _, bit := range bits {
+			v[bit/8] ^= 1 << uint(bit%8)
+		}
+		return v
+	}
+	for k := 0; k < 24; k++ {
+		key := make([]byte, BlockBytes)
+		rng.Read(key)
+		b := rng.Perm(BlockBytes * 8)
+		plant(key)
+		plant(key)
+		plant(flipped(key, b[:10]))
+		plant(flipped(key, b[10:20]))
+		u := flipped(key, b[10:30])
+		plant(u)
+		plant(flipped(u, b[30:33]))
+		plant(flipped(u, b[33:38]))
+
+		only := make([]byte, BlockBytes)
+		rng.Read(only)
+		plant(only)
+		plant(flipped(only, b[:10]))
+		plant(flipped(only, b[:20]))
+
+		p := make([]byte, BlockBytes)
+		rng.Read(p)
+		far := rng.Perm(BlockBytes*8 - 64) // bits past the first segment
+		diff := []int{1, 6, 11, 17}        // bits inside the first segment
+		for _, bit := range far[:20] {
+			diff = append(diff, 64+bit)
+		}
+		q := flipped(p, diff)
+		for _, v := range [][]byte{p, p, q, q, flipped(p, diff[:12])} {
+			plant(v)
+		}
+	}
+	got, err := MineKeys(context.Background(), dump, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refMineKeys(dump, opt)
+	assertMineParity(t, got, want)
+	if n := len(want.Keys); n < 4000 {
+		t.Fatalf("only %d mined keys: the filler did not reach step 3", n)
+	}
+}
+
 // cancelAfterSource serves a dump through ReadBlocks only and cancels its
 // context once the reads-th read has been served.
 type cancelAfterSource struct {
@@ -251,9 +330,12 @@ func TestVerifyRepairParity(t *testing.T) {
 		}
 		for _, hit := range hits {
 			anyHit = true
-			gm := MasterFromHit(descrambled, hit, v)
+			// The hunt's master derivation: backward extension of the
+			// hit's window into a reused buffer.
+			words := aes.BytesToWords(descrambled)
+			gm := aes.RecoverMasterKeyInto(nil, words[hit.WordOffset:hit.WordOffset+v.Nk()], hit.ScheduleIndex, v)
 			if wm := refMasterFromHit(descrambled, hit, v); !reflect.DeepEqual(gm, wm) {
-				t.Fatalf("MasterFromHit parity: got % x want % x", gm, wm)
+				t.Fatalf("hit master parity: got % x want % x", gm, wm)
 			}
 			gs := VerifySchedule(dump, directory, gm, hit.TableStart(headBlock), v)
 			if ws := refVerifySchedule(dump, directory, gm, hit.TableStart(headBlock), v); gs != ws {

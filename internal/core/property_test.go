@@ -74,7 +74,7 @@ func TestPropertyAESLitmusCompleteness(t *testing.T) {
 		block := make([]byte, 64)
 		copy(block, sched[start:start+64])
 		for _, h := range AESLitmus(block, aes.AES256, 0) {
-			if bytes.Equal(MasterFromHit(block, h, aes.AES256), key) {
+			if bytes.Equal(hitMaster(block, h, aes.AES256), key) {
 				return true
 			}
 		}

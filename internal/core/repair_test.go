@@ -109,7 +109,7 @@ func collectFailingHits(t testing.TB, dump []byte, starts []int) ([]failingHit, 
 				if windowDegenerate(desc[:], hit, v.Nk()) || start < 0 || start+v.ScheduleBytes() > len(dump) {
 					continue
 				}
-				if VerifySchedule(dump, dir, MasterFromHit(desc[:], hit, v), start, v) >= 0.8 {
+				if VerifySchedule(dump, dir, hitMaster(desc[:], hit, v), start, v) >= 0.8 {
 					continue
 				}
 				out = append(out, failingHit{block: desc, blockIdx: b, hit: hit, planted: onPlanted(start)})
@@ -285,7 +285,7 @@ func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
 				if hit.TableStart(b) != start {
 					t.Fatalf("hit table start %d != %d", hit.TableStart(b), start)
 				}
-				want := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(MasterFromHit(block[:], hit, v)), start, totalBits)
+				want := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(hitMaster(block[:], hit, v)), start, totalBits)
 				for _, minScore := range []float64{0.5, 0.8, 0.95, 1, matchScore(want, totalBits)} {
 					r := newRepairer(&rs, dump, dir, block[:], b, hit, v, minScore)
 					got := r.mismatch()
@@ -302,14 +302,14 @@ func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
 						t.Fatalf("%s: try disagrees with the count", name)
 					}
 					if wantPass {
-						if !bytes.Equal(rs.best[:32], MasterFromHit(block[:], hit, v)) || r.score != matchScore(want, totalBits) {
+						if !bytes.Equal(rs.best[:32], hitMaster(block[:], hit, v)) || r.score != matchScore(want, totalBits) {
 							t.Fatalf("%s: accepted candidate's master or score differs", name)
 						}
 					}
 				}
 				// The plain budgeted kernel obeys the same contract.
 				for _, budget := range []int{-1, 0, want - 1, want, want + 1, totalBits} {
-					got := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(MasterFromHit(block[:], hit, v)), start, budget)
+					got := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(hitMaster(block[:], hit, v)), start, budget)
 					if (got <= budget || want <= budget) && got != want {
 						t.Fatalf("%s start %d: scheduleMismatch budget %d gave %d, exact %d", name, start, budget, got, want)
 					}

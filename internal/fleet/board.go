@@ -69,19 +69,14 @@ type boardShard struct {
 }
 
 // BoardStats is the board's gauge set (exported at /metrics by the
-// coordinator role).
+// coordinator role). Its events — expired leases requeued, duplicate
+// leases stolen, stragglers completed — are counted only on the tracer,
+// as fleet.requeues, fleet.steals and fleet.stragglers.
 type BoardStats struct {
 	Queued int `json:"queued"`
 	Leased int `json:"leased"`
 	Done   int `json:"done"`
 	Total  int `json:"total"`
-	// Requeues counts leases that expired and put their shard back in the
-	// queue; Steals counts duplicate leases granted on stragglers.
-	Requeues int `json:"requeues"`
-	Steals   int `json:"steals"`
-	// Stragglers counts completed shards whose grant-to-completion time
-	// exceeded the straggler bound (2x the p99 of earlier completions).
-	Stragglers int `json:"stragglers"`
 }
 
 // CompleteInfo describes an accepted shard completion: who finished it,
@@ -106,17 +101,14 @@ type CompleteInfo struct {
 // Board is the coordinator-side shard lease state machine for one
 // campaign. Safe for concurrent use.
 type Board struct {
-	mu         sync.Mutex
-	ttl        int64
-	tracer     obs.Tracer
-	parent     obs.Span // campaign root; lease spans are its children
-	shards     []*boardShard
-	leases     map[string]*Lease
-	queue      []int // indices into shards, FIFO
-	done       int
-	requeues   int
-	steals     int
-	stragglers int
+	mu     sync.Mutex
+	ttl    int64
+	tracer obs.Tracer
+	parent obs.Span // campaign root; lease spans are its children
+	shards []*boardShard
+	leases map[string]*Lease
+	queue  []int // indices into shards, FIFO
+	done   int
 	// history holds completed-shard durations for the straggler bound. A
 	// coordinator shares one across its campaigns: a small campaign never
 	// completes enough shards to bound its own.
@@ -190,7 +182,6 @@ func (b *Board) Lease(worker string) (Lease, bool) {
 		if !stolen {
 			return Lease{}, false
 		}
-		b.steals++
 		b.tracer.Count("fleet.steals", 1)
 	}
 	sh := b.shards[idx]
@@ -380,7 +371,6 @@ func (b *Board) accept(leaseID string, res core.ShardResult) (CompleteInfo, bool
 	// before dropLeaseLocked ends the span.
 	if bound, ok := b.stragglerBound(); ok && dur > bound {
 		info.Straggler = true
-		b.stragglers++
 		b.tracer.Count("fleet.stragglers", 1)
 		if span != nil {
 			span.SetAttr("straggler", "true")
@@ -431,7 +421,6 @@ func (b *Board) expireLocked(now int64) int {
 			sh.status = shardQueued
 			sh.queuedAt = now
 			b.queue = append(b.queue, shardByIndex(b.shards, l.Shard.Index))
-			b.requeues++
 			b.tracer.Count("fleet.requeues", 1)
 		}
 	}
@@ -482,7 +471,7 @@ func (b *Board) Results() ([]core.ShardResult, error) {
 func (b *Board) Stats() BoardStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := BoardStats{Total: len(b.shards), Requeues: b.requeues, Steals: b.steals, Stragglers: b.stragglers}
+	st := BoardStats{Total: len(b.shards)}
 	for _, sh := range b.shards {
 		switch sh.status {
 		case shardQueued:

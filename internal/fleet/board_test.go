@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"coldboot/internal/core"
+	"coldboot/internal/obs"
 )
 
 // fakeClock drives the board's monotonic clock, and the coordinator's
@@ -72,9 +73,15 @@ func testShards(n, blocks int) []core.Shard {
 
 func testBoard(n int, ttl time.Duration) (*Board, *fakeClock) {
 	clk := &fakeClock{}
-	b := NewBoard(testShards(n, 128), ttl, nil, nil)
+	b := NewBoard(testShards(n, 128), ttl, obs.NewCollector(), nil)
 	b.now = clk.now
 	return b, clk
+}
+
+// boardCount reads one of a testBoard's event counters (fleet.requeues,
+// fleet.steals, fleet.stragglers) from its collector.
+func boardCount(b *Board, name string) int64 {
+	return b.tracer.(*obs.Collector).Counters("")[name]
 }
 
 func result(sh core.Shard) core.ShardResult {
@@ -140,8 +147,8 @@ func TestBoardExpiryRequeues(t *testing.T) {
 	if !ok || l2.Shard.Index != l.Shard.Index || l2.Stolen {
 		t.Fatalf("requeued shard not re-leased cleanly: %+v ok=%v", l2, ok)
 	}
-	if st := b.Stats(); st.Requeues != 1 {
-		t.Fatalf("Requeues = %d, want 1", st.Requeues)
+	if n := boardCount(b, "fleet.requeues"); n != 1 {
+		t.Fatalf("fleet.requeues = %d, want 1", n)
 	}
 }
 
@@ -157,8 +164,8 @@ func TestBoardHeartbeatExtendsLease(t *testing.T) {
 	if _, ok := b.Complete(l.ID, result(l.Shard), nil); !ok {
 		t.Fatal("heartbeat-kept lease could not complete")
 	}
-	if st := b.Stats(); st.Requeues != 0 {
-		t.Fatalf("heartbeats did not prevent requeue (%d)", st.Requeues)
+	if n := boardCount(b, "fleet.requeues"); n != 0 {
+		t.Fatalf("heartbeats did not prevent requeue (%d)", n)
 	}
 }
 
@@ -212,9 +219,8 @@ func TestBoardWorkStealing(t *testing.T) {
 	if _, ok := b.Complete(orig.ID, result(orig.Shard), nil); ok {
 		t.Fatal("losing duplicate's completion accepted")
 	}
-	st := b.Stats()
-	if st.Steals != 1 || st.Done != 1 {
-		t.Fatalf("stats = %+v", st)
+	if st, steals := b.Stats(), boardCount(b, "fleet.steals"); steals != 1 || st.Done != 1 {
+		t.Fatalf("stats = %+v, %d steals", st, steals)
 	}
 	if _, err := b.Results(); err != nil {
 		t.Fatal(err)

@@ -125,10 +125,7 @@ type Coordinator struct {
 	sessions map[string]*session
 	order    []string // session IDs, oldest first: lease scan order
 	seq      uint64
-	// retired is the requeue, steal and straggler tally of finished
-	// campaigns, so the fleet counters never fall when one unregisters.
-	retired BoardStats
-	workers map[string]int64 // worker name -> last contact (obs.Now)
+	workers  map[string]int64 // worker name -> last contact (obs.Now)
 	// wake is closed and replaced whenever new work may be leasable (a
 	// campaign registered; a board's lease expired or completion landed,
 	// see Board.wake) or the coordinator closes; held lease calls take it
@@ -311,15 +308,10 @@ func (c *Coordinator) register(s *session) {
 	c.notifyLocked()
 }
 
-// unregister retires a finished campaign. Its board is read before c.mu
-// is taken (lock order: a board's lock, then c.mu).
+// unregister retires a finished campaign.
 func (c *Coordinator) unregister(s *session) {
-	bs := s.board.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.retired.Requeues += bs.Requeues
-	c.retired.Steals += bs.Steals
-	c.retired.Stragglers += bs.Stragglers
 	delete(c.sessions, s.id)
 	for i, sid := range c.order {
 		if sid == s.id {
@@ -329,17 +321,17 @@ func (c *Coordinator) unregister(s *session) {
 	}
 }
 
-// Stats aggregates board gauges across live campaigns; the requeue,
-// steal and straggler counts also include finished campaigns. Workers
-// count as alive when they contacted the coordinator within two lease
-// TTLs.
+// Stats aggregates board gauges across live campaigns. Workers count as
+// alive when they contacted the coordinator within two lease TTLs. The
+// boards' requeue, steal and straggler events are counted on the
+// coordinator's tracer.
 func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	sessions := make([]*session, 0, len(c.sessions))
 	for _, s := range c.sessions {
 		sessions = append(sessions, s)
 	}
-	st := CoordinatorStats{Campaigns: len(sessions), Waiting: c.waiting, BoardStats: c.retired}
+	st := CoordinatorStats{Campaigns: len(sessions), Waiting: c.waiting}
 	horizon := obs.Now() - 2*int64(c.ttl)
 	for name, last := range c.workers {
 		if last >= horizon {
@@ -355,9 +347,6 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		st.Leased += bs.Leased
 		st.Done += bs.Done
 		st.Total += bs.Total
-		st.Requeues += bs.Requeues
-		st.Steals += bs.Steals
-		st.Stragglers += bs.Stragglers
 	}
 	return st
 }

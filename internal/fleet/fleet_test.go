@@ -614,8 +614,8 @@ func TestDataRequiresLiveLease(t *testing.T) {
 }
 
 // TestStatsKeepFinishedCampaignCounters: requeues, steals and stragglers
-// are exported as counters, so a finished campaign's share stays in
-// Stats after it unregisters.
+// are counted on the coordinator's tracer, not on a campaign's board, so
+// a finished campaign's share stays counted after it unregisters.
 func TestStatsKeepFinishedCampaignCounters(t *testing.T) {
 	h := newTracingHarness(t, 2)
 	clk := &fakeClock{}
@@ -623,12 +623,13 @@ func TestStatsKeepFinishedCampaignCounters(t *testing.T) {
 	h.sess.board.Lease("w1")
 	clk.advance(int64(time.Minute) + 1)
 	h.sess.board.Expire()
-	if st := h.coord.Stats(); st.Requeues != 1 {
-		t.Fatalf("live campaign: %d requeues, want 1", st.Requeues)
+	requeues := func() int64 { return h.col.Counters("fleet.")["requeues"] }
+	if n := requeues(); n != 1 {
+		t.Fatalf("live campaign: %d requeues, want 1", n)
 	}
 	h.coord.unregister(h.sess)
-	if st := h.coord.Stats(); st.Campaigns != 0 || st.Requeues != 1 {
-		t.Fatalf("after unregister: %d campaigns, %d requeues, want 0 and 1", st.Campaigns, st.Requeues)
+	if st, n := h.coord.Stats(), requeues(); st.Campaigns != 0 || n != 1 {
+		t.Fatalf("after unregister: %d campaigns, %d requeues, want 0 and 1", st.Campaigns, n)
 	}
 }
 

@@ -65,7 +65,7 @@ func newBoardModel(t *testing.T, seed int64) *boardModel {
 }
 
 func (m *boardModel) register(shards int) {
-	b := NewBoard(testShards(shards, 128), time.Duration(m.ttl), nil, nil)
+	b := NewBoard(testShards(shards, 128), time.Duration(m.ttl), obs.NewCollector(), nil)
 	b.now = m.clk.now
 	b.history = m.shared
 	mb := &modelBoard{
@@ -271,7 +271,7 @@ func (m *boardModel) nextSteal(bi int) {
 // checkStats compares every board's gauges with the model.
 func (m *boardModel) checkStats() {
 	for bi, mb := range m.boards {
-		want := BoardStats{Total: len(mb.status), Requeues: mb.requeues, Steals: mb.steals}
+		want := BoardStats{Total: len(mb.status)}
 		for _, st := range mb.status {
 			switch st {
 			case shardQueued:
@@ -282,10 +282,12 @@ func (m *boardModel) checkStats() {
 				want.Done++
 			}
 		}
-		got := mb.b.Stats()
-		got.Stragglers = 0
-		if got != want {
+		if got := mb.b.Stats(); got != want {
 			m.t.Fatalf("board %d stats %+v, model %+v", bi, got, want)
+		}
+		requeues, steals := boardCount(mb.b, "fleet.requeues"), boardCount(mb.b, "fleet.steals")
+		if requeues != int64(mb.requeues) || steals != int64(mb.steals) {
+			m.t.Fatalf("board %d counted %d requeues, %d steals; model %d, %d", bi, requeues, steals, mb.requeues, mb.steals)
 		}
 	}
 }

@@ -56,7 +56,6 @@ var keyflowSources = map[string]string{
 	"internal/aes.ExpandKeyBytesInto":   "expanded AES key schedule",
 	"internal/aes.ExtendForwardInto":    "expanded AES key schedule",
 	"internal/aes.ExtendBackwardInto":   "expanded AES key schedule",
-	"internal/core.MasterFromHit":       "recovered AES master",
 	"internal/secret.Bytes.Reveal":      "revealed secret bytes",
 }
 

@@ -14,6 +14,7 @@ import (
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	st := s.pool.Stats()
+	report := s.pipelineReport()
 	type gauge struct {
 		name, help string
 		typ        string
@@ -46,9 +47,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			gauge{"coldbootd_fleet_shards_queued", "Shards waiting for a worker lease.", "gauge", fs.Queued},
 			gauge{"coldbootd_fleet_shards_leased", "Shards currently leased to workers.", "gauge", fs.Leased},
 			gauge{"coldbootd_fleet_shards_done", "Shards completed in live campaigns.", "gauge", fs.Done},
-			gauge{"coldbootd_fleet_requeues_total", "Shard leases that expired back to the queue.", "counter", fs.Requeues},
-			gauge{"coldbootd_fleet_steals_total", "Duplicate leases granted on straggling shards.", "counter", fs.Steals},
-			gauge{"coldbootd_fleet_stragglers_total", "Completed shards that exceeded the straggler bound (2x the p99 of earlier completions).", "counter", fs.Stragglers},
+			// The lease boards count these events on the daemon collector;
+			// the pipeline counters below export the same values.
+			gauge{"coldbootd_fleet_requeues_total", "Shard leases that expired back to the queue.", "counter", int(report.Counters["fleet.requeues"])},
+			gauge{"coldbootd_fleet_steals_total", "Duplicate leases granted on straggling shards.", "counter", int(report.Counters["fleet.steals"])},
+			gauge{"coldbootd_fleet_stragglers_total", "Completed shards that exceeded the straggler bound (2x the p99 of earlier completions).", "counter", int(report.Counters["fleet.stragglers"])},
 			gauge{"coldbootd_fleet_lease_wait_p99_ns", "p99 of shard queue-to-lease wait; sustained growth means the fleet needs more workers.", "gauge", int(s.collector.Histogram("fleet.lease_wait_ns").Snapshot("").P99)},
 			gauge{"coldbootd_fleet_backlog_per_worker", "Queued shards per alive worker (autoscaling signal; counts the whole backlog when no worker is alive).", "gauge", perWorkerBacklog(fs.Queued, fs.WorkersAlive)},
 		)
@@ -59,7 +62,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, g := range gauges {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", g.name, g.help, g.name, g.typ, g.name, g.value)
 	}
-	s.pipelineReport().WritePrometheus(w, "coldbootd_pipeline")
+	report.WritePrometheus(w, "coldbootd_pipeline")
 }
 
 // pipelineReport is the daemon collector — which holds every terminal

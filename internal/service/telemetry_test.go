@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"coldboot/internal/core"
 	"coldboot/internal/fleet"
 )
 
@@ -232,6 +233,58 @@ func TestMetricsInventory(t *testing.T) {
 	for name := range listed {
 		if !matched[name] {
 			t.Errorf("DESIGN.md's metrics inventory lists %s, which /metrics never emitted", name)
+		}
+	}
+}
+
+// TestFleetCountersExportedOnce: the fleet's requeue and steal events are
+// counted once, on the daemon collector the coordinator's lease boards
+// report to, so coldbootd_fleet_*_total and the matching
+// coldbootd_pipeline_counter_total series read the same value. Two boards
+// on that collector stand in for a campaign's: one requeues an expired
+// lease, the other steals a shard from a straggling worker.
+func TestFleetCountersExportedOnce(t *testing.T) {
+	svc, ts := testServer(t, Config{Workers: 1, Role: RoleCoordinator})
+	shards := func(n int) []core.Shard {
+		out := make([]core.Shard, n)
+		for i := range out {
+			out[i] = core.Shard{Index: i, FirstBlock: i * 128, Blocks: 128}
+		}
+		return out
+	}
+
+	expiring := fleet.NewBoard(shards(1), time.Nanosecond, svc.collector, nil)
+	dead, _ := expiring.Lease("w-dead")
+	time.Sleep(time.Millisecond)
+	if l, ok := expiring.Lease("w-live"); !ok || l.Shard.Index != dead.Shard.Index || l.Stolen {
+		t.Fatalf("expired shard not requeued: %+v, %v", l, ok)
+	}
+
+	stealing := fleet.NewBoard(shards(9), time.Hour, svc.collector, nil)
+	for i := 0; i < 8; i++ { // enough completions to bound stragglers
+		l, _ := stealing.Lease("w-fast")
+		if _, ok := stealing.Complete(l.ID, core.ShardResult{Shard: l.Shard}, nil); !ok {
+			t.Fatalf("completion %d refused", i)
+		}
+	}
+	slow, _ := stealing.Lease("w-slow")
+	var stolen fleet.Lease
+	for deadline := time.Now().Add(10 * time.Second); !stolen.Stolen; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("straggling shard never stolen")
+		}
+		stolen, _ = stealing.Lease("w-fast")
+	}
+	if _, ok := stealing.Complete(stolen.ID, core.ShardResult{Shard: slow.Shard}, nil); !ok {
+		t.Fatal("stolen shard's completion refused")
+	}
+
+	text := scrapeMetrics(t, ts)
+	for _, event := range []string{"requeues", "steals"} {
+		fleetTotal := metricValue(t, text, "coldbootd_fleet_"+event+"_total")
+		pipeline := metricValue(t, text, `coldbootd_pipeline_counter_total{name="fleet.`+event+`"}`)
+		if fleetTotal != 1 || pipeline != fleetTotal {
+			t.Errorf("%s: coldbootd_fleet_%s_total %v, pipeline counter %v; want both 1", event, event, fleetTotal, pipeline)
 		}
 	}
 }
