@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKeyLitmus$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAESLitmus$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMineKeys$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPlanFromWire$$' -fuzztime 10s
 	$(GO) test ./internal/format/luks2 -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 
@@ -118,9 +119,9 @@ bench-hotpath:
 # counters, histograms, progress) through the Nop tracer inside the scan
 # hot loops, and the per-candidate repair and master-recovery kernels; a
 # single iteration is enough because allocs/op must be exactly zero, not
-# merely small. The mining ceiling sits between the
-# ~5.4x of the 8 MiB dump that the canonical-sized merge index allocates
-# and the ~6.9x of an index sized for every decayed group.
+# merely small. The mining ceiling sits well above the ~3.2x of the
+# 8 MiB dump that mining allocates (each distinct content copied once per
+# scan range, the merge index sized to the canonical keys).
 bench-guard:
 	@set -e; \
 	for spec in \

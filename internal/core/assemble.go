@@ -4,15 +4,16 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 
 	"coldboot/internal/aes"
 )
 
 // KeyDirectory returns the candidate scrambler keys for a given block index
-// of the dump. The stride-based directory (from MineResult.KeysByResidue)
-// returns the one or two keys mined for the block's address class; the
-// exhaustive directory returns every mined key, which is the paper's
-// literal step 2 ("descramble individual memory blocks ... with all keys").
+// of the dump. The stride-based directory (ResidueDirectory) returns the
+// one or two keys mined for the block's address class; the exhaustive
+// directory returns every mined key, which is the paper's literal step 2
+// ("descramble individual memory blocks ... with all keys").
 //
 // The returned slices are READ-ONLY and shared between calls (the same
 // contract as Scrambler.KeyAt): the hunt queries the directory once per
@@ -31,8 +32,18 @@ func AllKeysDirectory(mine *MineResult) KeyDirectory {
 
 // ResidueDirectory builds the stride-based directory. The per-residue key
 // tables are built once here — lookups return the shared slice for the
-// block's address class (read-only, like every KeyDirectory).
+// block's address class (read-only, like every KeyDirectory). Its size
+// follows the smaller of the stride and the mined positions: a stride
+// longer than the sightings gets a table of only the sighted residues.
 func ResidueDirectory(mine *MineResult, stride int) KeyDirectory {
+	if stride > mine.sightings() {
+		return sparseResidueDirectory(mine, stride)
+	}
+	return denseResidueDirectory(mine, stride)
+}
+
+// denseResidueDirectory is ResidueDirectory as one table of the stride.
+func denseResidueDirectory(mine *MineResult, stride int) KeyDirectory {
 	// Two passes over the sightings: count each residue's key-table size,
 	// carve the tables out of one shared backing slab, then fill. The stride
 	// is typically thousands of residues with one key each, so per-residue
@@ -40,8 +51,8 @@ func ResidueDirectory(mine *MineResult, stride int) KeyDirectory {
 	// the whole directory.
 	//
 	// seen[r] marks the last key index that contributed to residue r, so a
-	// key sighted at many positions of one class is listed once — the same
-	// dedup KeysByResidue performs, preserving its key ordering.
+	// key sighted at many positions of one class is listed once, and each
+	// residue keeps the mined keys' order.
 	seen := make([]int, stride)
 	counts := make([]int, stride)
 	for i := range seen {
@@ -74,6 +85,28 @@ func ResidueDirectory(mine *MineResult, stride int) KeyDirectory {
 				byRes[r] = append(byRes[r], k.Key)
 			}
 		}
+	}
+	return func(blockIdx int) [][]byte {
+		return byRes[blockIdx%stride]
+	}
+}
+
+// sparseResidueDirectory is ResidueDirectory keyed by the sighted residues
+// only, with the same per-residue key lists.
+func sparseResidueDirectory(mine *MineResult, stride int) KeyDirectory {
+	byRes := make(map[int][][]byte)
+	last := make(map[int]int) // the last key index listed for a residue
+	for ki, k := range mine.Keys {
+		for _, p := range k.Positions {
+			r := p % stride
+			if l, ok := last[r]; !ok || l != ki {
+				last[r] = ki
+				byRes[r] = append(byRes[r], k.Key)
+			}
+		}
+	}
+	for r, keys := range byRes {
+		byRes[r] = slices.Clip(keys)
 	}
 	return func(blockIdx int) [][]byte {
 		return byRes[blockIdx%stride]

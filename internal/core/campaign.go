@@ -23,8 +23,8 @@ import (
 // run on separate goroutines here, or be dispatched to separate machines by
 // the caller via the Shard/MergeShardResults primitives. The dump itself is
 // read through a BlockSource one mining window / one shard at a time, so an
-// on-disk multi-GB capture (dumpfile's streaming reader) is analyzed in
-// constant memory. Progress reporting and context cancellation — now
+// on-disk multi-GB capture (dumpfile's streaming reader) is analyzed
+// without holding the image. Progress reporting and context cancellation — now
 // per scan chunk WITHIN a shard, not just between shards — make multi-hour
 // campaigns operable.
 

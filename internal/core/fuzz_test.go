@@ -97,3 +97,59 @@ func FuzzMineKeys(f *testing.F) {
 		assertMineParity(t, res, refMineKeys(dump, opt))
 	})
 }
+
+// FuzzPlanFromWire: a frame DecodeWirePlan accepts holds the miner's
+// invariants, re-encodes to a frame that decodes to the same plan, and
+// builds a worker-side plan. Seeds are a mined plan's frame and its
+// truncations.
+func FuzzPlanFromWire(f *testing.F) {
+	dump := make([]byte, 64*BlockBytes)
+	s := scramble.NewSkylakeDDR4(9)
+	for b := 0; b < 64; b += 3 {
+		copy(dump[b*BlockBytes:], s.KeyAt(uint64(b%8)*BlockBytes))
+	}
+	mine, err := MineKeys(context.Background(), dump, MineOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame, err := EncodeWirePlan(&WirePlan{
+		Variant: aes.AES256, Formats: []string{FormatAESXTS}, Workers: 1,
+		Stride: mine.InferStride(), TotalBlocks: 64, Overlap: 4, Mine: mine,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	f.Add(frame[:len(frame)/2])
+	f.Add(appendWirePlan(nil, smallWirePlan()))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		w, err := DecodeWirePlan(frame)
+		if err != nil {
+			return
+		}
+		owner := make(map[int]bool)
+		for _, k := range w.Mine.Keys {
+			if len(k.Key) != BlockBytes || k.Count != len(k.Positions) || k.Count == 0 {
+				t.Fatalf("accepted key of %d bytes, count %d, %d positions", len(k.Key), k.Count, len(k.Positions))
+			}
+			for i, p := range k.Positions {
+				if p >= w.TotalBlocks || (i > 0 && p <= k.Positions[i-1]) || owner[p] {
+					t.Fatalf("accepted positions %v of %d blocks", k.Positions, w.TotalBlocks)
+				}
+				owner[p] = true
+			}
+		}
+		again, err := EncodeWirePlan(w)
+		if err != nil {
+			t.Fatalf("accepted plan does not encode: %v", err)
+		}
+		if w2, err := DecodeWirePlan(again); err != nil || !reflect.DeepEqual(w2, w) {
+			t.Fatalf("re-encoded plan decodes to %+v, %v; want %+v", w2, err, w)
+		}
+		p, err := PlanFromWire(w, nil)
+		if err != nil {
+			t.Fatalf("accepted plan does not build: %v", err)
+		}
+		p.Close()
+	})
+}

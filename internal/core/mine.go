@@ -6,11 +6,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"coldboot/internal/bitutil"
 )
@@ -68,8 +70,8 @@ type MineResult struct {
 // which is the paper's "filter out modest bit flips with minimal effort".
 //
 // The block scan checks ctx every mineCancelInterval blocks. A cancelled
-// mine returns the result aggregated from the blocks scanned so far
-// together with ctx.Err().
+// mine returns promptly, with the result aggregated from every block
+// scanned before the scan stopped, together with ctx.Err().
 func MineKeys(ctx context.Context, dump []byte, opt MineOptions) (*MineResult, error) {
 	if len(dump)%BlockBytes != 0 {
 		return nil, fmt.Errorf("core: dump length %d not block aligned", len(dump))
@@ -78,12 +80,23 @@ func MineKeys(ctx context.Context, dump []byte, opt MineOptions) (*MineResult, e
 }
 
 // mineCancelInterval is how many blocks the mining scan processes between
-// context checks (64 KiB of dump — well under a millisecond of work).
+// context checks (64 KiB of dump — well under a millisecond of work). It
+// is also the scan window.
 const mineCancelInterval = 1024
 
+// minParallelMineBlocks is the dump size, in blocks per goroutine, below
+// which the block pass stays on one goroutine (512 KiB of dump, a
+// millisecond or two of litmus and grouping).
+const minParallelMineBlocks = 1 << 13
+
 // MineKeysSource is the streaming miner: it reads the image window by
-// window from src, so multi-GB dumps mine in constant memory. MineKeys is
-// a thin wrapper over an in-memory source.
+// window from src, so multi-GB dumps mine without holding the image. The
+// block pass splits the windows into contiguous ranges, one goroutine
+// each over GOMAXPROCS: every goroutine reads its range through its own
+// window, litmus-tests each block and groups the passing ones by exact
+// content, copying each content once per range. The ranges' groups then
+// merge, in scan order, into the dump's groups. MineKeys is a thin
+// wrapper over an in-memory source.
 func MineKeysSource(ctx context.Context, src BlockSource, opt MineOptions) (*MineResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil dump source")
@@ -93,67 +106,218 @@ func MineKeysSource(ctx context.Context, src BlockSource, opt MineOptions) (*Min
 	if opt.MaxBytes > 0 && opt.MaxBytes/BlockBytes < limitBlocks {
 		limitBlocks = opt.MaxBytes / BlockBytes
 	}
+	m := &miner{opt: opt, res: &MineResult{}}
+	err := m.scan(ctx, src, limitBlocks)
+	return m.finish(), err
+}
 
-	m := newMiner(opt)
-	window := make([]byte, 0) // lazily sized; a slice source never needs it
-	for first := 0; first < limitBlocks; first += mineCancelInterval {
+// miner is the key-mining state: the block pass fills it, and finish
+// aggregates it. The representation is flat: each distinct content group
+// is an index into per-group slices, its representative a reference into
+// the owning range's slab, and each passing block records only its group
+// and position. Groups are numbered in order of first sighting.
+type miner struct {
+	opt    MineOptions
+	res    *MineResult
+	ranges []passRange // in scan order
+	// counts and refs are per-group sighting count and representative:
+	// range<<32 | the group's number within that range.
+	counts []int32
+	refs   []uint64
+}
+
+// rep returns group g's representative content (read-only view).
+func (m *miner) rep(g int32) []byte {
+	ref := m.refs[g]
+	return m.ranges[ref>>32].rep(int32(uint32(ref)))
+}
+
+// passRange is the block pass over one contiguous range of windows.
+type passRange struct {
+	// pages hold the range's distinct contents in group order, slabPage
+	// groups a page, so they are stored without regrowing.
+	pages  [][]byte
+	groups groupIndex
+	// obsGroup and obsPos log every passing block in scan order: its
+	// group (the range's until the merge, the dump's after) and position.
+	obsGroup []int32
+	obsPos   []int
+	scanned  int
+	err      error
+}
+
+// slabPage is the number of contents one passRange page holds (64 KiB).
+const slabPage = 1024
+
+// rep returns the range's group l (read-only view).
+func (r *passRange) rep(l int32) []byte {
+	k := int(l%slabPage) * BlockBytes
+	return r.pages[l/slabPage][k : k+BlockBytes]
+}
+
+// store appends the content of the range's newest group.
+func (r *passRange) store(block []byte) {
+	if len(r.groups.counts)%slabPage == 1 {
+		r.pages = append(r.pages, make([]byte, 0, slabPage*BlockBytes))
+	}
+	last := len(r.pages) - 1
+	r.pages[last] = append(r.pages[last], block...)
+}
+
+// scan runs the block pass over the first limit blocks of src and merges
+// the ranges' groups. It returns ctx.Err() when cancelled, or the first
+// read error; either way the miner keeps every window a range finished.
+func (m *miner) scan(ctx context.Context, src BlockSource, limit int) error {
+	windows := (limit + mineCancelInterval - 1) / mineCancelInterval
+	m.ranges = make([]passRange, fanOut(limit, minParallelMineBlocks))
+	var stop atomic.Bool // a read failed: every range stops at its next window
+	parallelRanges(windows, len(m.ranges), func(r, lo, hi int) {
+		m.ranges[r].err = m.scanWindows(ctx, src, lo, hi, limit, &m.ranges[r], &stop)
+	})
+	var err error
+	for _, r := range m.ranges {
+		m.res.BlocksScanned += r.scanned
+		m.res.BlocksPassed += len(r.obsGroup)
+		if err == nil {
+			err = r.err
+		}
+	}
+	m.mergeRanges()
+	return err
+}
+
+// scanWindows runs the block pass over windows [lo, hi) into r: it reads
+// one window at a time (borrowing a slice source's bytes instead), checks
+// ctx before each, and groups the window's litmus-passing blocks.
+func (m *miner) scanWindows(ctx context.Context, src BlockSource, lo, hi, limit int, r *passRange, stop *atomic.Bool) error {
+	var (
+		window []byte
+		// The window's passing blocks and their hashes: the litmus runs
+		// over the whole window first, so the probes issue back to back.
+		offs   [mineCancelInterval]uint16
+		hashes [mineCancelInterval]uint32
+	)
+	ss, resident := src.(sliceSource)
+	r.groups.init()
+	rep := r.rep
+	for w := lo; w < hi; w++ {
 		if err := ctx.Err(); err != nil {
-			return m.finish(), err
+			return err
 		}
-		n := mineCancelInterval
-		if first+n > limitBlocks {
-			n = limitBlocks - first
+		if stop.Load() {
+			return nil
 		}
+		first := w * mineCancelInterval
+		n := min(mineCancelInterval, limit-first)
 		var chunk []byte
-		if s, ok := src.(sliceSource); ok {
-			chunk = s.slice(first, n)
+		if resident {
+			chunk = ss.slice(first, n)
 		} else {
-			if cap(window) < n*BlockBytes {
+			if window == nil {
 				window = make([]byte, mineCancelInterval*BlockBytes)
 			}
 			chunk = window[:n*BlockBytes]
 			if err := src.ReadBlocks(first, chunk); err != nil {
-				return m.finish(), fmt.Errorf("core: reading mine window at block %d: %w", first, err)
+				stop.Store(true)
+				return fmt.Errorf("core: reading mine window at block %d: %w", first, err)
 			}
 		}
+		r.scanned += n
+		k := 0
 		for b := 0; b < n; b++ {
-			m.observe(chunk[b*BlockBytes:(b+1)*BlockBytes], first+b)
+			if block := chunk[b*BlockBytes : (b+1)*BlockBytes]; PassesKeyLitmus(block, m.opt.Tolerance) {
+				offs[k], hashes[k] = uint16(b), hashBlock(block)
+				k++
+			}
+		}
+		for i, b := range offs[:k] {
+			block := chunk[int(b)*BlockBytes : int(b+1)*BlockBytes]
+			l, added := r.groups.find(block, hashes[i], rep)
+			if added {
+				r.store(block)
+			}
+			r.groups.counts[l]++
+			r.obsGroup = append(r.obsGroup, l)
+			r.obsPos = append(r.obsPos, first+int(b))
 		}
 	}
-	return m.finish(), nil
+	return nil
 }
 
-// miner is the incremental key-mining state: blocks are fed in ascending
-// index order via observe, and finish aggregates the sightings. Splitting
-// the miner from the scan loop lets the resident and streaming paths share
-// exactly the same logic (so their outputs are bit-identical).
-//
-// The representation is flat: unique block contents live in one append-only
-// slab addressed through an open-addressed probe table, and each passing
-// block records only (group, position) pairs. Observing a block costs one
-// hash and (usually) one probe — no per-block allocation, no map-key string
-// copies — and the structures double geometrically, so a multi-GB scan's
-// allocation count stays logarithmic.
-type miner struct {
-	opt MineOptions
-	res *MineResult
-	// slab holds each distinct content group's representative, BlockBytes
-	// per group, in first-sighting order.
-	slab []byte
-	// hashes and counts are per-group content hash and sighting count.
-	hashes []uint32
+// mergeRanges numbers the dump's groups: the first range's groups keep
+// their numbers, and every later range's groups, in scan order, join an
+// equal group or take the next number. It rewrites each range's log to
+// the dump's groups and drops the ranges' indexes.
+func (m *miner) mergeRanges() {
+	groups := m.ranges[0].groups
+	m.refs = make([]uint64, len(groups.counts))
+	for l := range m.refs {
+		m.refs[l] = uint64(l)
+	}
+	for ri := 1; ri < len(m.ranges); ri++ {
+		r := &m.ranges[ri]
+		global := make([]int32, len(r.groups.counts))
+		for l := range global {
+			rep := r.rep(int32(l))
+			g, added := groups.find(rep, hashBlock(rep), m.rep)
+			if added {
+				m.refs = append(m.refs, uint64(ri)<<32|uint64(l))
+			}
+			groups.counts[g] += r.groups.counts[l]
+			global[l] = g
+		}
+		for i, l := range r.obsGroup {
+			r.obsGroup[i] = global[l]
+		}
+		r.groups = groupIndex{}
+	}
+	m.counts = groups.counts
+	m.ranges[0].groups = groupIndex{}
+}
+
+// groupIndex indexes distinct block contents: per-group sighting counts
+// behind an open-addressed probe table (entry uint64(hash) |
+// uint64(group+1)<<32, 0 = empty, linear probing, load factor kept under
+// 1/2). The contents themselves live with the caller.
+type groupIndex struct {
+	probe  []uint64
 	counts []int32
-	// probe is the open-addressed group index: entry = group+1, 0 = empty,
-	// linear probing, load factor kept under 1/2.
-	probe []int32
-	// obsGroup/obsPos log every passing block in scan order (ascending
-	// positions), partitioned per key in finish.
-	obsGroup []int32
-	obsPos   []int
 }
 
-func newMiner(opt MineOptions) *miner {
-	return &miner{opt: opt, res: &MineResult{}, probe: make([]int32, 1024)}
+func (x *groupIndex) init() { x.probe = make([]uint64, 1024) }
+
+// find returns the group whose content, read through rep, equals block
+// (hash h). A block seen for the first time becomes the next group, with
+// count 0, and added is set: the caller stores its content.
+func (x *groupIndex) find(block []byte, h uint32, rep func(int32) []byte) (g int32, added bool) {
+	mask := uint32(len(x.probe) - 1)
+	i := h & mask
+	for ; x.probe[i] != 0; i = (i + 1) & mask {
+		if uint32(x.probe[i]) == h {
+			if cand := int32(x.probe[i]>>32) - 1; bytes.Equal(rep(cand), block) {
+				return cand, false
+			}
+		}
+	}
+	g = int32(len(x.counts))
+	x.counts = append(x.counts, 0)
+	x.probe[i] = uint64(h) | uint64(g+1)<<32
+	if int(g+1)*2 >= len(x.probe) {
+		old := x.probe
+		x.probe = make([]uint64, len(old)*2)
+		mask := uint32(len(x.probe) - 1)
+		for _, e := range old {
+			if e == 0 {
+				continue
+			}
+			i := uint32(e) & mask
+			for x.probe[i] != 0 {
+				i = (i + 1) & mask
+			}
+			x.probe[i] = e
+		}
+	}
+	return g, true
 }
 
 // hashBlock is FNV-1a over the block's eight 64-bit words, folded to 32
@@ -168,84 +332,31 @@ func hashBlock(b []byte) uint32 {
 	return uint32(h ^ h>>32)
 }
 
-// rep returns group g's representative content (read-only slab view).
-func (m *miner) rep(g int32) []byte {
-	return m.slab[int(g)*BlockBytes : int(g)*BlockBytes+BlockBytes]
-}
-
-// observe feeds one 64-byte block at blockIdx into pass 1 (exact grouping
-// of litmus-passing blocks).
-func (m *miner) observe(block []byte, blockIdx int) {
-	m.res.BlocksScanned++
-	if !PassesKeyLitmus(block, m.opt.Tolerance) {
-		return
-	}
-	m.res.BlocksPassed++
-	h := hashBlock(block)
-	mask := uint32(len(m.probe) - 1)
-	i := h & mask
-	g := int32(-1)
-	for m.probe[i] != 0 {
-		cand := m.probe[i] - 1
-		if m.hashes[cand] == h && bytes.Equal(m.rep(cand), block) {
-			g = cand
-			break
-		}
-		i = (i + 1) & mask
-	}
-	if g < 0 {
-		g = int32(len(m.hashes))
-		m.slab = append(m.slab, block...)
-		m.hashes = append(m.hashes, h)
-		m.counts = append(m.counts, 0)
-		m.probe[i] = g + 1
-		if int(g+1)*2 >= len(m.probe) {
-			m.growProbe()
-		}
-	}
-	m.counts[g]++
-	m.obsGroup = append(m.obsGroup, g)
-	m.obsPos = append(m.obsPos, blockIdx)
-}
-
-func (m *miner) growProbe() {
-	np := make([]int32, len(m.probe)*2)
-	mask := uint32(len(np) - 1)
-	for g := range m.hashes {
-		i := m.hashes[g] & mask
-		for np[i] != 0 {
-			i = (i + 1) & mask
-		}
-		np[i] = int32(g) + 1
-	}
-	m.probe = np
-}
-
 // finish runs pass 2 — merge near-duplicate groups (decayed copies) into
 // canonical keys — and returns the completed result. The reference merge
 // walks every group in (count desc, rep asc) order, so canonicals are the
 // least-decayed representatives, and joins each to the FIRST canonical
-// within MergeDistance. finish reaches the same canonicals, indices and
-// votes in three steps that sort only the groups whose order matters:
+// within MergeDistance. finish reaches the same canonicals and indices in
+// three steps that sort only the groups whose order matters:
 //
 //  1. Groups seen at least twice merge in reference order.
 //  2. Every singleton (count 1, nearly all the decayed sightings) is looked
 //     up read-only against step 1's canonicals, fanned out over GOMAXPROCS.
 //     Singletons come last in reference order and step 1's canonicals have
-//     the lowest indices, so a match here is the reference's first match;
-//     vote tallies are sums, so the order they are added in is free. A
-//     lookup stops at a close enough match on a lone canonical (markLone).
+//     the lowest indices, so a match here is the reference's first match.
+//     A lookup stops at a close enough match on a lone canonical
+//     (markLone).
 //  3. The unmatched singletons merge in reference order against an index
 //     of only the canonicals they create themselves.
 //
-// The output is bit-identical to the straightforward map-and-rescan
-// aggregation (the parity tests pin this). The near-duplicate search is
-// segment-indexed instead of quadratic, majority votes are tallied only at
-// the bits decay flipped, and positions are partitioned in one counting
-// pass.
+// A group that joins an existing canonical logs its flips against the
+// canonical's representative while both are at hand. Once every group's
+// canonical is known, the flips are bucketed by canonical (a counting
+// sort), and each goroutine votes a disjoint range of canonicals with one
+// scratch tally, which stays in cache. The output is bit-identical to the
+// straightforward map-and-rescan aggregation (the parity tests pin this).
 func (m *miner) finish() *MineResult {
 	res := m.res
-	nGroups := len(m.hashes)
 	var multi, single []int32
 	for g, n := range m.counts {
 		if n >= 2 {
@@ -256,85 +367,82 @@ func (m *miner) finish() *MineResult {
 	}
 
 	cm := newCanonMerger(m.opt.MergeDistance)
-	groupCanon := make([]int32, nGroups)
+	groupCanon := make([]int32, len(m.counts))
+	var merged []flip
+	add := func(g int32) {
+		known := cm.count()
+		c := cm.add(m.rep(g))
+		if int(c) < known {
+			merged = appendFlips(merged, c, cm.rep(c), m.rep(g), m.counts[g])
+		}
+		groupCanon[g] = c
+	}
+	cm.reserve(len(multi))
 	for _, g := range m.refOrder(multi) {
-		groupCanon[g] = cm.add(m.rep(g), m.counts[g])
+		add(g)
 	}
 	cm.markLone()
-	m.lookupSingles(cm, single, groupCanon)
-	unmatched := single[:0]
-	for _, g := range single {
-		if c := groupCanon[g]; c >= 0 {
-			cm.tally(c, m.rep(g), 1)
-		} else {
-			unmatched = append(unmatched, g)
-		}
-	}
+	unmatched, logs := m.lookupSingles(cm, single, groupCanon)
 	cm.restartIndex()
 	for _, g := range m.refOrder(unmatched) {
-		groupCanon[g] = cm.add(m.rep(g), 1)
+		add(g)
 	}
 
-	// Partition the observation log by canonical key. The log is in scan
-	// order, so each partition comes out in ascending position order.
-	nCanon := len(cm.canon)
+	// Bucket the passing blocks by canonical: the ranges' logs are in
+	// scan order, so each canonical's positions come out ascending.
+	nCanon := cm.count()
 	canonTotal := make([]int, nCanon)
-	for _, g := range m.obsGroup {
-		canonTotal[groupCanon[g]]++
+	for g, n := range m.counts {
+		canonTotal[groupCanon[g]] += int(n)
 	}
 	offsets := make([]int, nCanon+1)
 	for c := 0; c < nCanon; c++ {
 		offsets[c+1] = offsets[c] + canonTotal[c]
 	}
-	posSlab := make([]int, len(m.obsPos))
-	fill := make([]int, nCanon)
-	for oi, g := range m.obsGroup {
-		c := groupCanon[g]
-		posSlab[offsets[c]+fill[c]] = m.obsPos[oi]
-		fill[c]++
+	posSlab := make([]int, res.BlocksPassed)
+	fill := slices.Clone(offsets[:nCanon])
+	for _, r := range m.ranges {
+		for i, g := range r.obsGroup {
+			c := groupCanon[g]
+			posSlab[fill[c]] = r.obsPos[i]
+			fill[c]++
+		}
 	}
+	flips, flipStart := bucketFlips(nCanon, append(logs, merged))
 
-	// Emit keys: a canonical starts as its representative, and only bits
-	// some merged sighting disagreed on can lose the weighted majority.
-	// Key bytes share one slab.
+	// Emit the keys that reach MinCount, in canonical order; key bytes
+	// share one slab.
+	outIdx := make([]int, nCanon)
 	nFinal := 0
 	for c := 0; c < nCanon; c++ {
+		outIdx[c] = nFinal
 		if canonTotal[c] >= m.opt.MinCount {
 			nFinal++
 		}
 	}
-	keySlab := make([]byte, 0, nFinal*BlockBytes)
 	res.Keys = nil
-	for c := 0; c < nCanon; c++ {
-		total := canonTotal[c]
-		if total < m.opt.MinCount {
-			continue
-		}
-		base := len(keySlab)
-		e := &cm.canon[c]
-		keySlab = append(keySlab, e.rep...)
-		key := keySlab[base : base+BlockBytes : base+BlockBytes]
-		for bit, dis := range e.dis {
-			if dis == 0 {
+	if nFinal > 0 {
+		res.Keys = make([]MinedKey, nFinal)
+	}
+	keySlab := make([]byte, nFinal*BlockBytes)
+	parallelRanges(nCanon, fanOut(nCanon, minParallelCanon), func(_, lo, hi int) {
+		var dis [BlockBytes * 8]int32
+		for c := lo; c < hi; c++ {
+			total := canonTotal[c]
+			if total < m.opt.MinCount {
 				continue
 			}
-			mask := byte(1) << uint(bit%8)
-			ones := int(dis)
-			if e.rep[bit/8]&mask != 0 {
-				ones = total - ones
-			}
-			if 2*ones > total {
-				key[bit/8] |= mask
-			} else {
-				key[bit/8] &^= mask
+			o := outIdx[c]
+			key := keySlab[o*BlockBytes : (o+1)*BlockBytes : (o+1)*BlockBytes]
+			copy(key, cm.rep(int32(c)))
+			vote(key, flips[flipStart[c]:flipStart[c+1]], total, &dis)
+			res.Keys[o] = MinedKey{
+				Key:       key,
+				Count:     total,
+				Positions: posSlab[offsets[c]:offsets[c+1]:offsets[c+1]],
 			}
 		}
-		res.Keys = append(res.Keys, MinedKey{
-			Key:       key,
-			Count:     total,
-			Positions: posSlab[offsets[c]:offsets[c+1]:offsets[c+1]],
-		})
-	}
+	})
 	sort.Slice(res.Keys, func(i, j int) bool {
 		if res.Keys[i].Count != res.Keys[j].Count {
 			return res.Keys[i].Count > res.Keys[j].Count
@@ -342,6 +450,79 @@ func (m *miner) finish() *MineResult {
 		return string(res.Keys[i].Key) < string(res.Keys[j].Key)
 	})
 	return res
+}
+
+// flip is one vote against a canonical's representative: n sightings of
+// a merged group whose representative has bit (0..511) the other way.
+type flip struct {
+	c      int32
+	bit, n uint16
+}
+
+// appendFlips logs to flips the bits where rep, a group of n sightings
+// merged into canonical c, differs from the canonical's representative
+// canon. A group seen more than 65535 times logs each bit in several
+// flips.
+func appendFlips(flips []flip, c int32, canon, rep []byte, n int32) []flip {
+	for w := 0; w < BlockBytes; w += 8 {
+		for x := binary.LittleEndian.Uint64(canon[w:]) ^ binary.LittleEndian.Uint64(rep[w:]); x != 0; x &= x - 1 {
+			bit := uint16(w*8 + bits.TrailingZeros64(x))
+			for left := n; left > 0; left -= math.MaxUint16 {
+				flips = append(flips, flip{c, bit, uint16(min(left, math.MaxUint16))})
+			}
+		}
+	}
+	return flips
+}
+
+// bucketFlips buckets the flip logs by canonical (a counting sort):
+// canonical c's flips are flips[start[c]:start[c+1]].
+func bucketFlips(nCanon int, logs [][]flip) (flips []flip, start []int) {
+	start = make([]int, nCanon+1)
+	for _, log := range logs {
+		for _, f := range log {
+			start[f.c+1]++
+		}
+	}
+	for c := range nCanon {
+		start[c+1] += start[c]
+	}
+	flips = make([]flip, start[nCanon])
+	next := slices.Clone(start[:nCanon])
+	for _, log := range logs {
+		for _, f := range log {
+			flips[next[f.c]] = f
+			next[f.c]++
+		}
+	}
+	return flips, start
+}
+
+// vote turns key, which holds a canonical's representative, into the
+// weighted bitwise majority of its total sightings: only the bits in
+// flips can lose the majority. dis is the caller's scratch: all zero on
+// entry, and left that way.
+func vote(key []byte, flips []flip, total int, dis *[BlockBytes * 8]int32) {
+	for _, f := range flips {
+		dis[f.bit] += int32(f.n)
+	}
+	for _, f := range flips {
+		against := int(dis[f.bit])
+		if against == 0 {
+			continue // decided at an earlier flip of the same bit
+		}
+		dis[f.bit] = 0
+		mask := byte(1) << (f.bit % 8)
+		ones := against
+		if key[f.bit/8]&mask != 0 {
+			ones = total - against
+		}
+		if 2*ones > total {
+			key[f.bit/8] |= mask
+		} else {
+			key[f.bit/8] &^= mask
+		}
+	}
 }
 
 // refOrder sorts groups in place into the reference merge order: count
@@ -378,31 +559,72 @@ func (m *miner) refOrder(groups []int32) []int32 {
 // a millisecond, too little to be worth a goroutine.
 const minParallelLookups = 1 << 11
 
-// lookupSingles sets groupCanon[g] to each singleton's first canonical
-// match, or -1, splitting the singletons into contiguous runs across
-// GOMAXPROCS goroutines. cm is only read, and each run writes its own
-// groups' slots.
-func (m *miner) lookupSingles(cm *canonMerger, single []int32, groupCanon []int32) {
-	lookup := func(run []int32) {
-		for _, g := range run {
-			groupCanon[g] = cm.lookup(m.rep(g))
-		}
+// minParallelCanon is the same floor for the per-canonical passes,
+// markLone's neighbour checks and the votes, which cost a few times more
+// per item than a singleton lookup.
+const minParallelCanon = 1 << 9
+
+// mineWorkers, when positive, replaces fanOut's choice: tests set it to
+// split dumps far below the size floors.
+var mineWorkers int
+
+// fanOut is the goroutine count for n items of mining work: GOMAXPROCS,
+// but at least floor items each, and at least one goroutine.
+func fanOut(n, floor int) int {
+	if mineWorkers > 0 {
+		return mineWorkers
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(single)/minParallelLookups)
-	if workers <= 1 {
-		lookup(single)
+	return max(1, min(runtime.GOMAXPROCS(0), n/floor))
+}
+
+// parallelRanges splits [0, n) into w contiguous runs, some possibly
+// empty, calls fn(run, lo, hi) for each on its own goroutine (inline when
+// w is 1), and returns once all are done.
+func parallelRanges(n, w int, fn func(run, lo, hi int)) {
+	if w <= 1 {
+		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	per := (len(single) + workers - 1) / workers
-	for lo := 0; lo < len(single); lo += per {
+	per := (n + w - 1) / w
+	for r := 0; r < w; r++ {
 		wg.Add(1)
-		go func(run []int32) {
+		go func() {
 			defer wg.Done()
-			lookup(run)
-		}(single[lo:min(lo+per, len(single))])
+			fn(r, min(r*per, n), min((r+1)*per, n))
+		}()
 	}
 	wg.Wait()
+}
+
+// lookupSingles sets groupCanon[g] to each singleton's first canonical
+// match, or -1, splitting the singletons into contiguous runs across
+// GOMAXPROCS goroutines. cm is only read, and each run writes its own
+// groups' slots. It returns the unmatched singletons and one flip log per
+// run for the matched ones.
+func (m *miner) lookupSingles(cm *canonMerger, single, groupCanon []int32) (unmatched []int32, logs [][]flip) {
+	misses := make([][]int32, fanOut(len(single), minParallelLookups))
+	logs = make([][]flip, len(misses))
+	parallelRanges(len(single), len(misses), func(r, lo, hi int) {
+		var hs [BlockBytes]uint32
+		// A decayed sighting is typically a bit or two off its key.
+		log := make([]flip, 0, 2*(hi-lo))
+		for _, g := range single[lo:hi] {
+			rep := m.rep(g)
+			c := cm.lookupHashed(rep, &hs)
+			groupCanon[g] = c
+			if c < 0 {
+				misses[r] = append(misses[r], g)
+			} else {
+				log = appendFlips(log, c, cm.rep(c), rep, 1)
+			}
+		}
+		logs[r] = log
+	})
+	if len(misses) == 1 {
+		return misses[0], logs
+	}
+	return slices.Concat(misses...), logs
 }
 
 // canonMerger folds near-duplicate groups into canonical keys. The merge
@@ -413,16 +635,20 @@ func (m *miner) lookupSingles(cm *canonMerger, single []int32, groupCanon []int3
 // segments, and any block within MergeDistance BIT flips must match at
 // least one segment exactly (pigeonhole: d flipped bits touch at most d
 // segments). Looking up each segment's hash yields every possible match;
-// NearEqual confirms, and the minimum confirmed index reproduces the
+// the distance confirms, and the minimum confirmed index reproduces the
 // reference's first-match semantics.
 type canonMerger struct {
-	md    int
-	segs  int
-	canon []canonEntry
+	md   int
+	segs int
+	// reps holds each canonical's representative, BlockBytes each, by
+	// canonical index: copied out of the scattered range pages, the
+	// representatives every lookup compares against share few pages.
+	reps []byte
 	// segTable is open-addressed with packed entries:
 	// uint64(segHash) | uint64(canonIdx+1)<<32. Zero = empty. Only
-	// canonicals are inserted, so it starts small and doubles to keep the
-	// load factor under 1/2.
+	// canonicals are inserted, so it is sized for them: reserved for the
+	// groups step 1 merges, and doubling in step 3, where most unmatched
+	// singletons merge into others, to keep the load factor under 1/2.
 	segTable []uint64
 	// linear falls back to the reference scan when segments would be
 	// narrower than one byte (enormous MergeDistance).
@@ -439,16 +665,6 @@ type canonMerger struct {
 	loneSlack int
 }
 
-// canonEntry is one canonical key. dis counts, per bit, the sightings that
-// disagree with the representative; it stays nil until a second distinct
-// content merges in (the common undecayed case is exactly one). A merged
-// group differs from rep in at most MergeDistance bits, so the tally is
-// only touched at those bits.
-type canonEntry struct {
-	rep []byte
-	dis []int32
-}
-
 func newCanonMerger(mergeDistance int) *canonMerger {
 	cm := &canonMerger{md: mergeDistance, segs: mergeDistance + 1}
 	if cm.segs > BlockBytes || cm.segs < 1 {
@@ -460,6 +676,14 @@ func newCanonMerger(mergeDistance int) *canonMerger {
 	}
 	cm.segTable = make([]uint64, 1024)
 	return cm
+}
+
+// count is the number of canonicals.
+func (cm *canonMerger) count() int { return len(cm.reps) / BlockBytes }
+
+// rep returns canonical c's representative (read-only view).
+func (cm *canonMerger) rep(c int32) []byte {
+	return cm.reps[int(c)*BlockBytes : int(c+1)*BlockBytes]
 }
 
 // segHash hashes segment s of rep, salted by the segment's index so equal
@@ -475,49 +699,41 @@ func (cm *canonMerger) segHash(rep []byte, s int) uint32 {
 	return uint32(h ^ h>>32)
 }
 
-// segHashes hashes every segment of rep into hs.
-func (cm *canonMerger) segHashes(rep []byte, hs *[BlockBytes]uint32) {
-	for s := range hs[:cm.segs] {
-		hs[s] = cm.segHash(rep, s)
-	}
-}
-
-// add merges one group of n sightings (processed in reference order) and
-// returns its canonical index.
-func (cm *canonMerger) add(rep []byte, n int32) int32 {
+// add merges one group (processed in reference order) and returns its
+// canonical index.
+func (cm *canonMerger) add(rep []byte) int32 {
 	var hs [BlockBytes]uint32
 	c := cm.lookupHashed(rep, &hs)
 	if c < 0 {
-		c = int32(len(cm.canon))
-		cm.canon = append(cm.canon, canonEntry{rep: rep})
+		c = int32(cm.count())
+		cm.reps = append(cm.reps, rep...)
 		if !cm.linear {
 			cm.insertSegs(&hs, c)
 		}
-		return c
 	}
-	cm.tally(c, rep, n)
 	return c
 }
 
-// tally adds n sightings of rep to canonical c's per-bit disagreement
-// counts.
-func (cm *canonMerger) tally(c int32, rep []byte, n int32) {
-	e := &cm.canon[c]
-	if e.dis == nil {
-		e.dis = make([]int32, BlockBytes*8)
+// reserve sizes an empty index, and the representatives, for up to n
+// more canonicals, so neither grows while they are added.
+func (cm *canonMerger) reserve(n int) {
+	cm.reps = slices.Grow(cm.reps, n*BlockBytes)
+	if cm.linear {
+		return
 	}
-	for w := 0; w < BlockBytes; w += 8 {
-		x := binary.LittleEndian.Uint64(e.rep[w:]) ^ binary.LittleEndian.Uint64(rep[w:])
-		for ; x != 0; x &= x - 1 {
-			e.dis[w*8+bits.TrailingZeros64(x)] += n
-		}
+	size := len(cm.segTable)
+	for size <= 2*n*cm.segs {
+		size *= 2
+	}
+	if size > len(cm.segTable) {
+		cm.segTable = make([]uint64, size)
 	}
 }
 
 // restartIndex empties the lookup index: later lookups see only the
 // canonicals added after this call.
 func (cm *canonMerger) restartIndex() {
-	cm.base = int32(len(cm.canon))
+	cm.base = int32(cm.count())
 	cm.lone = nil
 	if !cm.linear {
 		cm.segTable = make([]uint64, 1024)
@@ -528,69 +744,81 @@ func (cm *canonMerger) restartIndex() {
 // canonical within r = min(2·MergeDistance, 31) bits. Any canonical within
 // MergeDistance of a rep that is itself within loneSlack = r −
 // MergeDistance bits of a lone c would be within r of c, so c is that
-// rep's only possible match and its lookup may stop there. Neighbours are
-// found through a second pigeonhole index of r+1 segments; capping r at 31
-// keeps those segments at least 2 bytes wide, so unrelated keys rarely
-// share one. The flags hold until the index next changes: call markLone
-// once the index is final, as finish does before its read-only singleton
-// lookups.
+// rep's only possible match and its lookup may stop there. Neighbours
+// share one of r+1 segments exactly (pigeonhole); capping r at 31 keeps
+// those segments at least 2 bytes wide, so unrelated keys rarely share
+// one. markLone hashes every segment of every canonical (fanned out over
+// canonical ranges), radix-sorts the (hash, canonical) pairs, and checks
+// only the canonicals whose hashes are equal. The flags hold until the
+// index next changes: call markLone once the index is final, as finish
+// does before its read-only singleton lookups.
 func (cm *canonMerger) markLone() {
 	r := min(2*cm.md, BlockBytes/2-1)
-	cm.lone, cm.loneSlack = make([]bool, len(cm.canon)), r-cm.md
+	cm.lone, cm.loneSlack = make([]bool, cm.count()), r-cm.md
 	if cm.linear || r < cm.md {
 		return
 	}
 	wide := newCanonMerger(r)
-	n := len(cm.canon) - int(cm.base)
-	size := len(wide.segTable)
-	for size*2 < n*wide.segs*3 { // load factor at most 2/3
-		size *= 2
-	}
-	wide.segTable = make([]uint64, size)
-	wide.canon = cm.canon // read-only: the same representatives
-	var hs [BlockBytes]uint32
-	for c := int(cm.base); c < len(cm.canon); c++ {
-		wide.segHashes(cm.canon[c].rep, &hs)
-		for _, h := range hs[:wide.segs] {
-			wide.place(uint64(h) | uint64(c+1)<<32)
-		}
-	}
-	for c := int(cm.base); c < len(cm.canon); c++ {
-		wide.segHashes(cm.canon[c].rep, &hs)
-		cm.lone[c] = !wide.hasNeighbor(int32(c), &hs)
-	}
-}
-
-// hasNeighbor reports whether an indexed canonical other than c lies
-// within MergeDistance of c's representative, whose segment hashes are hs.
-func (cm *canonMerger) hasNeighbor(c int32, hs *[BlockBytes]uint32) bool {
-	rep := cm.canon[c].rep
-	mask := uint32(len(cm.segTable) - 1)
-	for _, h := range hs[:cm.segs] {
-		for i := h & mask; cm.segTable[i] != 0; i = (i + 1) & mask {
-			o := int32(cm.segTable[i]>>32) - 1
-			if uint32(cm.segTable[i]) == h && o != c && bitutil.NearEqual(cm.canon[o].rep, rep, cm.md) {
-				return true
+	first := int(cm.base)
+	n := cm.count() - first
+	pairs := make([]uint64, n*wide.segs) // segment hash<<32 | canonical
+	parallelRanges(n, fanOut(n, minParallelCanon), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := first + i
+			cm.lone[c] = true
+			for s := range wide.segs {
+				pairs[i*wide.segs+s] = uint64(wide.segHash(cm.rep(int32(c)), s))<<32 | uint64(c)
 			}
 		}
+	})
+	pairs = radixSortHigh(pairs, make([]uint64, len(pairs)))
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j]>>32 == pairs[i]>>32 {
+			j++
+		}
+		for a := i; a < j; a++ {
+			for b := a + 1; b < j; b++ {
+				ca, cb := int32(pairs[a]), int32(pairs[b])
+				if ca != cb && bitutil.NearEqual(cm.rep(ca), cm.rep(cb), r) {
+					cm.lone[ca], cm.lone[cb] = false, false
+				}
+			}
+		}
+		i = j
 	}
-	return false
 }
 
-// lookup returns the lowest indexed canonical within MergeDistance of rep,
-// or -1.
-func (cm *canonMerger) lookup(rep []byte) int32 {
-	var hs [BlockBytes]uint32
-	return cm.lookupHashed(rep, &hs)
+// radixSortHigh sorts keys by their high 32 bits, 8 bits a pass, using
+// tmp (as long as keys) as the other buffer, and returns whichever holds
+// the result.
+func radixSortHigh(keys, tmp []uint64) []uint64 {
+	for shift := 32; shift < 64; shift += 8 {
+		var start [257]int
+		for _, k := range keys {
+			start[k>>shift&0xff+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, k := range keys {
+			d := k >> shift & 0xff
+			tmp[start[d]] = k
+			start[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
-// lookupHashed is lookup that leaves rep's segment hashes in hs, for
-// insertSegs (all of them whenever it returns -1).
+// lookupHashed returns the lowest indexed canonical within MergeDistance
+// of rep, or -1, and leaves rep's segment hashes in hs for insertSegs (all
+// of them whenever it returns -1).
 func (cm *canonMerger) lookupHashed(rep []byte, hs *[BlockBytes]uint32) int32 {
 	if cm.linear {
-		for c := int(cm.base); c < len(cm.canon); c++ {
-			if bitutil.NearEqual(cm.canon[c].rep, rep, cm.md) {
-				return int32(c)
+		for c := cm.base; int(c) < cm.count(); c++ {
+			if bitutil.NearEqual(cm.rep(c), rep, cm.md) {
+				return c
 			}
 		}
 		return -1
@@ -617,7 +845,7 @@ func (cm *canonMerger) lookupHashed(rep []byte, hs *[BlockBytes]uint32) int32 {
 			if best >= 0 && c >= best {
 				continue
 			}
-			if d := bitutil.HammingDistance(cm.canon[c].rep, rep); d <= cm.md {
+			if d := bitutil.HammingDistance(cm.rep(c), rep); d <= cm.md {
 				if d <= cm.loneSlack && int(c) < len(cm.lone) && cm.lone[c] {
 					return c // the only canonical within reach (markLone)
 				}
@@ -674,28 +902,6 @@ func (r *MineResult) InferStride() int {
 	return g
 }
 
-// KeysByResidue indexes the mined keys by block-position residue modulo the
-// stride, producing the per-address-class key table the fast attack path
-// uses. Keys sighted at multiple residues (possible under heavy decay
-// merging) are listed under each.
-func (r *MineResult) KeysByResidue(stride int) map[int][]MinedKey {
-	if stride <= 0 {
-		return nil
-	}
-	out := make(map[int][]MinedKey)
-	for _, k := range r.Keys {
-		seen := make(map[int]bool)
-		for _, p := range k.Positions {
-			res := p % stride
-			if !seen[res] {
-				seen[res] = true
-				out[res] = append(out[res], k)
-			}
-		}
-	}
-	return out
-}
-
 // Coverage reports the fraction of residue classes (out of stride) for
 // which at least one key was mined — the fraction of the address space the
 // attack can descramble.
@@ -703,19 +909,39 @@ func (r *MineResult) Coverage(stride int) float64 {
 	if stride <= 0 {
 		return 0
 	}
-	// Equivalent to len(KeysByResidue(stride))/stride, without building the
-	// per-residue map: count residues with at least one sighting.
-	covered := make([]bool, stride)
+	// Count the residues with at least one sighting: in a table of the
+	// stride, or in a set of the sighted residues when the stride is longer
+	// than the sightings.
 	n := 0
-	for _, k := range r.Keys {
-		for _, p := range k.Positions {
-			if res := p % stride; !covered[res] {
-				covered[res] = true
-				n++
+	if stride <= r.sightings() {
+		covered := make([]bool, stride)
+		for _, k := range r.Keys {
+			for _, p := range k.Positions {
+				if res := p % stride; !covered[res] {
+					covered[res] = true
+					n++
+				}
 			}
 		}
+	} else {
+		covered := make(map[int]bool)
+		for _, k := range r.Keys {
+			for _, p := range k.Positions {
+				covered[p%stride] = true
+			}
+		}
+		n = len(covered)
 	}
 	return float64(n) / float64(stride)
+}
+
+// sightings is the number of mined positions.
+func (r *MineResult) sightings() int {
+	n := 0
+	for _, k := range r.Keys {
+		n += len(k.Positions)
+	}
+	return n
 }
 
 func gcd(a, b int) int {

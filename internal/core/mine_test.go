@@ -94,13 +94,13 @@ func TestMineStrideInference(t *testing.T) {
 	}
 }
 
+// TestMineKeysByResidue: the stride directory built from the mined keys
+// lists, for every residue with a zero block, the true key.
 func TestMineKeysByResidue(t *testing.T) {
 	dump, plain, s := buildScrambledDump(t, 1<<20, 4, workload.LightSystem)
 	res, _ := MineKeys(context.Background(), dump, MineOptions{})
 	stride := res.InferStride()
-	byRes := res.KeysByResidue(stride)
-	// For every residue with a zero block, the residue's key list must
-	// include the true key.
+	dir := ResidueDirectory(res, stride)
 	hits := 0
 	for b := 0; b < len(plain)/BlockBytes && hits < 500; b++ {
 		if !isZeroBlock(plain, b) {
@@ -108,8 +108,8 @@ func TestMineKeysByResidue(t *testing.T) {
 		}
 		want := s.KeyAt(uint64(b) * BlockBytes)
 		foundTrue := false
-		for _, mk := range byRes[b%stride] {
-			if bytes.Equal(mk.Key, want) {
+		for _, key := range dir(b) {
+			if bytes.Equal(key, want) {
 				foundTrue = true
 				break
 			}
@@ -118,6 +118,40 @@ func TestMineKeysByResidue(t *testing.T) {
 			t.Fatalf("residue %d key list missing true key", b%stride)
 		}
 		hits++
+	}
+}
+
+// TestResidueDirectoryAnyStride: the stride directory and Coverage match
+// the reference at strides shorter and longer than the sightings, where
+// the directory switches from a table of the stride to a set of the
+// sighted residues, up to a stride longer than the dump.
+func TestResidueDirectoryAnyStride(t *testing.T) {
+	dump, _, _ := buildScrambledDump(t, 1<<20, 6, workload.LightSystem)
+	decayBits(dump, 7, len(dump)*8/1000)
+	res, err := MineKeys(context.Background(), dump, MineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := res.sightings()
+	if res.InferStride() == 0 {
+		t.Fatal("no key repeats")
+	}
+	for _, stride := range []int{7, res.InferStride(), n, n + 1, 3 * n, 1 << 22} {
+		dir, ref := ResidueDirectory(res, stride), refResidueDirectory(res, stride)
+		for b := 0; b < len(dump)/BlockBytes+stride%1000; b++ {
+			got, want := dir(b), ref(b)
+			if len(got) != len(want) {
+				t.Fatalf("stride %d block %d: %d keys, want %d", stride, b, len(got), len(want))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("stride %d block %d: key %d differs", stride, b, i)
+				}
+			}
+		}
+		if got, want := res.Coverage(stride), refCoverage(res, stride); got != want {
+			t.Fatalf("stride %d: coverage %v, want %v", stride, got, want)
+		}
 	}
 }
 

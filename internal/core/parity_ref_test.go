@@ -102,10 +102,31 @@ func refMineKeys(dump []byte, opt MineOptions) *MineResult {
 	return res
 }
 
+// refKeysByResidue is the seed per-residue key index: the mined keys by
+// block-position residue modulo the stride, a key sighted at several
+// residues listed under each.
+func refKeysByResidue(r *MineResult, stride int) map[int][]MinedKey {
+	if stride <= 0 {
+		return nil
+	}
+	out := make(map[int][]MinedKey)
+	for _, k := range r.Keys {
+		seen := make(map[int]bool)
+		for _, p := range k.Positions {
+			res := p % stride
+			if !seen[res] {
+				seen[res] = true
+				out[res] = append(out[res], k)
+			}
+		}
+	}
+	return out
+}
+
 // refResidueDirectory is the seed stride directory: a fresh [][]byte per
-// lookup, built from KeysByResidue.
+// lookup, built from refKeysByResidue.
 func refResidueDirectory(mine *MineResult, stride int) KeyDirectory {
-	byRes := mine.KeysByResidue(stride)
+	byRes := refKeysByResidue(mine, stride)
 	return func(blockIdx int) [][]byte {
 		mk := byRes[blockIdx%stride]
 		keys := make([][]byte, len(mk))
@@ -117,12 +138,12 @@ func refResidueDirectory(mine *MineResult, stride int) KeyDirectory {
 }
 
 // refCoverage is the seed coverage computation (map-based, via
-// KeysByResidue).
+// refKeysByResidue).
 func refCoverage(r *MineResult, stride int) float64 {
 	if stride <= 0 {
 		return 0
 	}
-	return float64(len(r.KeysByResidue(stride))) / float64(stride)
+	return float64(len(refKeysByResidue(r, stride))) / float64(stride)
 }
 
 // refAESLitmus is the seed schedule-window scan: no first-word class

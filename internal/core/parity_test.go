@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"coldboot/internal/aes"
@@ -225,6 +226,148 @@ func TestMineKeysParityCancelled(t *testing.T) {
 		t.Fatalf("scanned %d blocks, want %d", got.BlocksScanned, want)
 	}
 	assertMineParity(t, got, refMineKeys(dump, MineOptions{MaxBytes: got.BlocksScanned * BlockBytes}))
+}
+
+// forceMineWorkers splits every fanned-out mining pass n ways for the
+// rest of the test, so small dumps take the multi-range paths.
+func forceMineWorkers(t *testing.T, n int) {
+	t.Helper()
+	old := mineWorkers
+	mineWorkers = n
+	t.Cleanup(func() { mineWorkers = old })
+}
+
+// TestMineKeysParityPartitioned runs the parity scenarios with every pass
+// forced onto three goroutines: three block ranges and their merge, and
+// three runs of lookups, neighbour checks and votes. It runs under the
+// race detector too (make race).
+func TestMineKeysParityPartitioned(t *testing.T) {
+	forceMineWorkers(t, 3)
+	cases := []struct {
+		name  string
+		seed  int64
+		decay int
+		opt   MineOptions
+	}{
+		{"clean", 31, 0, MineOptions{}},
+		{"decay_0.3pct", 32, 256 << 10 * 8 * 3 / 1000, MineOptions{}},
+		{"merge_distance_4", 33, 256 << 10 / 50, MineOptions{MergeDistance: 4}},
+		{"min_count_3", 34, 256 << 10 / 100, MineOptions{MinCount: 3}},
+		{"max_bytes_cap", 35, 256 << 10 / 200, MineOptions{MaxBytes: 100 << 10}},
+		{"merge_distance_64_linear", 36, 256 << 10 * 8 * 3 / 1000, MineOptions{MergeDistance: 64}},
+		{"every_block_passes", 37, 256 << 10 * 8 / 100, MineOptions{Tolerance: 256}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dump := buildAttackDump(t, 256<<10, tc.seed, workload.LightSystem,
+				testMaster(tc.seed*7, 32), 100*BlockBytes)
+			decayBits(dump, tc.seed+1000, tc.decay)
+			got, err := MineKeys(context.Background(), dump, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMineParity(t, got, refMineKeys(dump, tc.opt))
+		})
+	}
+	// 1 MiB holds each key at least twice, in different ranges, so the
+	// merge joins later ranges' groups to earlier ones.
+	t.Run("repeats_across_ranges", func(t *testing.T) {
+		dump := buildAttackDump(t, 1<<20, 40, workload.LightSystem, testMaster(280, 32), 100*BlockBytes)
+		decayBits(dump, 1040, len(dump)*8/1000)
+		got, err := MineKeys(context.Background(), dump, MineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMineParity(t, got, refMineKeys(dump, MineOptions{}))
+		rangeBlocks := (len(dump)/BlockBytes/mineCancelInterval + 2) / 3 * mineCancelInterval
+		spanning := 0
+		for _, k := range got.Keys {
+			if k.Positions[0]/rangeBlocks != k.Positions[k.Count-1]/rangeBlocks {
+				spanning++
+			}
+		}
+		if spanning == 0 {
+			t.Fatal("no key was sighted in two ranges")
+		}
+	})
+	t.Run("streamed", func(t *testing.T) {
+		dump := buildAttackDump(t, 256<<10, 38, workload.LightSystem, testMaster(266, 32), 100*BlockBytes)
+		decayBits(dump, 1038, len(dump)*8*3/1000)
+		got, err := MineKeysSource(context.Background(), &windowLog{BlockSource: BytesSource(dump)}, MineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMineParity(t, got, refMineKeys(dump, MineOptions{}))
+	})
+}
+
+// windowLog serves a dump through ReadBlocks only, records each window
+// read, and cancels its context at the cancelAt-th read. It is safe for
+// the miner's concurrent ranges.
+type windowLog struct {
+	BlockSource
+	mu       sync.Mutex
+	reads    int
+	cancelAt int
+	cancel   context.CancelFunc
+	windows  [][2]int // first block, blocks
+}
+
+func (s *windowLog) ReadBlocks(first int, buf []byte) error {
+	s.mu.Lock()
+	s.reads++
+	if s.reads == s.cancelAt {
+		s.cancel()
+	}
+	s.windows = append(s.windows, [2]int{first, len(buf) / BlockBytes})
+	s.mu.Unlock()
+	return s.BlockSource.ReadBlocks(first, buf)
+}
+
+// TestMineKeysParityPartitionedCancelled: a mine cancelled while three
+// ranges scan must return promptly with ctx.Err() and exactly what the
+// reference mines from the windows it read. The reference sees the dump
+// with every unread window overwritten by blocks that fail the litmus.
+func TestMineKeysParityPartitionedCancelled(t *testing.T) {
+	forceMineWorkers(t, 3)
+	dump := buildAttackDump(t, 512<<10, 39, workload.LightSystem, testMaster(273, 32), 100*BlockBytes)
+	decayBits(dump, 1039, len(dump)*8*3/1000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &windowLog{BlockSource: BytesSource(dump), cancelAt: 4, cancel: cancel}
+	got, err := MineKeysSource(ctx, src, MineOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	nBlocks := len(dump) / BlockBytes
+	read := make([]bool, nBlocks)
+	scanned := 0
+	for _, w := range src.windows {
+		for b := w[0]; b < w[0]+w[1]; b++ {
+			read[b] = true
+		}
+		scanned += w[1]
+	}
+	// Each range reads at most one window after the cancel.
+	if len(src.windows) > src.cancelAt+2 || scanned >= nBlocks {
+		t.Fatalf("read %d windows (%d of %d blocks) after cancelling at read %d", len(src.windows), scanned, nBlocks, src.cancelAt)
+	}
+	if got.BlocksScanned != scanned {
+		t.Fatalf("scanned %d blocks, read %d", got.BlocksScanned, scanned)
+	}
+	masked := append([]byte(nil), dump...)
+	noise := rand.New(rand.NewSource(39))
+	for b, ok := range read {
+		if ok {
+			continue
+		}
+		block := masked[b*BlockBytes : (b+1)*BlockBytes]
+		for noise.Read(block); PassesKeyLitmus(block, DefaultLitmusTolerance); noise.Read(block) {
+		}
+	}
+	want := refMineKeys(masked, MineOptions{})
+	want.BlocksScanned = scanned
+	assertMineParity(t, got, want)
 }
 
 func assertMineParity(t *testing.T, got, want *MineResult) {

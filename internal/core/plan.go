@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"sync"
@@ -256,28 +258,29 @@ func (p *CampaignPlan) Close() {
 	}
 }
 
-// WirePlan is the serializable projection of a CampaignPlan: everything
-// a remote worker needs to reproduce a shard scan byte-for-byte. It
+// WirePlan is the shippable projection of a CampaignPlan: everything a
+// remote worker needs to reproduce a shard scan byte-for-byte. It
 // deliberately excludes host-local state (KeysForBlock closures, tracer,
-// schedule cache); mining already ran on the coordinator.
+// schedule cache); mining already ran on the coordinator. It travels as
+// one EncodeWirePlan frame.
 //
 // The mined Keys ride along raw: they are scrambler keystream blocks
 // recovered FROM the attacker-held dump, not recovered secrets — the
 // keyflow boundary (secret.Bytes fingerprints) applies to AES masters in
 // results at rest, which travel the fleet transport, never the WAL.
 type WirePlan struct {
-	Variant     aes.Variant `json:"variant"`
-	Formats     []string    `json:"formats,omitempty"`
-	RepairFlips int         `json:"repair_flips,omitempty"`
-	Exhaustive  bool        `json:"exhaustive,omitempty"`
-	Workers     int         `json:"workers,omitempty"`
-	Stride      int         `json:"stride,omitempty"`
-	TotalBlocks int         `json:"total_blocks"`
-	Overlap     int         `json:"overlap"`
-	Mine        *MineResult `json:"mine"`
+	Variant     aes.Variant
+	Formats     []string
+	RepairFlips int
+	Exhaustive  bool
+	Workers     int
+	Stride      int
+	TotalBlocks int
+	Overlap     int
+	Mine        *MineResult
 	// Trace propagates the campaign's distributed trace context so worker
 	// span trees stamp the same trace ID the coordinator minted.
-	Trace obs.TraceContext `json:"trace,omitempty"`
+	Trace obs.TraceContext
 }
 
 // Wire projects the plan for shipment to workers.
@@ -332,4 +335,241 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 	p.directory, p.Coverage = chooseDirectory(w.Mine, w.Stride, attackCfg)
 	p.res.Coverage = p.Coverage
 	return p, nil
+}
+
+// The wire plan frame. Every integer is a uvarint, every variable-length
+// field is prefixed by its length or count, and the frame ends exactly
+// where its last key does:
+//
+//	"CBWP" version
+//	variant  nformats {len name}  repair_flips  exhaustive  workers
+//	stride  total_blocks  overlap  {len trace_id}  parent_span
+//	blocks_scanned  blocks_passed  nkeys
+//	{key[64]  count  first_position  {position delta}}
+//
+// A key's positions are ascending, so each delta after the first is at
+// least 1. The decoder holds the frame to the bounds below and to the
+// miner's invariants, so a worker never sizes an allocation or a worker
+// pool from a field it did not check.
+const (
+	wirePlanMagic   = "CBWP"
+	wirePlanVersion = 1
+	// maxWireBlocks bounds TotalBlocks: a 16 GiB image, sixteen times
+	// the default upload cap. It also bounds the decoder's position
+	// bitset, TotalBlocks/8 bytes.
+	maxWireBlocks = 1 << 28
+	// maxWireWorkers bounds the scan goroutines a plan may ask for.
+	maxWireWorkers = 1 << 10
+	// maxWireSmall bounds the short fields: the format count, each
+	// format name's and the trace ID's length, and RepairFlips.
+	maxWireSmall = 1 << 8
+)
+
+// EncodeWirePlan serializes w as one wire plan frame. It fails on a plan
+// whose scalars DecodeWirePlan would reject, and on a mined key that is
+// not 64 bytes or whose Count is not its number of positions.
+func EncodeWirePlan(w *WirePlan) ([]byte, error) {
+	if w == nil || w.Mine == nil {
+		return nil, fmt.Errorf("core: wire plan missing mine pool")
+	}
+	switch {
+	case w.Variant != aes.AES128 && w.Variant != aes.AES192 && w.Variant != aes.AES256:
+		return nil, fmt.Errorf("core: wire plan: unknown variant %d", w.Variant)
+	case w.TotalBlocks < 0 || w.TotalBlocks > maxWireBlocks:
+		return nil, fmt.Errorf("core: wire plan: %d blocks, over the %d-block bound", w.TotalBlocks, maxWireBlocks)
+	case w.Workers < 0 || w.Workers > maxWireWorkers:
+		return nil, fmt.Errorf("core: wire plan: %d workers, over the bound of %d", w.Workers, maxWireWorkers)
+	case w.RepairFlips < 0 || w.RepairFlips > maxWireSmall || len(w.Formats) > maxWireSmall || len(w.Trace.TraceID) > maxWireSmall:
+		return nil, fmt.Errorf("core: wire plan: repair flips, formats or trace ID over their bounds")
+	}
+	size := 64 + len(w.Formats)*16
+	for _, k := range w.Mine.Keys {
+		if len(k.Key) != BlockBytes || k.Count != len(k.Positions) {
+			return nil, fmt.Errorf("core: wire plan: mined key of %d bytes with count %d and %d positions", len(k.Key), k.Count, len(k.Positions))
+		}
+		size += BlockBytes + binary.MaxVarintLen32 + 2*len(k.Positions)
+	}
+	return appendWirePlan(make([]byte, 0, size), w), nil
+}
+
+// appendWirePlan appends w's frame to b without checking it.
+func appendWirePlan(b []byte, w *WirePlan) []byte {
+	b = append(b, wirePlanMagic...)
+	u := func(v int) { b = binary.AppendUvarint(b, uint64(v)) }
+	u(wirePlanVersion)
+	u(int(w.Variant))
+	u(len(w.Formats))
+	for _, f := range w.Formats {
+		u(len(f))
+		b = append(b, f...)
+	}
+	exhaustive := 0
+	if w.Exhaustive {
+		exhaustive = 1
+	}
+	u(w.RepairFlips)
+	u(exhaustive)
+	u(w.Workers)
+	u(w.Stride)
+	u(w.TotalBlocks)
+	u(w.Overlap)
+	u(len(w.Trace.TraceID))
+	b = append(b, w.Trace.TraceID...)
+	b = binary.AppendUvarint(b, w.Trace.ParentSpan)
+	u(w.Mine.BlocksScanned)
+	u(w.Mine.BlocksPassed)
+	u(len(w.Mine.Keys))
+	for _, k := range w.Mine.Keys {
+		b = append(b, k.Key...)
+		u(k.Count)
+		prev := 0
+		for _, p := range k.Positions {
+			u(p - prev)
+			prev = p
+		}
+	}
+	return b
+}
+
+// DecodeWirePlan parses one wire plan frame. It rejects a truncated frame
+// or one with bytes after its last key, an unknown version, variant or
+// format, a count or length over its bound or over what the rest of the
+// frame can hold, a key with no positions, positions that are out of
+// range or not ascending within a key, a position that two keys claim,
+// and a stride other than the one the positions give (InferStride). Keys
+// are a fixed 64 bytes and each one's Count is its number of positions,
+// so a frame that breaks either misparses into one of these.
+func DecodeWirePlan(frame []byte) (*WirePlan, error) {
+	if !bytes.HasPrefix(frame, []byte(wirePlanMagic)) {
+		return nil, fmt.Errorf("core: wire plan: not a plan frame")
+	}
+	d := wireDecoder{buf: frame[len(wirePlanMagic):]}
+	if v := d.uint("version", maxWireSmall); d.err == nil && v != wirePlanVersion {
+		return nil, fmt.Errorf("core: wire plan: unknown format version %d", v)
+	}
+	w := &WirePlan{Variant: aes.Variant(d.uint("variant", int(aes.AES256)))}
+	if d.err == nil && w.Variant != aes.AES128 && w.Variant != aes.AES192 && w.Variant != aes.AES256 {
+		return nil, fmt.Errorf("core: wire plan: unknown variant %d", w.Variant)
+	}
+	if n := d.uint("format count", maxWireSmall); n > 0 {
+		w.Formats = make([]string, n)
+		for i := range w.Formats {
+			w.Formats[i] = string(d.bytes(d.uint("format name length", maxWireSmall)))
+		}
+	}
+	if d.err == nil {
+		if _, err := resolveFormats(w.Formats); err != nil {
+			return nil, err
+		}
+	}
+	w.RepairFlips = d.uint("repair flips", maxWireSmall)
+	w.Exhaustive = d.uint("exhaustive", 1) == 1
+	w.Workers = d.uint("workers", maxWireWorkers)
+	w.Stride = d.uint("stride", maxWireBlocks)
+	w.TotalBlocks = d.uint("total blocks", maxWireBlocks)
+	w.Overlap = d.uint("overlap", w.TotalBlocks)
+	w.Trace.TraceID = string(d.bytes(d.uint("trace ID length", maxWireSmall)))
+	w.Trace.ParentSpan = d.uint64()
+	mine := &MineResult{BlocksScanned: d.uint("blocks scanned", w.TotalBlocks)}
+	mine.BlocksPassed = d.uint("blocks passed", mine.BlocksScanned)
+	// Each key takes at least its 64 bytes and a count.
+	nKeys := d.uint("key count", len(d.buf)/(BlockBytes+1))
+	if d.err != nil {
+		return nil, d.err
+	}
+	keySlab := make([]byte, nKeys*BlockBytes)
+	if nKeys > 0 {
+		mine.Keys = make([]MinedKey, nKeys)
+	}
+	owned := make([]uint64, (w.TotalBlocks+63)/64)
+	// Each position takes at least one byte, so the frame bounds the
+	// positions and BlocksPassed bounds them too.
+	posSlab := make([]int, 0, min(len(d.buf), mine.BlocksPassed))
+	for i := range mine.Keys {
+		key := keySlab[i*BlockBytes : (i+1)*BlockBytes : (i+1)*BlockBytes]
+		copy(key, d.bytes(BlockBytes))
+		count := d.uint("position count", min(len(d.buf), mine.BlocksPassed-len(posSlab)))
+		if count == 0 {
+			d.fail("key %d has no positions", i)
+		}
+		first, p := len(posSlab), 0
+		for j := range count {
+			delta := d.uint("position", w.TotalBlocks)
+			p += delta
+			switch {
+			case j > 0 && delta == 0:
+				d.fail("key %d: positions not ascending", i)
+			case p >= w.TotalBlocks:
+				d.fail("key %d: position %d of %d blocks", i, p, w.TotalBlocks)
+			case owned[p/64]&(1<<(p%64)) != 0:
+				d.fail("position %d claimed by two keys", p)
+			}
+			if d.err != nil {
+				break
+			}
+			owned[p/64] |= 1 << (p % 64)
+			posSlab = append(posSlab, p)
+		}
+		if d.err != nil {
+			return nil, d.err
+		}
+		mine.Keys[i] = MinedKey{Key: key, Count: count, Positions: posSlab[first:len(posSlab):len(posSlab)]}
+	}
+	if len(d.buf) != 0 {
+		return nil, fmt.Errorf("core: wire plan: %d bytes after the last key", len(d.buf))
+	}
+	if s := mine.InferStride(); s != w.Stride {
+		return nil, fmt.Errorf("core: wire plan: stride %d, but the positions give %d", w.Stride, s)
+	}
+	w.Mine = mine
+	return w, nil
+}
+
+// wireDecoder reads a wire plan frame front to back. The first error
+// sticks: later reads return zero values.
+type wireDecoder struct {
+	buf []byte
+	err error
+}
+
+func (d *wireDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("core: wire plan: "+format, args...)
+	}
+}
+
+func (d *wireDecoder) uint64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.fail("truncated or overlong integer")
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// uint reads a uvarint field that must not exceed limit.
+func (d *wireDecoder) uint(field string, limit int) int {
+	v := d.uint64()
+	if v > uint64(limit) {
+		d.fail("%s %d over its bound %d", field, v, limit)
+		return 0
+	}
+	return int(v)
+}
+
+func (d *wireDecoder) bytes(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > len(d.buf) {
+		d.fail("truncated: %d bytes wanted, %d left", n, len(d.buf))
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
 }

@@ -139,7 +139,7 @@ type Coordinator struct {
 type session struct {
 	id    string
 	plan  *core.CampaignPlan
-	wire  []byte // marshaled core.WirePlan, served to workers once each
+	wire  []byte // the core.EncodeWirePlan frame, served to workers once each
 	src   core.BlockSource
 	board *Board
 	// col is the campaign tracer's Collector (nil when it has none): lease
@@ -235,7 +235,7 @@ func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.Ca
 	if cfg.Attack.KeysForBlock != nil {
 		return plan.Result(), fmt.Errorf("fleet: KeysForBlock overrides are process-local and cannot be distributed")
 	}
-	wire, err := json.Marshal(plan.Wire())
+	wire, err := core.EncodeWirePlan(plan.Wire())
 	if err != nil {
 		return plan.Result(), fmt.Errorf("fleet: encoding wire plan: %w", err)
 	}
@@ -626,7 +626,7 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such campaign", http.StatusGone)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(s.wire)
 }
 

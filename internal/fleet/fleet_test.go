@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -399,7 +400,8 @@ func validateMergedTimeline(t *testing.T, col *obs.Collector) {
 }
 
 // TestWirePlanRoundTrip pins the wire projection: a worker-side plan
-// rebuilt from JSON scans a shard to the exact bytes the coordinator-side
+// rebuilt from the binary frame carries the coordinator's mine pool
+// unchanged and scans a shard to the exact bytes the coordinator-side
 // plan produces.
 func TestWirePlanRoundTrip(t *testing.T) {
 	dump, _, _ := buildDecayedDump(t)
@@ -409,15 +411,18 @@ func TestWirePlanRoundTrip(t *testing.T) {
 	}
 	defer plan.Close()
 
-	raw, err := json.Marshal(plan.Wire())
+	frame, err := core.EncodeWirePlan(plan.Wire())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire core.WirePlan
-	if err := json.Unmarshal(raw, &wire); err != nil {
+	wire, err := core.DecodeWirePlan(frame)
+	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := core.PlanFromWire(&wire, nil)
+	if want := plan.Wire(); !reflect.DeepEqual(wire, want) {
+		t.Fatalf("decoded wire plan differs:\n got  %+v\n want %+v", wire, want)
+	}
+	remote, err := core.PlanFromWire(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,11 +210,15 @@ func (w *Worker) planFor(ctx context.Context, campaign string, tracer obs.Tracer
 	if p, ok := w.plans[campaign]; ok {
 		return p, nil
 	}
-	var wire core.WirePlan
-	if err := w.getJSON(ctx, "/v1/shards/plan?campaign="+campaign, &wire); err != nil {
+	frame, err := w.get(ctx, "/v1/shards/plan?campaign="+campaign, maxPlanBytes)
+	if err != nil {
 		return nil, err
 	}
-	p, err := core.PlanFromWire(&wire, tracer)
+	wire, err := core.DecodeWirePlan(frame)
+	if err != nil {
+		return nil, err
+	}
+	p, err := core.PlanFromWire(wire, tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -265,24 +269,11 @@ func (w *Worker) heartbeat(ctx context.Context, lease leaseResponse) bool {
 }
 
 func (w *Worker) shardData(ctx context.Context, lease leaseResponse) ([]byte, error) {
-	u := w.Base + "/v1/shards/data?campaign=" + lease.Campaign +
-		"&lease=" + lease.Lease +
-		"&first_block=" + strconv.Itoa(lease.Shard.FirstBlock) +
-		"&blocks=" + strconv.Itoa(lease.Shard.Blocks)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: shard data: %s", resp.Status)
-	}
 	want := lease.Shard.Blocks * core.BlockBytes
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, int64(want)+1))
+	buf, err := w.get(ctx, "/v1/shards/data?campaign="+lease.Campaign+
+		"&lease="+lease.Lease+
+		"&first_block="+strconv.Itoa(lease.Shard.FirstBlock)+
+		"&blocks="+strconv.Itoa(lease.Shard.Blocks), want)
 	if err != nil {
 		return nil, err
 	}
@@ -335,18 +326,33 @@ func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, e
 	return resp.StatusCode, nil
 }
 
-func (w *Worker) getJSON(ctx context.Context, path string, out any) error {
+// maxPlanBytes bounds a wire plan frame: a campaign over a
+// multi-gigabyte image fits, and a larger body is refused, not cut short.
+const maxPlanBytes = 64 << 20
+
+// get fetches path's body, which must be 200 OK and at most limit bytes.
+func (w *Worker) get(ctx context.Context, path string, limit int) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.Base+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := w.client().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: GET %s: %s", path, resp.Status)
+		return nil, fmt.Errorf("fleet: GET %s: %s", path, resp.Status)
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(out)
+	if resp.ContentLength > int64(limit) {
+		return nil, fmt.Errorf("fleet: GET %s: %d-byte body over its %d-byte bound", path, resp.ContentLength, limit)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, int64(limit)+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > limit {
+		return nil, fmt.Errorf("fleet: GET %s: body over its %d-byte bound", path, limit)
+	}
+	return buf.Bytes(), nil
 }

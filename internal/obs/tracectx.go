@@ -18,7 +18,7 @@ import (
 // cross-host skew the offset estimation exists to remove.
 
 // TraceContext identifies one distributed trace and the span to hang
-// foreign subtrees under. It is wire-serializable and rides fleet.WirePlan
+// foreign subtrees under. It is wire-serializable and rides core.WirePlan
 // and the shard lease protocol.
 type TraceContext struct {
 	// TraceID is the campaign-wide trace identifier (16 hex chars).

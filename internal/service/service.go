@@ -13,7 +13,8 @@
 //
 // Uploads stream straight into dumpfile-backed temp storage (never into
 // memory) and analysis reads them back through the streaming campaign, so
-// a multi-GB dump costs the daemon one worker and constant memory. The
+// a multi-GB dump costs the daemon one worker and never sits in memory
+// (mining keeps a few bytes per litmus-passing block; see DESIGN.md). The
 // paper's §III-C scale-out argument — litmus scanning is embarrassingly
 // parallel across shards and machines — is what this layer packages: many
 // dumps in flight, a bounded worker pool, and live per-stage progress for
@@ -292,24 +293,26 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// jobDone is the pool's terminal hook: wipe and delete the spooled
-// container (only needed while the job can still run), close the job's
-// event journal so streaming readers observe end-of-stream, and fold the
-// job's aggregates into the daemon collector. The dump is
+// jobDone is the pool's terminal hook: close the job's event journal so
+// streaming readers observe end-of-stream, fold the job's aggregates into
+// the daemon collector, then wipe and delete the spooled container (only
+// needed while the job can still run). The stream ends first, so a client
+// waiting for it does not also wait for the wipe. The wipe still runs on
+// the pool's goroutine, so Drain returns only after it. The dump is
 // overwritten with zeros before the unlink — it holds the victim's memory,
 // key schedules included, and a bare unlink leaves those bytes recoverable
 // from the backing store.
 func (s *Server) jobDone(j *jobs.Job) {
 	if pl, ok := j.Payload().(*dumpJob); ok {
-		if pl.Path != "" {
-			secret.WipeFile(pl.Path)
-			os.Remove(pl.Path)
-		}
 		if pl.tel != nil {
 			pl.tel.journal.Close()
 			s.jmu.Lock()
 			s.foldLocked(pl.tel)
 			s.jmu.Unlock()
+		}
+		if pl.Path != "" {
+			secret.WipeFile(pl.Path)
+			os.Remove(pl.Path)
 		}
 	}
 }

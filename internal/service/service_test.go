@@ -258,31 +258,59 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 }
 
 // waitDirEmpty asserts every spooled dump has been wiped and unlinked.
-// The durable journal's wal/ subdirectory is a permanent resident of the
-// data dir and doesn't count.
 func waitDirEmpty(t testing.TB, dir string) {
 	t.Helper()
-	spooled := func() int {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, e := range entries {
-			if e.Name() != walDirName {
-				n++
-			}
-		}
-		return n
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if spooled() == 0 {
+		if spooled(t, dir) == 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("spool dir still holds %d files", spooled())
+	t.Fatalf("spool dir still holds %d files", spooled(t, dir))
+}
+
+// spooled counts the spooled dumps in a data dir. The durable journal's
+// wal/ subdirectory is a permanent resident of the data dir and doesn't
+// count.
+func spooled(t testing.TB, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if e.Name() != walDirName {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDrainWaitsForSpoolWipe: a job's event stream ends before its
+// spooled dump is wiped, but the wipe stays on the pool's goroutine, so
+// once Drain returns no spooled dump is left.
+func TestDrainWaitsForSpoolWipe(t *testing.T) {
+	master := testMaster(45)
+	container := buildFixtureContainer(t, 1<<20, 45, master, 4096*64, false)
+	dataDir := t.TempDir()
+	svc, ts := testServer(t, Config{Workers: 1, DataDir: dataDir})
+	code, doc := postDump(t, ts, "", container)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: HTTP %d: %v", code, doc)
+	}
+	resp := openEvents(t, ts, doc["id"].(string), 0)
+	readStream(t, resp.Body, nil)
+	resp.Body.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := spooled(t, dataDir); n != 0 {
+		t.Fatalf("Drain returned with %d spooled dumps left", n)
+	}
 }
 
 // TestCancelMidRunKeepsPartialResult: DELETE while the campaign is mid-
