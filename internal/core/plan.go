@@ -221,6 +221,53 @@ func (p *CampaignPlan) ShardDone(index int) {
 	p.tracer.Progress("campaign", int64(p.doneBlocks), int64(p.TotalBlocks))
 }
 
+// CheckShardResult reports whether res could come from a scan of one of
+// the plan's shards: the shard is in the plan's cut, Pairs is not
+// negative, every key and volume starts inside the shard, every key's
+// master has the length its format gives it in this campaign, and there
+// are no more keys or volumes than the shard has bytes. A fleet
+// coordinator checks each worker's result with it before merging one.
+func (p *CampaignPlan) CheckShardResult(res ShardResult) error {
+	sh := res.Shard
+	if sh.Index < 0 || sh.Index >= len(p.Shards) || p.Shards[sh.Index] != sh {
+		return fmt.Errorf("core: shard %+v is not in the campaign's cut", sh)
+	}
+	lo, hi := sh.FirstBlock*BlockBytes, (sh.FirstBlock+sh.Blocks)*BlockBytes
+	if res.Pairs < 0 || len(res.Keys) > hi-lo || len(res.Volumes) > hi-lo {
+		return fmt.Errorf("core: shard %d result has %d pairs, %d keys and %d volumes", sh.Index, res.Pairs, len(res.Keys), len(res.Volumes))
+	}
+	for _, k := range res.Keys {
+		if n := p.keyBytes(k); k.TableStart < lo || k.TableStart >= hi || n == 0 || len(k.Master) != n {
+			return fmt.Errorf("core: shard %d key of format %q at %d has a %d-byte master", sh.Index, k.Format, k.TableStart, len(k.Master))
+		}
+	}
+	for _, v := range res.Volumes {
+		if v.Offset < lo || v.Offset >= hi {
+			return fmt.Errorf("core: shard %d volume at %d lies outside it", sh.Index, v.Offset)
+		}
+	}
+	return nil
+}
+
+// keyBytes is the master length a shard scan gives a key of k's format and
+// variant: the campaign variant's key size for an AES schedule, the
+// scanner's key size for a probed format, and 0 for a key the campaign
+// cannot produce.
+func (p *CampaignPlan) keyBytes(k FoundKey) int {
+	if k.Format == FormatAESXTS {
+		if p.rf.aes && k.Variant == p.attackCfg.Variant {
+			return k.Variant.KeyBytes()
+		}
+		return 0
+	}
+	for _, s := range p.rf.probers {
+		if s.Name() == k.Format && k.Variant == 0 {
+			return s.KeyBytes()
+		}
+	}
+	return 0
+}
+
 // Finalize merges the collected shard results into the plan's Result:
 // cross-shard dedup, LUKS2 schedule-pair tagging, format filtering, and
 // per-format counters — the exact post-merge path of a single-process

@@ -304,8 +304,8 @@ func (b *Board) Heartbeat(leaseID string) bool {
 const stragglerSampleFloor = 8
 
 // LeaseAlive reports whether a lease is still outstanding (not expired,
-// not completed), and if so its shard. Telemetry flushes and shard-data
-// reads for dead leases are refused on the strength of this check.
+// not completed), and if so its shard. Shard-data reads for dead leases
+// are refused on the strength of this check.
 func (b *Board) LeaseAlive(leaseID string) (core.Shard, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -320,8 +320,8 @@ func (b *Board) LeaseAlive(leaseID string) (core.Shard, bool) {
 // Complete records a shard's results under the given lease. accepted is
 // false for an unknown lease or a shard another worker already finished
 // (the stolen-duplicate loser) — both benign, the results are dropped —
-// and for a result naming another shard, which leaves the lease to
-// expire.
+// and for a result whose shard differs from the leased one in any field,
+// which leaves the lease to expire.
 // When accepted, the CompleteInfo names the winning worker and the lease
 // span the worker's telemetry belongs under, and settle (when non-nil)
 // runs with it outside the board lock but before Done can close: whatever
@@ -359,9 +359,10 @@ func (b *Board) accept(leaseID string, res core.ShardResult) (CompleteInfo, bool
 	}
 	sh := b.shards[shardByIndex(b.shards, l.Shard.Index)]
 	span := l.span
-	if res.Shard.Index != sh.shard.Index {
-		// A result for another shard is refused. The lease stays out, so
-		// its shard requeues at expiry instead of staying leased to nobody.
+	if res.Shard != l.Shard {
+		// A result for any other shard than the leased one is refused. The
+		// lease stays out, so its shard requeues at expiry instead of
+		// staying leased to nobody.
 		return CompleteInfo{}, false
 	}
 	dur := now - l.granted

@@ -53,9 +53,8 @@ type leaseRef struct {
 	Lease    string `json:"lease"`
 }
 
-// nowResponse carries the coordinator clock back on heartbeats (and
-// telemetry flushes), so every round-trip refines the worker's offset
-// estimate.
+// nowResponse carries the coordinator clock back on heartbeats, so every
+// round-trip refines the worker's offset estimate.
 type nowResponse struct {
 	NowNs int64 `json:"now_ns"`
 }
@@ -74,21 +73,10 @@ type completeRequest struct {
 	// worker obs.Now), applied to shipped span timestamps at graft time.
 	ClockOffsetNs int64 `json:"clock_offset_ns,omitempty"`
 	// Telemetry is the lease-scoped span tree, counters, and histograms
-	// from the shard scan.
-	Telemetry *obs.Telemetry `json:"telemetry,omitempty"`
-}
-
-// telemetryRequest is a periodic mid-shard flush of the same lease-scoped
-// telemetry a completion carries. The coordinator only buffers it —
-// grafting happens exclusively on accepted completion, so a shard that is
-// stolen or requeued never leaves half-merged spans behind, and a flush
-// racing its own completion cannot graft twice.
-type telemetryRequest struct {
-	Campaign      string        `json:"campaign"`
-	Lease         string        `json:"lease"`
-	Worker        string        `json:"worker"`
-	ClockOffsetNs int64         `json:"clock_offset_ns,omitempty"`
-	Telemetry     obs.Telemetry `json:"telemetry"`
+	// from the shard scan. It grafts only when the completion is accepted,
+	// so a shard that is stolen or requeued never leaves half-merged spans
+	// behind.
+	Telemetry obs.Telemetry `json:"telemetry"`
 }
 
 // CoordinatorStats aggregates every live campaign's board gauges plus the
@@ -146,12 +134,6 @@ type session struct {
 	// span IDs resolve in it and accepted shard telemetry grafts into it,
 	// so a fleet campaign's span tree and stage table match a local one's.
 	col *obs.Collector
-
-	// fmu guards flushes: the latest buffered telemetry flush per live
-	// lease, replaced wholesale on each flush and consumed (or discarded)
-	// when the lease completes.
-	fmu     sync.Mutex
-	flushes map[string]*telemetryRequest
 }
 
 // NewCoordinator builds a coordinator. ttl is the shard lease lifetime
@@ -210,7 +192,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shards/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/shards/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/shards/complete", c.handleComplete)
-	mux.HandleFunc("POST /v1/telemetry", c.handleTelemetry)
 	mux.HandleFunc("GET /v1/shards/plan", c.handlePlan)
 	mux.HandleFunc("GET /v1/shards/data", c.handleData)
 }
@@ -241,12 +222,11 @@ func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.Ca
 	}
 
 	s := &session{
-		plan:    plan,
-		wire:    wire,
-		src:     src,
-		board:   c.newBoard(plan.Shards, plan.Root()),
-		col:     obs.FindCollector(cfg.Attack.Tracer),
-		flushes: make(map[string]*telemetryRequest),
+		plan:  plan,
+		wire:  wire,
+		src:   src,
+		board: c.newBoard(plan.Shards, plan.Root()),
+		col:   obs.FindCollector(cfg.Attack.Tracer),
 	}
 	c.register(s)
 	defer c.unregister(s)
@@ -507,34 +487,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, nowResponse{NowNs: obs.Now()})
 }
 
-// handleTelemetry buffers one mid-shard flush. Nothing merges here: the
-// graft happens only when the shard's completion is accepted, using the
-// freshest telemetry available (completion body first, this buffer as the
-// fallback). A flush for a lease the board no longer tracks is discarded.
-func (c *Coordinator) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	var req telemetryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad telemetry", http.StatusBadRequest)
-		return
-	}
-	s := c.session(req.Campaign, req.Worker)
-	if s == nil {
-		http.Error(w, "no such campaign", http.StatusGone)
-		return
-	}
-	if _, ok := s.board.LeaseAlive(req.Lease); !ok {
-		s.fmu.Lock()
-		delete(s.flushes, req.Lease)
-		s.fmu.Unlock()
-		http.Error(w, "lease gone", http.StatusGone)
-		return
-	}
-	s.fmu.Lock()
-	s.flushes[req.Lease] = &req
-	s.fmu.Unlock()
-	writeJSON(w, nowResponse{NowNs: obs.Now()})
-}
-
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 256<<20)).Decode(&req); err != nil {
@@ -546,36 +498,26 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such campaign", http.StatusGone)
 		return
 	}
+	res := core.ShardResult{Shard: req.Shard, Keys: req.Keys, Volumes: req.Volumes, Pairs: req.Pairs}
+	if err := errors.Join(s.plan.CheckShardResult(res), req.Telemetry.Check()); err != nil {
+		// Nothing of a malformed completion is booked; its lease expires
+		// and the shard goes to a healthy worker.
+		http.Error(w, "bad completion: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	// The accepted shard's progress and telemetry are booked inside the
 	// board's settle step, so Run cannot see the campaign finished — and
 	// the job cannot fold its collector — before the last shard's share
 	// has landed.
-	_, accepted := s.board.Complete(req.Lease, core.ShardResult{
-		Shard:   req.Shard,
-		Keys:    req.Keys,
-		Volumes: req.Volumes,
-		Pairs:   req.Pairs,
-	}, func(info CompleteInfo) {
+	_, accepted := s.board.Complete(req.Lease, res, func(info CompleteInfo) {
 		s.plan.ShardDone(req.Shard.Index)
-		s.graftTelemetry(&req, s.takeFlush(req.Lease), info)
+		s.graftTelemetry(&req, info)
 	})
-	// The lease is gone either way; any buffered flush is consumed now or
-	// never.
-	s.takeFlush(req.Lease)
 	// A dropped duplicate (stolen-shard loser, expired lease) is a normal
 	// outcome, not a client error; the worker just moves on.
 	writeJSON(w, struct {
 		Accepted bool `json:"accepted"`
 	}{accepted})
-}
-
-// takeFlush removes and returns the telemetry flush buffered for a lease.
-func (s *session) takeFlush(lease string) *telemetryRequest {
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	buffered := s.flushes[lease]
-	delete(s.flushes, lease)
-	return buffered
 }
 
 // graftTelemetry merges one accepted shard's shipped telemetry into the
@@ -585,7 +527,7 @@ func (s *session) takeFlush(lease string) *telemetryRequest {
 // folds into a per-worker labelled series for /metrics. Only the winning
 // completion reaches here, so a stolen shard's timeline shows exactly one
 // worker's spans.
-func (s *session) graftTelemetry(req *completeRequest, buffered *telemetryRequest, info CompleteInfo) {
+func (s *session) graftTelemetry(req *completeRequest, info CompleteInfo) {
 	col := s.col
 	if col == nil {
 		return
@@ -594,27 +536,18 @@ func (s *session) graftTelemetry(req *completeRequest, buffered *telemetryReques
 	if worker == "" {
 		worker = info.Worker
 	}
-	tel := req.Telemetry
-	offset := req.ClockOffsetNs
-	if tel == nil && buffered != nil && buffered.Worker == worker {
-		tel = &buffered.Telemetry
-		offset = buffered.ClockOffsetNs
-	}
-	if tel == nil {
-		return
-	}
 	parent, root := col.SpanContext(info.Span)
-	col.Graft(*tel, obs.GraftOptions{
+	col.Graft(req.Telemetry, obs.GraftOptions{
 		Parent:   parent,
 		Root:     root,
 		Track:    worker,
-		OffsetNs: offset,
+		OffsetNs: req.ClockOffsetNs,
 		MinNs:    info.GrantedNs,
 	})
 	if worker != "" {
 		// Per-worker breakdown alongside the fleet-wide aggregate Graft
 		// already merged.
-		for _, h := range tel.Histograms {
+		for _, h := range req.Telemetry.Histograms {
 			col.MergeHistogram(h.Name+";worker="+worker, h)
 		}
 	}

@@ -255,9 +255,9 @@ func TestRunWaitsForLastShardBooking(t *testing.T) {
 		}(name)
 	}
 
-	col, journal := obs.NewCollector(), obs.NewJournal(1<<14)
+	col := obs.NewJournaledCollector(1 << 14)
 	cfg := core.CampaignConfig{ShardBlocks: 4096}
-	cfg.Attack.Tracer = obs.Multi(col, journal, &obs.Funcs{OnProgress: func(stage string, done, total int64) {
+	cfg.Attack.Tracer = obs.Multi(col, &obs.Funcs{OnProgress: func(stage string, done, total int64) {
 		if stage == "campaign" && done > 0 {
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -277,7 +277,7 @@ func TestRunWaitsForLastShardBooking(t *testing.T) {
 	if got := stages["shard"].Calls; got != shards {
 		t.Errorf("grafted shard stage calls %d at return, want %d", got, shards)
 	}
-	events, _ := journal.ReadSince(0, 1<<14)
+	events, _ := col.Journal().ReadSince(0, 1<<14)
 	var last int64
 	for _, e := range events {
 		if e.Type == "progress" && e.Name == "campaign" {

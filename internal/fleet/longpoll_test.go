@@ -167,7 +167,7 @@ func TestHeldLeaseClockSample(t *testing.T) {
 	const held = 200 * time.Millisecond
 	time.Sleep(held)
 	cut := testShards(1, 128)
-	c.register(&session{plan: testPlan(t, cut, nil), board: c.newBoard(cut, nil), flushes: make(map[string]*telemetryRequest)})
+	c.register(&session{plan: testPlan(t, cut, nil), board: c.newBoard(cut, nil)})
 	a := <-answers
 	if a.err != nil || !a.ok {
 		t.Fatalf("held lease call: ok=%v err=%v", a.ok, a.err)

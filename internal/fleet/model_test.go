@@ -207,15 +207,19 @@ func (m *boardModel) heartbeat(l *modelLease) {
 	}
 }
 
-// complete posts l's result, or one for the wrong shard. Only the first
-// completion of a shard is accepted and settles; a stolen shard's loser is
-// refused and never reaches the settle step, which is where a
+// complete posts l's result, or one for the wrong shard: another index on
+// even shards, the right index with another extent on odd ones. Only the
+// first completion of a shard is accepted and settles; a stolen shard's
+// loser is refused and never reaches the settle step, which is where a
 // coordinator grafts the worker's telemetry.
 func (m *boardModel) complete(l *modelLease, wrongShard bool) {
 	t := m.t
 	mb := m.boards[l.board]
 	res := result(core.Shard{Index: l.shard, FirstBlock: l.shard * 128, Blocks: 128})
-	if wrongShard {
+	switch {
+	case wrongShard && l.shard%2 == 1:
+		res.Shard.Blocks--
+	case wrongShard:
 		res.Shard.Index = (l.shard + 1) % len(mb.status)
 		if res.Shard.Index == l.shard {
 			res.Shard.Index = -1
@@ -472,7 +476,7 @@ func newHeldModel(t *testing.T, seed int64) *heldModel {
 
 func (m *heldModel) register(shards int) {
 	cut := testShards(shards, 128)
-	s := &session{plan: testPlan(m.t, cut, nil), board: m.c.newBoard(cut, nil), flushes: make(map[string]*telemetryRequest)}
+	s := &session{plan: testPlan(m.t, cut, nil), board: m.c.newBoard(cut, nil)}
 	s.board.now = m.clk.now
 	m.c.register(s)
 	m.boards[s.id] = s.board

@@ -56,9 +56,7 @@ func TestTelemetryWireCarriesNoMasterBytes(t *testing.T) {
 	if len(tel.Spans) == 0 {
 		t.Fatal("no spans in shipped telemetry; secrecy check would be vacuous")
 	}
-	doc, err := json.Marshal(telemetryRequest{
-		Campaign: "c1", Lease: "l1", Worker: "w1", Telemetry: tel,
-	})
+	doc, err := json.Marshal(tel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,36 +15,34 @@ import (
 
 // Deterministic distributed-tracing tests: these drive the coordinator's
 // HTTP handlers directly against a hand-built session, so worker clock
-// skew, stolen-shard races, and flush/complete interleavings are exact
-// rather than timing-dependent.
+// skew, stolen-shard races, and late completions are exact rather than
+// timing-dependent.
 
-// tracingHarness is one campaign session on a collector-backed
-// coordinator, with the board's clock under test control.
+// tracingHarness is one campaign session on a coordinator whose
+// collector journals its events, as a coldbootd job's does.
 type tracingHarness struct {
 	coord *Coordinator
 	sess  *session
 	col   *obs.Collector
-	clk   *fakeClock
 }
 
 func newTracingHarness(t *testing.T, shards int) *tracingHarness {
 	t.Helper()
-	col := obs.NewCollector()
+	col := obs.NewJournaledCollector(1 << 12)
 	c := NewCoordinator(time.Minute, col)
 	root := col.StartSpan("campaign")
 	t.Cleanup(root.End)
 	s := &session{
-		id:      "c1",
-		plan:    testPlan(t, testShards(shards, 128), nil),
-		board:   NewBoard(testShards(shards, 128), time.Minute, col, root),
-		col:     col,
-		flushes: make(map[string]*telemetryRequest),
+		id:    "c1",
+		plan:  testPlan(t, testShards(shards, 128), nil),
+		board: NewBoard(testShards(shards, 128), time.Minute, col, root),
+		col:   col,
 	}
 	c.mu.Lock()
 	c.sessions[s.id] = s
 	c.order = append(c.order, s.id)
 	c.mu.Unlock()
-	return &tracingHarness{coord: c, sess: s, col: col, clk: nil}
+	return &tracingHarness{coord: c, sess: s, col: col}
 }
 
 // testPlan is a scan-less campaign plan over a shard cut, reporting its
@@ -65,6 +63,11 @@ func testPlan(t *testing.T, shards []core.Shard, tracer obs.Tracer) *core.Campai
 func (h *tracingHarness) complete(t *testing.T, req completeRequest) (accepted bool, status int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
+	return h.post(body)
+}
+
+// post sends one raw completion body to the coordinator's handler.
+func (h *tracingHarness) post(body []byte) (accepted bool, status int) {
 	wr := httptest.NewRecorder()
 	h.coord.handleComplete(wr, httptest.NewRequest("POST", "/v1/shards/complete", bytes.NewReader(body)))
 	var out struct {
@@ -74,14 +77,6 @@ func (h *tracingHarness) complete(t *testing.T, req completeRequest) (accepted b
 		json.NewDecoder(wr.Body).Decode(&out)
 	}
 	return out.Accepted, wr.Code
-}
-
-func (h *tracingHarness) flush(t *testing.T, req telemetryRequest) int {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	wr := httptest.NewRecorder()
-	h.coord.handleTelemetry(wr, httptest.NewRequest("POST", "/v1/telemetry", bytes.NewReader(body)))
-	return wr.Code
 }
 
 // workerTelemetry builds a realistic lease-scoped telemetry snapshot with
@@ -128,7 +123,7 @@ func TestCompleteGraftsSkewedWorkerClock(t *testing.T) {
 	tel := workerTelemetry(5) // worker clock ~0: far before coordinator grant time
 	accepted, _ := h.complete(t, completeRequest{
 		Campaign: "c1", Lease: l.ID, Shard: l.Shard,
-		Worker: "w1", ClockOffsetNs: 0, Telemetry: &tel,
+		Worker: "w1", ClockOffsetNs: 0, Telemetry: tel,
 	})
 	if !accepted {
 		t.Fatal("completion rejected")
@@ -195,7 +190,7 @@ func TestLastCompletionSettlesBeforeDone(t *testing.T) {
 	tel := workerTelemetry(100)
 	accepted := make(chan bool)
 	go func() {
-		ok, _ := h.complete(t, completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: &tel})
+		ok, _ := h.complete(t, completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: tel})
 		accepted <- ok
 	}()
 	<-entered
@@ -267,14 +262,14 @@ func TestStolenShardAttribution(t *testing.T) {
 	fastTel := workerTelemetry(100)
 	if accepted, _ := h.complete(t, completeRequest{
 		Campaign: "c1", Lease: fast.ID, Shard: fast.Shard,
-		Worker: "w-fast", Telemetry: &fastTel,
+		Worker: "w-fast", Telemetry: fastTel,
 	}); !accepted {
 		t.Fatal("winning completion rejected")
 	}
 	slowTel := workerTelemetry(200)
 	if accepted, _ := h.complete(t, completeRequest{
 		Campaign: "c1", Lease: slow.ID, Shard: slow.Shard,
-		Worker: "w-slow", Telemetry: &slowTel,
+		Worker: "w-slow", Telemetry: slowTel,
 	}); accepted {
 		t.Fatal("losing duplicate accepted")
 	}
@@ -288,81 +283,40 @@ func TestStolenShardAttribution(t *testing.T) {
 	}
 }
 
-// TestFlushThenCompleteGraftsOnce: a mid-shard telemetry flush buffers at
-// the coordinator; the completion (carrying a superset of the same tree)
-// grafts exactly once, and the buffered flush is consumed, not re-grafted.
-func TestFlushThenCompleteGraftsOnce(t *testing.T) {
+// TestDuplicateCompletionGraftsOnce: a completion that arrives again for
+// a lease already completed — a retried post, or a late copy — is not
+// accepted, and its telemetry cannot graft a second time.
+func TestDuplicateCompletionGraftsOnce(t *testing.T) {
 	h := newTracingHarness(t, 1)
 	l, ok := h.sess.board.Lease("w1")
 	if !ok {
 		t.Fatal("no lease")
 	}
-
-	partial := obs.Telemetry{
-		Spans:    []obs.SpanRecord{{ID: 2, Parent: 1, Root: 1, Name: "hunt", StartNs: 150, DurNs: 100}},
-		Counters: map[string]int64{"keys.found": 1},
-	}
-	if code := h.flush(t, telemetryRequest{Campaign: "c1", Lease: l.ID, Worker: "w1", Telemetry: partial}); code != 200 {
-		t.Fatalf("flush status %d", code)
-	}
-	if len(trackedSpans(h.col, "")) != 0 {
-		t.Fatal("flush grafted spans before completion")
-	}
-
-	full := workerTelemetry(100)
-	if accepted, _ := h.complete(t, completeRequest{
-		Campaign: "c1", Lease: l.ID, Shard: l.Shard,
-		Worker: "w1", Telemetry: &full,
-	}); !accepted {
+	req := completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: workerTelemetry(100)}
+	if accepted, _ := h.complete(t, req); !accepted {
 		t.Fatal("completion rejected")
 	}
-
+	if accepted, code := h.complete(t, req); accepted || code != 200 {
+		t.Fatalf("duplicate completion: accepted %v, status %d; want dropped with 200", accepted, code)
+	}
 	if got := trackedSpans(h.col, "hunt"); len(got) != 1 {
 		t.Fatalf("hunt span grafted %d times, want once", len(got))
 	}
 	if got := h.col.Report().Counters["keys.found"]; got != 1 {
 		t.Fatalf("counters double-merged: keys.found = %d, want 1", got)
 	}
-	// A straggler flush arriving after completion is rejected and cannot
-	// re-graft.
-	if code := h.flush(t, telemetryRequest{Campaign: "c1", Lease: l.ID, Worker: "w1", Telemetry: partial}); code != 410 {
-		t.Fatalf("post-completion flush status %d, want 410", code)
-	}
-	if got := trackedSpans(h.col, "hunt"); len(got) != 1 {
-		t.Fatalf("late flush re-grafted: %d hunt spans", len(got))
-	}
 }
 
-// TestCompleteFallsBackToBufferedFlush: a completion with no inline
-// telemetry (worker died between flush and attach, or an older worker)
-// still grafts the last buffered flush.
-func TestCompleteFallsBackToBufferedFlush(t *testing.T) {
-	h := newTracingHarness(t, 1)
-	l, _ := h.sess.board.Lease("w1")
-	tel := workerTelemetry(100)
-	if code := h.flush(t, telemetryRequest{Campaign: "c1", Lease: l.ID, Worker: "w1", ClockOffsetNs: 12, Telemetry: tel}); code != 200 {
-		t.Fatalf("flush status %d", code)
-	}
-	if accepted, _ := h.complete(t, completeRequest{
-		Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1",
-	}); !accepted {
-		t.Fatal("completion rejected")
-	}
-	if got := trackedSpans(h.col, "shard"); len(got) != 1 {
-		t.Fatalf("buffered flush not grafted on telemetry-less completion: %+v", got)
-	}
-}
-
-// TestExpiredLeaseTelemetryDiscarded: once a lease expires, both its
-// flushes and its completion are refused, so no spans from the dead lease
-// ever reach the merged timeline.
+// TestExpiredLeaseTelemetryDiscarded: once a lease expires, its
+// completion is refused, so no spans from the dead lease ever reach the
+// merged timeline.
 func TestExpiredLeaseTelemetryDiscarded(t *testing.T) {
 	col := obs.NewCollector()
 	c := NewCoordinator(time.Minute, col)
 	clk := &fakeClock{}
 	b := NewBoard(testShards(1, 128), time.Second, col, nil)
 	b.now = clk.now
-	s := &session{id: "c1", plan: testPlan(t, testShards(1, 128), nil), board: b, col: col, flushes: make(map[string]*telemetryRequest)}
+	s := &session{id: "c1", plan: testPlan(t, testShards(1, 128), nil), board: b, col: col}
 	c.mu.Lock()
 	c.sessions[s.id] = s
 	c.order = append(c.order, s.id)
@@ -371,15 +325,10 @@ func TestExpiredLeaseTelemetryDiscarded(t *testing.T) {
 
 	l, _ := b.Lease("w1")
 	tel := workerTelemetry(100)
-	if code := h.flush(t, telemetryRequest{Campaign: "c1", Lease: l.ID, Worker: "w1", Telemetry: tel}); code != 200 {
-		t.Fatalf("flush status %d", code)
-	}
 	clk.advance(int64(2 * time.Second)) // lease expires
-	if code := h.flush(t, telemetryRequest{Campaign: "c1", Lease: l.ID, Worker: "w1", Telemetry: tel}); code != 410 {
-		t.Fatalf("expired-lease flush status %d, want 410", code)
-	}
+	b.Expire()                          // the coordinator's expiry tick
 	if accepted, _ := h.complete(t, completeRequest{
-		Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: &tel,
+		Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: tel,
 	}); accepted {
 		t.Fatal("expired lease completion accepted")
 	}

@@ -147,9 +147,7 @@ func (w *Worker) scanLease(ctx context.Context, lease leaseResponse, tracer obs.
 
 	// Heartbeat until the scan finishes; a dead lease (requeued from
 	// under us, or a stolen duplicate that lost) cancels the scan — the
-	// work's result would be dropped anyway. On long shards each beat also
-	// flushes the telemetry collected so far, so the coordinator holds a
-	// recent snapshot even if this worker dies mid-shard.
+	// work's result would be dropped anyway.
 	scanCtx, cancel := context.WithCancel(ctx)
 	var hb sync.WaitGroup
 	hb.Add(1)
@@ -170,7 +168,6 @@ func (w *Worker) scanLease(ctx context.Context, lease leaseResponse, tracer obs.
 					cancel()
 					return
 				}
-				w.flushTelemetry(scanCtx, lease, col)
 			}
 		}
 	}()
@@ -185,24 +182,6 @@ func (w *Worker) scanLease(ctx context.Context, lease leaseResponse, tracer obs.
 		return scanErr
 	}
 	return w.complete(ctx, lease, sr, col)
-}
-
-// flushTelemetry posts the lease's telemetry-so-far. Best effort: a lost
-// flush costs nothing (the completion carries the full tree) and a flush
-// rejected for a dead lease is moot (the scan is being cancelled).
-func (w *Worker) flushTelemetry(ctx context.Context, lease leaseResponse, col *obs.Collector) {
-	t0 := obs.Now()
-	var out nowResponse
-	_, err := w.postJSON(ctx, "/v1/telemetry", telemetryRequest{
-		Campaign:      lease.Campaign,
-		Lease:         lease.Lease,
-		Worker:        w.Name,
-		ClockOffsetNs: w.clock.Offset(),
-		Telemetry:     col.Telemetry(),
-	}, &out)
-	if err == nil {
-		w.clock.sample(t0, obs.Now(), out.NowNs)
-	}
 }
 
 // planFor fetches and rebuilds (once per campaign) the wire plan.
@@ -288,7 +267,6 @@ func (w *Worker) shardData(ctx context.Context, lease leaseResponse) ([]byte, er
 // this transport is the fleet's sanctioned key egress (results at rest
 // are fingerprinted by the service layer).
 func (w *Worker) complete(ctx context.Context, lease leaseResponse, sr core.ShardResult, col *obs.Collector) error {
-	tel := col.Telemetry()
 	_, err := w.postJSON(ctx, "/v1/shards/complete", completeRequest{
 		Campaign:      lease.Campaign,
 		Lease:         lease.Lease,
@@ -298,7 +276,7 @@ func (w *Worker) complete(ctx context.Context, lease leaseResponse, sr core.Shar
 		Pairs:         sr.Pairs,
 		Worker:        w.Name,
 		ClockOffsetNs: w.clock.Offset(),
-		Telemetry:     &tel,
+		Telemetry:     col.Telemetry(),
 	}, nil)
 	return err
 }

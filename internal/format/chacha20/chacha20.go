@@ -28,6 +28,9 @@ const Name = "chacha20"
 // StateBytes is the in-memory footprint of one ChaCha state.
 const StateBytes = 64
 
+// keyBytes is the length of the key words 4..11 of a state hold.
+const keyBytes = 32
+
 // DefaultTolerance is the bit-flip budget across the four sigma words
 // when the caller passes no tolerance. Random data matches 128 known
 // bits within 8 flips with probability ~2^-94, so false positives are
@@ -46,6 +49,9 @@ func (Scanner) Name() string { return Name }
 
 // Width returns the candidate width in bytes (the 64-byte state).
 func (Scanner) Width() int { return StateBytes }
+
+// KeyBytes returns the length of a recovered ChaCha20 key (32 bytes).
+func (Scanner) KeyBytes() int { return keyBytes }
 
 // ProbeBlock probes one descrambled 64-byte block for state starts at
 // every word alignment. tolerance <= 0 selects DefaultTolerance. The
@@ -85,7 +91,7 @@ func tryState(block []byte, o, absOff int, view format.View, tol int, emit func(
 			return
 		}
 	}
-	key := make([]byte, 32)
+	key := make([]byte, keyBytes)
 	copy(key, st[16:48])
 	emit(format.Finding{
 		Format:   Name,

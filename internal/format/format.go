@@ -56,6 +56,9 @@ type Scanner interface {
 	// Width is the candidate width in bytes: how many image bytes one
 	// finding spans (used for overlap/alias suppression).
 	Width() int
+	// KeyBytes is the length of the key a finding carries (0 for a
+	// scanner that only sights volumes).
+	KeyBytes() int
 	// ProbeBlock probes one descrambled block. block is never retained,
 	// absOff is its byte offset in the image, and view reaches
 	// neighbouring descrambled bytes for candidates whose tail crosses the

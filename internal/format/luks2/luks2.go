@@ -35,6 +35,9 @@ func (Scanner) Name() string { return Name }
 // Width returns the candidate width of one schedule half (240 bytes).
 func (Scanner) Width() int { return aes.AES256.ScheduleBytes() }
 
+// KeyBytes returns 0: findings are volume sightings, never keys.
+func (Scanner) KeyBytes() int { return 0 }
+
 // ProbeBlock checks whether absOff starts a LUKS2 header. Headers are
 // sector-aligned on disk and page-aligned in the page cache, so only
 // block-start offsets are candidates — which also makes the no-hit path a

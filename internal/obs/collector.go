@@ -94,7 +94,7 @@ type Report struct {
 }
 
 // Collector aggregates pipeline events into a Report. The zero value is
-// not usable; call NewCollector.
+// not usable; call NewCollector or NewJournaledCollector.
 type Collector struct {
 	mu           sync.Mutex
 	order        []string          // guarded by mu
@@ -111,6 +111,10 @@ type Collector struct {
 	hmu    sync.RWMutex
 	hists  map[string]*Histogram // guarded by hmu
 	horder []string              // guarded by hmu
+
+	// journal, when set, receives every hook as an Event right after the
+	// aggregates take it, under the span IDs of the collector's records.
+	journal *Journal
 }
 
 // NewCollector returns an empty Collector ready for use as a Tracer.
@@ -121,6 +125,21 @@ func NewCollector() *Collector {
 		hists:    make(map[string]*Histogram),
 	}
 }
+
+// NewJournaledCollector returns an empty Collector that also appends every
+// hook, and every span and counter a Graft brings in, to a Journal of up to
+// capacity recent events (a default size when capacity <= 0). The journal
+// is the collector's live event view, so its events name the same spans as
+// the collector's records.
+func NewJournaledCollector(capacity int) *Collector {
+	c := NewCollector()
+	c.journal = newJournal(capacity)
+	return c
+}
+
+// Journal returns the collector's event journal (nil for a collector made
+// by NewCollector).
+func (c *Collector) Journal() *Journal { return c.journal }
 
 // touch folds a timestamp into the first/last event bounds.
 func (c *Collector) touch(now int64) { c.touchStamps(now+1, now+1) }
@@ -174,6 +193,7 @@ func (c *Collector) startSpan(name string, parent, root uint64, attrs []Attr) *c
 	c.mu.Lock()
 	c.stageLocked(name).open++
 	c.mu.Unlock()
+	c.journal.append(now, Event{Type: "span_start", Name: name, Span: id, Parent: parent, Attrs: attrs})
 	s := &collectorSpan{c: c, id: id, parent: parent, root: root, name: name, startNs: now}
 	if len(attrs) > 0 {
 		s.attrs = append(s.attrs, attrs...)
@@ -222,18 +242,21 @@ func (s *collectorSpan) End() {
 		s.c.spansDropped++
 	}
 	s.c.mu.Unlock()
+	s.c.journal.append(now, Event{Type: "span_end", Name: s.name, Span: s.id, WallNs: dur})
 }
 
 func (s *collectorSpan) SetAttr(key, value string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value = value
-			return
-		}
+	i := 0
+	for i < len(s.attrs) && s.attrs[i].Key != key {
+		i++
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	if i == len(s.attrs) {
+		s.attrs = append(s.attrs, Attr{Key: key})
+	}
+	s.attrs[i].Value = value
+	s.mu.Unlock()
+	s.c.journal.append(Now(), Event{Type: "span_attr", Name: s.name, Span: s.id, Attrs: []Attr{{Key: key, Value: value}}})
 }
 
 func (s *collectorSpan) Child(name string, attrs ...Attr) Span {
@@ -241,10 +264,12 @@ func (s *collectorSpan) Child(name string, attrs ...Attr) Span {
 }
 
 func (c *Collector) Count(name string, delta int64) {
-	c.touch(Now())
+	now := Now()
+	c.touch(now)
 	c.mu.Lock()
 	c.counters[name] += delta
 	c.mu.Unlock()
+	c.journal.append(now, Event{Type: "count", Name: name, Delta: delta})
 }
 
 // Progress keeps high-water marks only (the report has no per-tick
@@ -252,7 +277,8 @@ func (c *Collector) Count(name string, delta int64) {
 // "progress.<stage>" counter, and done/total on the stage's report once a
 // span of that stage has started.
 func (c *Collector) Progress(stage string, done, total int64) {
-	c.touch(Now())
+	now := Now()
+	c.touch(now)
 	c.mu.Lock()
 	if cur := c.counters["progress."+stage]; done > cur {
 		c.counters["progress."+stage] = done
@@ -262,14 +288,17 @@ func (c *Collector) Progress(stage string, done, total int64) {
 		st.Total = max(st.Total, total)
 	}
 	c.mu.Unlock()
+	c.journal.append(now, Event{Type: "progress", Name: stage, Done: done, Total: total})
 }
 
 // Observe records one sample into the named histogram, creating it on
 // first use. The fast path is a read-locked map lookup plus two atomic
 // adds, so hunt workers can observe per-chunk latencies concurrently.
 func (c *Collector) Observe(name string, value int64) {
-	c.touch(Now())
+	now := Now()
+	c.touch(now)
 	c.histogram(name).Observe(value)
+	c.journal.append(now, Event{Type: "observe", Name: name, Value: value})
 }
 
 // histogram returns the named histogram, creating it on first use.
@@ -381,6 +410,7 @@ func (c *Collector) Counters(prefix string) map[string]int64 {
 // counters add except the "progress." high-water marks (which keep the
 // higher mark too), histograms merge bucket for bucket, dropped spans add,
 // and the observed time range widens to cover both. Spans are not merged.
+// Each added counter is journaled as one count event of its whole value.
 func (c *Collector) merge(r Report) {
 	c.mu.Lock()
 	for _, s := range r.Stages {
@@ -404,6 +434,14 @@ func (c *Collector) merge(r Report) {
 	}
 	if r.firstNs != 0 {
 		c.touchStamps(r.firstNs, r.lastNs)
+	}
+	if c.journal != nil {
+		now := Now()
+		for k, v := range r.Counters {
+			if !strings.HasPrefix(k, "progress.") {
+				c.journal.append(now, Event{Type: "count", Name: k, Delta: v})
+			}
+		}
 	}
 }
 

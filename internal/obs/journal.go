@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Event is one telemetry event in a Journal. Seq numbers start at 1 and
 // are dense; AtNs is the event time on the obs.Now clock. Type selects
@@ -31,15 +28,16 @@ type Event struct {
 	Attrs  []Attr `json:"attrs,omitempty"`
 }
 
-// defaultJournalCap bounds a Journal when NewJournal is given a
+// defaultJournalCap bounds a Journal when NewJournaledCollector is given a
 // non-positive capacity.
 const defaultJournalCap = 4096
 
-// Journal is a bounded ring buffer of recent telemetry events. It
-// implements Tracer, so it slots into an obs.Multi alongside a Collector;
-// readers poll ReadSince with a cursor and park on Updated between polls.
-// When writers outpace a reader the oldest events are overwritten and the
-// reader observes a gap (the missed count from ReadSince), never a stall.
+// Journal is a bounded ring buffer of recent telemetry events: the event
+// view of a Collector made by NewJournaledCollector, which appends every
+// hook to it under the span IDs of its own records. Readers poll ReadSince
+// with a cursor and park on Updated between polls. When writers outpace a
+// reader the oldest events are overwritten and the reader observes a gap
+// (the missed count from ReadSince), never a stall.
 type Journal struct {
 	mu          sync.Mutex
 	ring        []Event       // guarded by mu
@@ -47,12 +45,11 @@ type Journal struct {
 	overwritten uint64        // events lost to ring wrap before any read; guarded by mu
 	closed      bool          // guarded by mu
 	notify      chan struct{} // guarded by mu
-	nextSpan    atomic.Uint64
 }
 
-// NewJournal returns a Journal retaining up to capacity recent events
+// newJournal returns a Journal retaining up to capacity recent events
 // (defaultJournalCap when capacity <= 0).
-func NewJournal(capacity int) *Journal {
+func newJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = defaultJournalCap
 	}
@@ -62,9 +59,13 @@ func NewJournal(capacity int) *Journal {
 	}
 }
 
-// append stamps and stores one event, waking any parked readers.
-func (j *Journal) append(e Event) {
-	e.AtNs = Now()
+// append stores one event stamped at the given obs.Now time, waking any
+// parked readers. A nil journal (a Collector without one) drops it.
+func (j *Journal) append(at int64, e Event) {
+	if j == nil {
+		return
+	}
+	e.AtNs = at
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -151,49 +152,4 @@ func (j *Journal) Overwritten() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.overwritten
-}
-
-// Journal implements Tracer by recording each hook as an Event.
-
-func (j *Journal) StartSpan(name string, attrs ...Attr) Span { return j.span(name, 0, attrs) }
-
-func (j *Journal) span(name string, parent uint64, attrs []Attr) *journalSpan {
-	id := j.nextSpan.Add(1)
-	j.append(Event{Type: "span_start", Name: name, Span: id, Parent: parent, Attrs: attrs})
-	return &journalSpan{j: j, id: id, name: name, startNs: Now()}
-}
-
-func (j *Journal) Count(name string, delta int64) {
-	j.append(Event{Type: "count", Name: name, Delta: delta})
-}
-
-func (j *Journal) Progress(stage string, done, total int64) {
-	j.append(Event{Type: "progress", Name: stage, Done: done, Total: total})
-}
-
-func (j *Journal) Observe(name string, value int64) {
-	j.append(Event{Type: "observe", Name: name, Value: value})
-}
-
-type journalSpan struct {
-	j       *Journal
-	id      uint64
-	name    string
-	startNs int64
-	ended   atomic.Bool
-}
-
-func (s *journalSpan) End() {
-	if s.ended.Swap(true) {
-		return
-	}
-	s.j.append(Event{Type: "span_end", Name: s.name, Span: s.id, WallNs: Since(s.startNs)})
-}
-
-func (s *journalSpan) SetAttr(key, value string) {
-	s.j.append(Event{Type: "span_attr", Name: s.name, Span: s.id, Attrs: []Attr{{Key: key, Value: value}}})
-}
-
-func (s *journalSpan) Child(name string, attrs ...Attr) Span {
-	return s.j.span(name, s.id, attrs)
 }

@@ -6,12 +6,17 @@ import (
 	"time"
 )
 
+// TestJournalRecordsEvents: a journaled collector appends every hook, in
+// call order, under the span IDs of its own records.
 func TestJournalRecordsEvents(t *testing.T) {
-	j := NewJournal(16)
-	sp := j.StartSpan("hunt", A("shard", "0"))
-	j.Progress("hunt", 1, 10)
-	j.Count("pairs", 3)
-	j.Observe("chunk_ns", 42)
+	c := NewJournaledCollector(16)
+	j := c.Journal()
+	sp := c.StartSpan("hunt", A("shard", "0"))
+	child := sp.Child("chunk")
+	child.End()
+	c.Progress("hunt", 1, 10)
+	c.Count("pairs", 3)
+	c.Observe("chunk_ns", 42)
 	sp.SetAttr("keys", "1")
 	sp.End()
 	sp.End() // idempotent
@@ -27,7 +32,7 @@ func TestJournalRecordsEvents(t *testing.T) {
 			t.Fatalf("seq not dense: %+v", events)
 		}
 	}
-	want := []string{"span_start", "progress", "count", "observe", "span_attr", "span_end"}
+	want := []string{"span_start", "span_start", "span_end", "progress", "count", "observe", "span_attr", "span_end"}
 	if len(types) != len(want) {
 		t.Fatalf("got %v, want %v", types, want)
 	}
@@ -36,18 +41,31 @@ func TestJournalRecordsEvents(t *testing.T) {
 			t.Fatalf("got %v, want %v", types, want)
 		}
 	}
-	if events[5].WallNs < 0 || events[5].Span != events[0].Span {
-		t.Fatalf("span_end payload wrong: %+v", events[5])
+	if events[7].WallNs < 0 || events[7].Span != events[0].Span {
+		t.Fatalf("span_end payload wrong: %+v", events[7])
 	}
 	if events[0].Attrs[0].Key != "shard" {
 		t.Fatalf("span_start lost attrs: %+v", events[0])
 	}
+	if events[1].Parent != events[0].Span || events[2].Span != events[1].Span {
+		t.Fatalf("child span events not parented: %+v", events[:3])
+	}
+	recs := c.Spans()
+	if len(recs) != 2 || recs[0].ID != events[2].Span || recs[1].ID != events[7].Span ||
+		recs[1].DurNs != events[7].WallNs {
+		t.Fatalf("events name other spans than the records %+v", recs)
+	}
+	if events[3].Done != 1 || events[3].Total != 10 || events[4].Delta != 3 || events[5].Value != 42 ||
+		events[6].Attrs[0] != A("keys", "1") {
+		t.Fatalf("hook payloads wrong: %+v", events[3:7])
+	}
 }
 
 func TestJournalCursorAndOverwrite(t *testing.T) {
-	j := NewJournal(4)
+	c := NewJournaledCollector(4)
+	j := c.Journal()
 	for i := int64(0); i < 10; i++ {
-		j.Count("c", i)
+		c.Count("c", i)
 	}
 	// Only the 4 newest survive; a stale cursor observes the gap.
 	events, missed := j.ReadSince(0, 0)
@@ -77,7 +95,8 @@ func TestJournalCursorAndOverwrite(t *testing.T) {
 }
 
 func TestJournalUpdatedWakesReaders(t *testing.T) {
-	j := NewJournal(8)
+	c := NewJournaledCollector(8)
+	j := c.Journal()
 	ch := j.Updated()
 	select {
 	case <-ch:
@@ -89,7 +108,7 @@ func TestJournalUpdatedWakesReaders(t *testing.T) {
 		<-ch
 		close(done)
 	}()
-	j.Count("c", 1)
+	c.Count("c", 1)
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -107,7 +126,7 @@ func TestJournalUpdatedWakesReaders(t *testing.T) {
 	if !j.Closed() {
 		t.Fatal("Closed() = false after Close")
 	}
-	j.Count("c", 1)
+	c.Count("c", 1)
 	if lastSeq(j) != 1 {
 		t.Fatalf("append after Close changed the journal: newest seq=%d", lastSeq(j))
 	}
@@ -123,8 +142,11 @@ func lastSeq(j *Journal) uint64 {
 	return events[len(events)-1].Seq
 }
 
+// TestJournalConcurrent: hooks from many goroutines reach a concurrent
+// reader densely numbered, each as an event or as part of a gap.
 func TestJournalConcurrent(t *testing.T) {
-	j := NewJournal(64)
+	c := NewJournaledCollector(64)
+	j := c.Journal()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var read uint64
@@ -158,7 +180,7 @@ func TestJournalConcurrent(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
-				j.Progress("hunt", int64(i), 500)
+				c.Progress("hunt", int64(i), 500)
 			}
 		}()
 	}
@@ -168,10 +190,16 @@ func TestJournalConcurrent(t *testing.T) {
 	if read != 2000 {
 		t.Fatalf("reader accounted for %d events (read+missed), want 2000", read)
 	}
+	if got := c.Counters("progress.")["hunt"]; got != 499 {
+		t.Fatalf("collector progress mark = %d, want 499", got)
+	}
 }
 
 func TestJournalDefaultCapacity(t *testing.T) {
-	j := NewJournal(0)
+	j := NewJournaledCollector(0).Journal()
+	if NewCollector().Journal() != nil {
+		t.Fatal("plain collector has a journal")
+	}
 	if cap(j.ring) != defaultJournalCap {
 		t.Fatalf("cap = %d, want %d", cap(j.ring), defaultJournalCap)
 	}

@@ -4,9 +4,9 @@
 // default is the Nop tracer, so instrumented code never branches on "is
 // tracing on?"; a Collector aggregates events into a JSON report and a
 // span tree (what `coldboot -trace out.json` and `-trace-chrome
-// out.json` write), a Journal keeps a bounded ring of recent events for
-// live streaming, and Funcs adapts ad-hoc callbacks (what `-progress`
-// uses).
+// out.json` write) and can keep a Journal, a bounded ring of its recent
+// events for live streaming, and Funcs adapts ad-hoc callbacks (what
+// `-progress` uses).
 //
 // The package deliberately knows nothing about the attack: span,
 // counter, and histogram names are plain strings chosen by the

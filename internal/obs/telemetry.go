@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/bits"
 	"strings"
 )
@@ -14,10 +15,9 @@ import (
 // obs.Now timebases.
 
 // Telemetry is the wire-serializable snapshot of a Collector: everything a
-// worker attaches to a shard completion (or flushes periodically on long
-// shards). Span attrs and events travel verbatim, so the keyflow contract
-// applies: no raw key bytes may ever be written into a span attribute —
-// only sha256: fingerprints.
+// worker attaches to a shard completion. Span attrs and events travel
+// verbatim, so the keyflow contract applies: no raw key bytes may ever be
+// written into a span attribute — only sha256: fingerprints.
 type Telemetry struct {
 	Spans        []SpanRecord        `json:"spans,omitempty"`
 	SpansDropped int64               `json:"spans_dropped,omitempty"`
@@ -26,11 +26,53 @@ type Telemetry struct {
 }
 
 // Telemetry snapshots the collector's completed spans, counters, and
-// histograms for shipping. Live (unended) spans are not included; a
-// periodic flush therefore ships a growing prefix of the final tree.
+// histograms for shipping. Live (unended) spans are not included.
 func (c *Collector) Telemetry() Telemetry {
 	r := c.Summary()
 	return Telemetry{Spans: c.Spans(), SpansDropped: r.SpansDropped, Counters: r.Counters, Histograms: r.Histograms}
+}
+
+// Check reports whether t could come from a Collector's Telemetry: no
+// more spans than a collector retains, and no more counters or
+// histograms than that either; unique nonzero span IDs; no negative
+// durations, counters or drop count; and histogram buckets on the
+// power-of-two bounds with non-negative, non-decreasing cumulative
+// counts. A receiver checks a foreign document before it Grafts one,
+// whose histogram merge indexes buckets by their bounds.
+func (t *Telemetry) Check() error {
+	if len(t.Spans) > spanLimit || len(t.Counters) > spanLimit || len(t.Histograms) > spanLimit {
+		return fmt.Errorf("obs: telemetry of %d spans, %d counters and %d histograms exceeds %d of each",
+			len(t.Spans), len(t.Counters), len(t.Histograms), spanLimit)
+	}
+	if t.SpansDropped < 0 {
+		return fmt.Errorf("obs: telemetry drops %d spans", t.SpansDropped)
+	}
+	ids := make(map[uint64]bool, len(t.Spans))
+	for _, s := range t.Spans {
+		if s.ID == 0 || ids[s.ID] || s.DurNs < 0 {
+			return fmt.Errorf("obs: telemetry span %q has id %d and duration %d", s.Name, s.ID, s.DurNs)
+		}
+		ids[s.ID] = true
+	}
+	for k, v := range t.Counters {
+		if v < 0 {
+			return fmt.Errorf("obs: telemetry counter %q is %d", k, v)
+		}
+	}
+	for _, h := range t.Histograms {
+		if len(h.Buckets) > histBuckets || h.Count < 0 || h.Sum < 0 {
+			return fmt.Errorf("obs: telemetry histogram %q has %d buckets, count %d and sum %d", h.Name, len(h.Buckets), h.Count, h.Sum)
+		}
+		prev := HistogramBucket{UpperBound: -1}
+		for _, b := range h.Buckets {
+			_, hi := bucketBounds(bits.Len64(uint64(b.UpperBound)))
+			if b.UpperBound < 0 || hi != b.UpperBound || b.UpperBound <= prev.UpperBound || b.Count < max(prev.Count, 0) {
+				return fmt.Errorf("obs: telemetry histogram %q has bucket le=%d count=%d", h.Name, b.UpperBound, b.Count)
+			}
+			prev = b
+		}
+	}
+	return nil
 }
 
 // GraftOptions places a foreign span tree inside this collector's trace.
@@ -61,8 +103,10 @@ type GraftOptions struct {
 // counters, histograms, and per-span stage aggregates fold in through the
 // same merge a finished job's collector takes. The origin's "progress."
 // marks are dropped: they measure its shard, not this collector's run.
-// Returns the number of spans grafted (spans past the retention cap are
-// counted in SpansDropped instead).
+// The collector's journal gets each grafted span as a span_start and a
+// span_end event and each counter as one count event; histogram samples
+// are not journaled. Returns the number of spans grafted (spans past the
+// retention cap are counted in SpansDropped instead).
 func (c *Collector) Graft(tel Telemetry, opts GraftOptions) int {
 	shift := opts.OffsetNs
 	if len(tel.Spans) > 0 {
@@ -93,8 +137,7 @@ func (c *Collector) Graft(tel Telemetry, opts GraftOptions) int {
 		}
 	}
 	stageIdx := make(map[string]int)
-	grafted := 0
-	c.mu.Lock()
+	recs := make([]SpanRecord, 0, len(tel.Spans))
 	for _, s := range tel.Spans {
 		r := s
 		r.ID = idmap[s.ID]
@@ -122,18 +165,29 @@ func (c *Collector) Graft(tel Telemetry, opts GraftOptions) int {
 		}
 		agg.Stages[i].Calls++
 		agg.Stages[i].WallNs += r.DurNs
-		if len(c.spans) < spanLimit {
-			c.spans = append(c.spans, r)
-			grafted++
-		} else {
-			agg.SpansDropped++
-		}
 		if first := r.StartNs + 1; agg.firstNs == 0 || first < agg.firstNs {
 			agg.firstNs = first
 		}
 		agg.lastNs = max(agg.lastNs, r.StartNs+r.DurNs+1)
+		recs = append(recs, r)
 	}
+	c.mu.Lock()
+	grafted := min(len(recs), spanLimit-len(c.spans))
+	c.spans = append(c.spans, recs[:grafted]...)
 	c.mu.Unlock()
+	agg.SpansDropped += int64(len(recs) - grafted)
+	if c.journal != nil {
+		// Shipped spans come in end order, children before parents, so
+		// reversed they open parents first.
+		now := Now()
+		for i := grafted - 1; i >= 0; i-- {
+			r := recs[i]
+			c.journal.append(now, Event{Type: "span_start", Name: r.Name, Span: r.ID, Parent: r.Parent, Attrs: r.Attrs})
+		}
+		for _, r := range recs[:grafted] {
+			c.journal.append(now, Event{Type: "span_end", Name: r.Name, Span: r.ID, WallNs: r.DurNs})
+		}
+	}
 	c.merge(agg)
 	return grafted
 }
@@ -169,7 +223,7 @@ func (h *Histogram) merge(s HistogramSnapshot) {
 
 // SpanID resolves a Span back to its record ID in this collector, seeing
 // through the Multi fan-out wrapper. Zero means the span is not one of
-// this collector's (a Nop, Journal, or foreign-collector span).
+// this collector's (a Nop, Funcs, or foreign-collector span).
 func (c *Collector) SpanID(s Span) uint64 {
 	id, _ := c.SpanContext(s)
 	return id

@@ -203,11 +203,11 @@ func TestTelemetryRoundTripJSON(t *testing.T) {
 func TestFindCollectorAndSpanIdentity(t *testing.T) {
 	c := NewCollector()
 	other := NewCollector()
-	multi := Multi(NewJournal(8), c)
+	multi := Multi(&Funcs{}, c)
 	if FindCollector(multi) != c {
 		t.Fatal("FindCollector failed through Multi")
 	}
-	if FindCollector(Nop) != nil || FindCollector(NewJournal(8)) != nil {
+	if FindCollector(Nop) != nil || FindCollector(&Funcs{}) != nil {
 		t.Fatal("FindCollector invented a collector")
 	}
 	s := multi.StartSpan("x")
@@ -267,11 +267,11 @@ func TestPrometheusSpansDropped(t *testing.T) {
 
 // TestJournalOverwritten asserts ring wrap is counted for /metrics.
 func TestJournalOverwritten(t *testing.T) {
-	j := NewJournal(4)
+	c := NewJournaledCollector(4)
 	for i := 0; i < 10; i++ {
-		j.Count("e", 1)
+		c.Count("e", 1)
 	}
-	if got := j.Overwritten(); got != 6 {
+	if got := c.Journal().Overwritten(); got != 6 {
 		t.Fatalf("Overwritten = %d, want 6", got)
 	}
 }
@@ -354,5 +354,97 @@ func TestChromeTraceWorkerTracks(t *testing.T) {
 		}
 		seen[tid] = true
 		_ = key
+	}
+}
+
+// TestGraftJournalsSpansAndCounters: a journaled collector's events carry
+// a graft too, under the grafted records' IDs: every span as a
+// span_start (parents first) and a span_end, and every counter but the
+// progress marks as one count event of its value.
+func TestGraftJournalsSpansAndCounters(t *testing.T) {
+	worker := NewCollector()
+	root := worker.StartSpan("shard")
+	root.Child("hunt").End()
+	root.End()
+	worker.Count("keys.found", 2)
+	worker.Progress("campaign", 5, 10)
+
+	coord := NewJournaledCollector(64)
+	lease := coord.StartSpan("fleet.lease")
+	leaseID, treeRoot := coord.SpanContext(lease)
+	coord.Graft(worker.Telemetry(), GraftOptions{Parent: leaseID, Root: treeRoot, Track: "w1"})
+	lease.End()
+
+	events, _ := coord.Journal().ReadSince(0, 0)
+	var starts, ends []Event
+	counts := map[string]int64{}
+	for _, e := range events {
+		switch e.Type {
+		case "span_start":
+			starts = append(starts, e)
+		case "span_end":
+			ends = append(ends, e)
+		case "count":
+			counts[e.Name] += e.Delta
+		}
+	}
+	recs := coord.Spans()
+	if len(ends) != len(recs) {
+		t.Fatalf("%d span_end events for %d span records", len(ends), len(recs))
+	}
+	for i, r := range recs {
+		if ends[i].Span != r.ID || ends[i].Name != r.Name || ends[i].WallNs != r.DurNs {
+			t.Errorf("span_end %d = %+v, want record %+v", i, ends[i], r)
+		}
+	}
+	if len(starts) != 3 || starts[1].Name != "shard" || starts[1].Parent != leaseID ||
+		starts[2].Name != "hunt" || starts[2].Parent != starts[1].Span {
+		t.Errorf("grafted span_starts not parent first under the lease: %+v", starts)
+	}
+	if len(counts) != 1 || counts["keys.found"] != 2 {
+		t.Errorf("count events %v, want keys.found=2 alone", counts)
+	}
+}
+
+// TestTelemetryCheck: Check passes a collector's own telemetry and refuses
+// each way a foreign document could break a Graft or a counter.
+func TestTelemetryCheck(t *testing.T) {
+	good := func() Telemetry {
+		c := NewCollector()
+		s := c.StartSpan("shard")
+		s.Child("hunt").End()
+		s.End()
+		c.Count("keys.found", 1)
+		c.Observe("hunt.chunk_ns", 0)
+		c.Observe("hunt.chunk_ns", 1500)
+		c.Observe("hunt.chunk_ns", 1<<62)
+		return c.Telemetry()
+	}
+	if tel := good(); tel.Check() != nil {
+		t.Fatalf("collector telemetry refused: %v", tel.Check())
+	}
+	for name, mutate := range map[string]func(*Telemetry){
+		"negative le": func(tel *Telemetry) { tel.Histograms[0].Buckets[0].UpperBound = -1 },
+		"off-grid le": func(tel *Telemetry) { tel.Histograms[0].Buckets[1].UpperBound = 1500 },
+		"unsorted le": func(tel *Telemetry) {
+			b := tel.Histograms[0].Buckets
+			b[0], b[1] = b[1], b[0]
+		},
+		"falling count":    func(tel *Telemetry) { tel.Histograms[0].Buckets[1].Count = 0 },
+		"negative count":   func(tel *Telemetry) { tel.Histograms[0].Buckets[0].Count = -1 },
+		"negative sum":     func(tel *Telemetry) { tel.Histograms[0].Sum = -1 },
+		"too many buckets": func(tel *Telemetry) { tel.Histograms[0].Buckets = make([]HistogramBucket, histBuckets+1) },
+		"zero span id":     func(tel *Telemetry) { tel.Spans[0].ID = 0 },
+		"duplicate id":     func(tel *Telemetry) { tel.Spans[1].ID = tel.Spans[0].ID },
+		"negative dur":     func(tel *Telemetry) { tel.Spans[0].DurNs = -1 },
+		"negative counter": func(tel *Telemetry) { tel.Counters["keys.found"] = -1 },
+		"negative drops":   func(tel *Telemetry) { tel.SpansDropped = -1 },
+		"too many spans":   func(tel *Telemetry) { tel.Spans = make([]SpanRecord, spanLimit+1) },
+	} {
+		tel := good()
+		mutate(&tel)
+		if tel.Check() == nil {
+			t.Errorf("%s: Check passed", name)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "job %s has no event journal", id)
 		return
 	}
-	jn := tel.journal
+	jn := tel.col.Journal()
 	cursor := uint64(0)
 	if v := r.URL.Query().Get("cursor"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)

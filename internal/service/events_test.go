@@ -26,6 +26,9 @@ type eventLine struct {
 	State   string `json:"state"`
 	Done    int64  `json:"done"`
 	Total   int64  `json:"total"`
+	Delta   int64  `json:"delta"`
+	Span    uint64 `json:"span"`
+	Parent  uint64 `json:"parent"`
 }
 
 func openEvents(t testing.TB, ts *httptest.Server, id string, cursor uint64) *http.Response {

@@ -109,7 +109,7 @@ func (s *Server) journalOverwrites() int {
 	defer s.jmu.Unlock()
 	n := s.overwritten
 	for _, tel := range s.telemetry {
-		n += tel.journal.Overwritten()
+		n += tel.col.Journal().Overwritten()
 	}
 	return int(n)
 }

@@ -32,21 +32,19 @@ type dumpJob struct {
 	// holds fingerprints only, and keys do not survive a restart).
 	Reveal bool
 
-	// tel is the job's telemetry (collector and event journal); the pool's
-	// terminal hook closes the journal and folds the collector into the
-	// daemon's.
+	// tel is the job's telemetry; the pool's terminal hook closes its
+	// event journal and folds its collector into the daemon's.
 	tel *jobTelemetry
 }
 
 // jobTelemetry is one job's telemetry, created at submit (or restore) and
-// dropped when the job is purged: the Collector its span tree, stage
-// table, progress and counters aggregate in, and the Journal of its events
-// behind the live stream. The job's tracer is exactly obs.Multi(col,
-// journal); its status document, trace endpoint and event stream all read
-// these two.
+// dropped when the job is purged. The job's tracer is col alone: its span
+// tree, stage table, progress and counters aggregate there, and its
+// journal holds the same hooks as events. The status document, trace
+// endpoint and /metrics read the aggregates; the event stream reads the
+// journal.
 type jobTelemetry struct {
-	col     *obs.Collector
-	journal *obs.Journal
+	col *obs.Collector
 	// traceID names the job's distributed trace. Minted with the
 	// telemetry, so every attempt of the job shares it.
 	traceID string
@@ -135,7 +133,7 @@ func (r *ResultReport) wipe() {
 
 // runAnalysis is the pool's RunFunc: open the spooled container, verify
 // its checksum, and stream the campaign over it, traced into the job's own
-// collector and event journal. The returned report survives cancellation
+// collector. The returned report survives cancellation
 // (Partial=true) so a DELETE mid-run still yields whatever keys earlier
 // shards recovered.
 func (s *Server) runAnalysis(ctx context.Context, j *jobs.Job) (any, error) {
@@ -160,7 +158,7 @@ func (s *Server) runAnalysis(ctx context.Context, j *jobs.Job) (any, error) {
 		return nil, err
 	}
 
-	tracer := obs.Multi(pl.tel.col, pl.tel.journal)
+	tracer := pl.tel.col
 	// One root span per attempt ties every pipeline span in the trace to
 	// the job that produced it. The job's trace ID (not one the plan
 	// mints) rides the wire plan and every worker's shard spans, so the

@@ -241,11 +241,10 @@ func (s *Server) Spans() []obs.SpanRecord {
 	return spans
 }
 
-// newTelemetry creates a job's collector, event journal and trace ID.
+// newTelemetry creates a job's journaled collector and trace ID.
 func (s *Server) newTelemetry() *jobTelemetry {
 	return &jobTelemetry{
-		col:     obs.NewCollector(),
-		journal: obs.NewJournal(s.cfg.EventBuffer),
+		col:     obs.NewJournaledCollector(s.cfg.EventBuffer),
 		traceID: obs.NewTraceID(),
 	}
 }
@@ -305,7 +304,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) jobDone(j *jobs.Job) {
 	if pl, ok := j.Payload().(*dumpJob); ok {
 		if pl.tel != nil {
-			pl.tel.journal.Close()
+			pl.tel.col.Journal().Close()
 			s.jmu.Lock()
 			s.foldLocked(pl.tel)
 			s.jmu.Unlock()
@@ -493,7 +492,7 @@ func (s *Server) purgeJob(id string, snap jobs.Snapshot) {
 	s.jmu.Lock()
 	if tel := s.telemetry[id]; tel != nil {
 		s.foldLocked(tel)
-		s.overwritten += tel.journal.Overwritten()
+		s.overwritten += tel.col.Journal().Overwritten()
 		delete(s.telemetry, id)
 	}
 	s.jmu.Unlock()
