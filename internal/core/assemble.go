@@ -113,25 +113,16 @@ func sparseResidueDirectory(mine *MineResult, stride int) KeyDirectory {
 	}
 }
 
-// VerifySchedule scores a candidate master key against the dump: the master
-// is expanded and the resulting schedule is compared, block by block,
-// against the descrambled dump contents at tableStart, taking the best
-// (minimum-distance) candidate key for each covered block. The score is the
-// fraction of schedule bits that match.
+// scheduleScore scores an expanded schedule against the dump: the
+// schedule is compared, block by block, against the descrambled dump
+// contents at tableStart, taking the best (minimum-distance) candidate key
+// for each covered block, and the score is the fraction of schedule bits
+// that match (the unbudgeted scheduleMismatch as a match fraction).
 //
-// A correct master scores near 1.0 (exactly 1.0 on an undecayed dump); an
-// incorrect one scores ~0.5 (random agreement). Blocks with no mined key
-// count as fully mismatched, so low mining coverage degrades the score
-// honestly instead of silently passing.
-//
-//lint:ignore ctxthread bounded per-candidate scoring over one schedule-sized region, not a dump-scale scan; cancellation lives in the calling stage
-func VerifySchedule(dump []byte, keys KeyDirectory, master []byte, tableStart int, v aes.Variant) float64 {
-	var buf [aes.MaxScheduleBytes]byte
-	return scheduleScore(dump, keys, aes.ExpandKeyBytesInto(buf[:0], master), tableStart)
-}
-
-// scheduleScore scores an ALREADY-EXPANDED schedule against the dump: the
-// unbudgeted scheduleMismatch as a match fraction.
+// A correct master's schedule scores near 1.0 (exactly 1.0 on an
+// undecayed dump); an incorrect one scores ~0.5 (random agreement).
+// Blocks with no mined key count as fully mismatched, so low mining
+// coverage degrades the score honestly instead of silently passing.
 func scheduleScore(dump []byte, keys KeyDirectory, schedule []byte, tableStart int) float64 {
 	totalBits := len(schedule) * 8
 	return matchScore(scheduleMismatch(dump, keys, schedule, tableStart, totalBits), totalBits)

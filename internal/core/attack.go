@@ -17,7 +17,7 @@ import (
 	"coldboot/internal/secret"
 )
 
-// Config tunes the full attack pipeline.
+// Config tunes the attack pipeline.
 type Config struct {
 	// Variant is the AES key size hunted for (default AES256, the
 	// VeraCrypt/TrueCrypt case).
@@ -28,10 +28,6 @@ type Config struct {
 	// (the zero value) enables every known format. Unknown names fail the
 	// attack up front.
 	Formats []string
-	// Exhaustive forces trying every mined key on every block (the paper's
-	// literal step 2) instead of the stride-inferred per-address-class
-	// directory. Much slower; used for validation on small dumps.
-	Exhaustive bool
 	// RepairFlips enables single-bit window repair of decayed anchors
 	// (0 = off; any positive value turns it on).
 	RepairFlips int
@@ -40,39 +36,24 @@ type Config struct {
 	// after full decay WITHOUT rebooting (the keystream cancels in the
 	// comparison), restricting repair to bits that could physically have
 	// decayed and affording a deeper (3-flip) search. See groundrepair.go.
-	// Only Attack uses it: sharded campaigns reject it.
+	// Only a memory-resident dump can carry one: streaming sources and
+	// fleet campaigns reject it.
 	GroundDump []byte
 	// Workers is the scan parallelism. Zero (the zero value) means one
 	// worker per CPU — callers never need to set it.
 	Workers int
 	// KeysForBlock, when non-nil, overrides the key directory entirely
-	// (used by tests and by attacks with out-of-band key knowledge).
+	// (used by tests and by attacks with out-of-band key knowledge); no
+	// stride is inferred then.
 	KeysForBlock KeyDirectory
-	// Mine, when non-nil, is a precomputed mining result for this dump
-	// (positions in dump-local block indices): the mine stage adopts it
-	// instead of re-scanning. The campaign uses this to mine once globally
-	// and share the key pool with every shard.
-	Mine *MineResult
-	// ScheduleCache memoizes expanded key schedules across candidate
-	// verifications. Nil (the zero value) gives the attack a private
-	// default-bounded cache; the campaign sets one explicitly so all shards
-	// share a single cache (the same master re-sighted in the overlap
-	// region expands once).
-	ScheduleCache *ScheduleCache
 	// Tracer observes the pipeline: per-stage wall time, candidate
 	// counters, hunt progress, and per-chunk/per-verify latency
 	// histograms. Nil means no tracing (obs.Nop).
 	Tracer obs.Tracer
-	// Span, when non-nil, parents the attack's root span under a caller
-	// span (the campaign nests per-shard attacks this way; coldbootd nests
-	// them under a per-job span). Nil means the attack starts its own
-	// trace tree on the Tracer.
+	// Span, when non-nil, parents the campaign's root span under a caller
+	// span (coldbootd nests it under a per-job span). Nil means the
+	// campaign starts its own trace tree on the Tracer.
 	Span obs.Span
-	// skipFormatFilter leaves shard-local results untagged and unfiltered:
-	// the campaign sets it so LUKS2 pair tagging and format filtering run
-	// once over the MERGED key list (a schedule pair can straddle a shard
-	// boundary, and dropping a lone half early would lose its twin's tag).
-	skipFormatFilter bool
 }
 
 func (c Config) withDefaults() Config {
@@ -81,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
-	}
-	if c.ScheduleCache == nil {
-		c.ScheduleCache = NewScheduleCache(0)
 	}
 	return c
 }
@@ -120,31 +98,28 @@ type Result struct {
 	Volumes []format.Volume
 }
 
-// attackRun is the state threaded through the attack stages: the inputs
-// (dump + config), the intermediate products each stage leaves for the
-// next, and the final Result.
-type attackRun struct {
+// huntRun is one shard scan's state: the shard's bytes, its views of the
+// plan's directory, skip set and ground dump, and the candidates the hunt
+// collects.
+type huntRun struct {
 	dump []byte
-	cfg  Config // defaults already applied
-	// mine is the mine stage's output.
-	mine *MineResult
-	// directory is the directory stage's output: candidate scrambler keys
-	// per block index.
+	// first is the shard's first block in the full dump: directory and
+	// skip are indexed in full-dump blocks.
+	first int
+	// ground is the shard's slice of Config.GroundDump, or nil.
+	ground []byte
+	cfg    Config // defaults already applied; GroundDump is the whole dump's
+	// directory gives the candidate scrambler keys per shard-local block.
 	directory KeyDirectory
-	// res accumulates the final result; valid (possibly partial) even when
-	// a stage returns early with an error.
-	res *Result
+	// skip is the plan's bitset over full-dump block indices that cannot
+	// contain schedules (mined-key sightings are zero-data blocks).
+	skip []uint64
+	// pairs counts the (block, key) combinations the hunt examined.
+	pairs int64
 
 	tracer obs.Tracer
-	// span is the attack's root span; stage spans nest under it. stage is
-	// the span of the stage currently running (worker spans nest there).
-	span  obs.Span
-	stage obs.Span
-	// skip is a bitset over block indices that cannot contain schedules
-	// (mined-key sightings are zero-data blocks).
-	skip []uint64
-	// schedules memoizes candidate schedule expansions (Config.ScheduleCache
-	// after defaulting).
+	// schedules memoizes candidate schedule expansions across every shard
+	// of the plan (a master re-sighted in an overlap region expands once).
 	schedules *ScheduleCache
 	// memo caches completed verify→refine outcomes per (pre-repair master,
 	// table start): re-sighting an already-verified master at another anchor
@@ -178,7 +153,7 @@ type verifyOutcome struct {
 }
 
 // memoLookup returns the recorded outcome for (master, start), or nil.
-func (run *attackRun) memoLookup(master []byte, start int) *verifyOutcome {
+func (run *huntRun) memoLookup(master []byte, start int) *verifyOutcome {
 	run.memoMu.RLock()
 	o := run.memo[string(master)] // direct index: no key allocation
 	run.memoMu.RUnlock()
@@ -191,7 +166,7 @@ func (run *attackRun) memoLookup(master []byte, start int) *verifyOutcome {
 }
 
 // memoStore records a completed outcome, copying final out of scratch.
-func (run *attackRun) memoStore(master []byte, start int, final []byte, score float64) {
+func (run *huntRun) memoStore(master []byte, start int, final []byte, score float64) {
 	o := &verifyOutcome{start: start, final: append([]byte{}, final...), score: score}
 	run.memoMu.Lock()
 	head := run.memo[string(master)]
@@ -210,7 +185,7 @@ func (run *attackRun) memoStore(master []byte, start int, final []byte, score fl
 // wipe zeroes the run's private key-bearing state: the memoized
 // verify→refine finals. The FoundKey masters in res are separate copies
 // owned by the caller and are left intact.
-func (run *attackRun) wipe() {
+func (run *huntRun) wipe() {
 	run.memoMu.Lock()
 	for _, o := range run.memo {
 		for h := o; h != nil; h = h.next {
@@ -221,8 +196,10 @@ func (run *attackRun) wipe() {
 	run.memoMu.Unlock()
 }
 
-// skipBlock reports whether block b is a known zero-data block.
-func (run *attackRun) skipBlock(b int) bool {
+// skipBlock reports whether shard-local block b is a known zero-data
+// block.
+func (run *huntRun) skipBlock(b int) bool {
+	b += run.first
 	return run.skip[b>>6]&(1<<uint(b&63)) != 0
 }
 
@@ -232,143 +209,53 @@ func (run *attackRun) skipBlock(b int) bool {
 // XOR attacker keystream — the litmus invariants survive both) and may
 // contain bit decay.
 //
-// Every long loop (the mining scan and each hunt worker) checks ctx at
-// least once per scan chunk, so a cancelled attack stops mid-scan within
-// one chunk of work. On cancellation the partial Result assembled from the
-// work already done is returned together with ctx.Err().
+// Attack is a one-shard campaign: the same plan, shard scan and merge as
+// RunCampaignSource, with the whole dump as its single shard and all of
+// Config.Workers on that shard's hunt. Every long loop (the mining scan
+// and each hunt worker) checks ctx at least once per scan chunk, so a
+// cancelled attack stops mid-scan within one chunk of work. On
+// cancellation the partial Result assembled from the work already done is
+// returned together with ctx.Err().
 func Attack(ctx context.Context, dump []byte, cfg Config) (*Result, error) {
-	privateCache := cfg.ScheduleCache == nil
-	cfg = cfg.withDefaults()
-	if privateCache {
-		// The defaulted cache is this run's alone: no caller can hold its
-		// schedules, so retire the key material with the run.
-		defer cfg.ScheduleCache.Wipe()
-	}
 	if len(dump)%BlockBytes != 0 {
 		return nil, fmt.Errorf("core: dump length %d not block aligned", len(dump))
 	}
-	if cfg.GroundDump != nil && len(cfg.GroundDump) != len(dump) {
-		return nil, fmt.Errorf("core: ground dump length %d != dump length %d", len(cfg.GroundDump), len(dump))
-	}
-	rf, err := resolveFormats(cfg.Formats)
-	if err != nil {
-		return nil, err
-	}
-
-	run := &attackRun{
-		dump:      dump,
-		cfg:       cfg,
-		res:       &Result{BlocksScanned: len(dump) / BlockBytes},
-		tracer:    obs.OrNop(cfg.Tracer),
-		schedules: cfg.ScheduleCache,
-		memo:      make(map[string]*verifyOutcome),
-		rf:        rf,
-		found:     make(map[string]*FoundKey),
-		foundF:    make(map[string]*FoundKey),
-		volumes:   make(map[int]format.Volume),
-	}
-	defer run.wipe()
-	attrs := []obs.Attr{
-		obs.A("blocks", strconv.Itoa(len(dump)/BlockBytes)),
-		obs.A("variant", cfg.Variant.String()),
-	}
-	if cfg.Span != nil {
-		run.span = cfg.Span.Child("attack", attrs...)
-	} else {
-		run.span = run.tracer.StartSpan("attack", attrs...)
-	}
-	defer run.span.End()
-	// The pipeline: mine -> directory -> hunt -> assemble, each timed under
-	// its own span. A stage must honour ctx: on cancellation it returns
-	// ctx.Err() promptly (within one scan chunk), leaving whatever partial
-	// products it produced in the run.
-	stages := []struct {
-		name string
-		run  func(context.Context) error
-	}{
-		{"mine", run.mineStage},
-		{"directory", run.directoryStage},
-		{"hunt", run.huntStage},
-		{"assemble", run.assembleStage},
-	}
-	for _, st := range stages {
-		if err := ctx.Err(); err != nil {
-			assembleKeys(run)
-			return run.res, err
-		}
-		stageSpan := run.span.Child(st.name)
-		run.stage = stageSpan
-		err := st.run(ctx)
-		stageSpan.End()
-		if err != nil {
-			// Finalize whatever candidates the interrupted stage left so a
-			// cancelled attack still surfaces its partial findings.
-			assembleKeys(run)
-			return run.res, err
-		}
-	}
-	run.span.SetAttr("keys", strconv.Itoa(len(run.res.Keys)))
-	return run.res, nil
+	return RunCampaignSource(ctx, BytesSource(dump), CampaignConfig{
+		Attack:      cfg,
+		ShardBlocks: len(dump) / BlockBytes,
+		Parallel:    1,
+	})
 }
 
-// mineStage recovers the scrambler key pool (paper step 1: the
-// scrambler-key litmus test over every block).
-func (run *attackRun) mineStage(ctx context.Context) error {
-	if pre := run.cfg.Mine; pre != nil {
-		run.mine = pre
-		run.res.Mine = pre
-		run.tracer.Count("mine.blocks_scanned", int64(pre.BlocksScanned))
-		run.tracer.Count("mine.blocks_passed", int64(pre.BlocksPassed))
-		run.tracer.Count("mine.keys", int64(len(pre.Keys)))
-		return nil
-	}
-	mine, err := MineKeys(ctx, run.dump, MineOptions{})
-	run.mine = mine
-	run.res.Mine = mine
-	if mine != nil {
-		run.tracer.Count("mine.blocks_scanned", int64(mine.BlocksScanned))
-		run.tracer.Count("mine.blocks_passed", int64(mine.BlocksPassed))
-		run.tracer.Count("mine.keys", int64(len(mine.Keys)))
-	}
-	return err
-}
-
-// directoryStage infers the key-reuse stride and builds the per-block
-// candidate key directory (paper step 2's address-class table), plus the
-// zero-block skip set.
-func (run *attackRun) directoryStage(context.Context) error {
-	mine := run.mine
-	if run.cfg.KeysForBlock == nil {
-		run.res.Stride = mine.InferStride()
-	}
-	run.directory, run.res.Coverage = chooseDirectory(mine, run.res.Stride, run.cfg)
-	// Zero-data blocks are exactly the mined-key sightings: skip them (they
-	// cannot contain schedules, and their degenerate windows waste time).
-	nBlocks := len(run.dump) / BlockBytes
-	run.skip = make([]uint64, (nBlocks+63)/64)
-	for _, k := range mine.Keys {
-		for _, p := range k.Positions {
-			if p >= 0 && p < nBlocks {
-				run.skip[p>>6] |= 1 << uint(p&63)
-			}
-		}
-	}
-	return nil
-}
-
-// chooseDirectory is the one rule every attack entry point builds its key
-// directory by: the caller's KeysForBlock override as given; every mined
-// key when the attack is exhaustive or no stride was inferred; otherwise
-// the stride's residue directory, returned with its address-class coverage.
+// chooseDirectory is the one rule every campaign builds its key directory
+// by: the caller's KeysForBlock override as given; every mined key when no
+// stride was inferred; otherwise the stride's residue directory, returned
+// with its address-class coverage.
 func chooseDirectory(mine *MineResult, stride int, cfg Config) (KeyDirectory, float64) {
 	switch {
 	case cfg.KeysForBlock != nil:
 		return cfg.KeysForBlock, 0
-	case cfg.Exhaustive || stride == 0:
+	case stride == 0:
 		return AllKeysDirectory(mine), 0
 	default:
 		return ResidueDirectory(mine, stride), mine.Coverage(stride)
 	}
+}
+
+// zeroBlocks is the bitset, over a dump of nBlocks blocks, of the mined
+// keys' sightings. Zero-data blocks are exactly those sightings: the hunt
+// skips them (they cannot contain schedules, and their degenerate windows
+// waste time).
+func zeroBlocks(mine *MineResult, nBlocks int) []uint64 {
+	skip := make([]uint64, (nBlocks+63)/64)
+	for _, k := range mine.Keys {
+		for _, p := range k.Positions {
+			if p >= 0 && p < nBlocks {
+				skip[p>>6] |= 1 << uint(p&63)
+			}
+		}
+	}
+	return skip
 }
 
 // Decayed zero blocks can fail the exact-tolerance litmus and evade the
@@ -378,13 +265,14 @@ const zeroBlockSkipDistance = 48
 
 // scanCancelChunkBlocks is the hunt's cancellation granularity: each worker
 // polls ctx (and reports progress) every this many blocks — 16 KiB of
-// dump, a sub-millisecond unit of work even on the exhaustive path.
+// dump, a sub-millisecond unit of work even with every mined key per block.
 const scanCancelChunkBlocks = 256
 
-// huntStage is the expensive middle of the attack (paper steps 2-4):
+// hunt is the expensive middle of the attack (paper steps 2-4):
 // descramble every candidate (block, key) pair, AES-litmus the result,
-// and verify/repair/refine anchors into candidate master keys.
-func (run *attackRun) huntStage(ctx context.Context) error {
+// and verify/repair/refine anchors into candidate master keys. Its
+// workers' spans nest under span.
+func (run *huntRun) hunt(ctx context.Context, span obs.Span) error {
 	cfg := run.cfg
 	dump := run.dump
 	nBlocks := len(dump) / BlockBytes
@@ -408,7 +296,7 @@ func (run *attackRun) huntStage(ctx context.Context) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			ws := run.stage.Child("hunt.worker",
+			ws := span.Child("hunt.worker",
 				obs.A("blocks", strconv.Itoa(lo)+"-"+strconv.Itoa(hi)),
 				obs.A("offset", "0x"+strconv.FormatInt(int64(lo)*BlockBytes, 16)+"-0x"+strconv.FormatInt(int64(hi)*BlockBytes, 16)))
 			defer ws.End()
@@ -502,9 +390,9 @@ func (run *attackRun) huntStage(ctx context.Context) error {
 							run.schedules.Insert(master, sched)
 						}
 						verified := initialVerified
-						if !verified && cfg.GroundDump != nil && groundRepairsLeft > 0 {
+						if !verified && run.ground != nil && groundRepairsLeft > 0 {
 							groundRepairsLeft--
-							master, _, verified = repairWindowScratch(&sc.repair, dump, cfg.GroundDump,
+							master, _, verified = repairWindowScratch(&sc.repair, dump, run.ground,
 								run.directory, sc.descrambled[:], b, hit, cfg.Variant)
 						} else if !verified && cfg.RepairFlips > 0 {
 							master, _, verified = repairWindowScratch(&sc.repair, dump, nil,
@@ -538,7 +426,7 @@ func (run *attackRun) huntStage(ctx context.Context) error {
 		}(lo, hi)
 	}
 	wg.Wait()
-	run.res.PairsTested = pairs
+	run.pairs = pairs
 	run.tracer.Count("hunt.pairs_tested", pairs)
 	run.tracer.Count("hunt.schedule_hits", hits)
 	run.tracer.Count("repair.calls", repairs)
@@ -557,7 +445,7 @@ func (run *attackRun) huntStage(ctx context.Context) error {
 
 // record registers a candidate master sighted at start with the given
 // verification score, merging repeat sightings into anchor counts.
-func (run *attackRun) record(master []byte, start int, score float64, v aes.Variant) {
+func (run *huntRun) record(master []byte, start int, score float64, v aes.Variant) {
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	//lint:ignore keyflow found-map keys back the FoundKey results handed to the caller
@@ -579,30 +467,19 @@ func (run *attackRun) record(master []byte, start int, score float64, v aes.Vari
 	}
 }
 
-// assembleStage ranks the hunt's candidates and suppresses shift-family
-// aliases into the final key list.
-func (run *attackRun) assembleStage(context.Context) error {
-	assembleKeys(run)
-	run.tracer.Count("assemble.keys", int64(len(run.res.Keys)))
-	if !run.cfg.skipFormatFilter {
-		emitFormatCounts(run.tracer, run.rf, run.res)
-	}
-	return nil
-}
-
-// assembleKeys sorts the candidate keys best-first and greedily suppresses
-// shift-family aliases: a window anchored at the wrong schedule index (off
-// by a multiple of the Nk period) yields a "master" whose expansion is the
-// true schedule shifted a few words — it still verifies at ~0.9 because
-// most of its range overlaps the real table. The best-scoring candidate
-// per overlapping region is kept; the true master always scores strictly
+// assemble ranks the hunt's candidates and suppresses shift-family
+// aliases: a window anchored at the wrong schedule index (off by a
+// multiple of the Nk period) yields a "master" whose expansion is the true
+// schedule shifted a few words — it still verifies at ~0.9 because most of
+// its range overlaps the real table. The best-scoring candidate per
+// overlapping region is kept; the true master always scores strictly
 // higher than its shifts. Alias suppression is per format (a ChaCha state
-// inside an AES schedule's shadow is not an alias of it), after which the
-// LUKS2 pair rule re-tags adjacent schedule pairs — adjacency is distance
-// == schedBytes, i.e. ZERO overlap, so pairs always survive suppression —
-// and keys of formats the attack was not asked for are dropped.
-func assembleKeys(run *attackRun) {
-	// All stages have finished (or been cancelled) by assembly time, but
+// inside an AES schedule's shadow is not an alias of it). Keys come back
+// untagged and unfiltered: LUKS2 pair tagging and the format filter run
+// in Finalize over the merged cross-shard view, because a schedule pair
+// (or the header naming it) can straddle a shard boundary.
+func (run *huntRun) assemble() ([]FoundKey, []format.Volume) {
+	// The hunt has finished (or been cancelled) by assembly time, but
 	// taking mu keeps the guarded-field contract checkable.
 	run.mu.Lock()
 	defer run.mu.Unlock()
@@ -616,18 +493,7 @@ func assembleKeys(run *attackRun) {
 		candidates = append(candidates, *f)
 	}
 	sortFoundKeys(candidates)
-	schedBytes := run.cfg.Variant.ScheduleBytes()
-	run.res.Keys = suppressAliases(candidates, schedBytes)
-	run.res.Volumes = sortedVolumes(run.volumes)
-	if !run.cfg.skipFormatFilter {
-		// Shard attacks leave keys untagged/unfiltered: a pair straddling a
-		// shard boundary (or a header sighted in another shard) can only be
-		// resolved after the campaign merge.
-		if run.rf.luks2 {
-			tagLUKS2(run.res.Keys, run.res.Volumes, schedBytes)
-		}
-		run.res.Keys = filterFormats(run.res.Keys, run.rf)
-	}
+	return suppressAliases(candidates, run.cfg.Variant.ScheduleBytes()), sortedVolumes(run.volumes)
 }
 
 // sortFoundKeys orders candidates best-first with a full deterministic

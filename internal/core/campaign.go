@@ -24,9 +24,10 @@ import (
 // the caller via the Shard/MergeShardResults primitives. The dump itself is
 // read through a BlockSource one mining window / one shard at a time, so an
 // on-disk multi-GB capture (dumpfile's streaming reader) is analyzed
-// without holding the image. Progress reporting and context cancellation — now
+// without holding the image. Progress reporting and context cancellation —
 // per scan chunk WITHIN a shard, not just between shards — make multi-hour
-// campaigns operable.
+// campaigns operable. The campaign is the only attack pipeline: Attack is
+// a one-shard campaign.
 
 // Shard is one independently scannable piece of a dump.
 type Shard struct {
@@ -37,9 +38,9 @@ type Shard struct {
 }
 
 // ShardResult carries one shard's findings back for merging. Keys arrive
-// untagged/unfiltered (see Config.skipFormatFilter): LUKS2 pair tagging
-// and format filtering run once over the merged set, because a schedule
-// pair can straddle a shard boundary. Volume offsets are already rebased
+// untagged and unfiltered: LUKS2 pair tagging and format filtering run
+// once over the merged set (Finalize), because a schedule pair can
+// straddle a shard boundary. Volume offsets are already rebased
 // to full-dump coordinates.
 type ShardResult struct {
 	Shard   Shard
@@ -50,11 +51,11 @@ type ShardResult struct {
 
 // CampaignConfig tunes a sharded attack.
 type CampaignConfig struct {
-	// Attack is the per-shard attack configuration (Workers applies within
-	// each shard; shards themselves run Parallel at a time). Attack.Tracer
-	// also observes the campaign: the global mining pass runs under the
-	// "campaign.mine" stage, per-shard pipelines aggregate under the usual
-	// stage names, and the final dedup under "campaign.merge". The
+	// Attack is the attack configuration (Workers applies within each
+	// shard's hunt; shards themselves run Parallel at a time). Attack.Tracer
+	// observes the campaign: the global mining pass runs under the
+	// "campaign.mine" stage, each shard under "shard" → "hunt" →
+	// "hunt.worker", and the final dedup under "campaign.merge". The
 	// "campaign" progress counts the dump's blocks whose shard finished.
 	Attack Config
 	// ShardBlocks is the shard size in 64-byte blocks (default 65536,
@@ -113,20 +114,12 @@ func Shards(totalBlocks, shardBlocks, overlapBlocks int) []Shard {
 	return out
 }
 
-// RunCampaign executes a sharded attack over a (possibly very large)
-// memory-resident dump. Cancellation stops the campaign mid-shard — each
-// shard's scan polls the context every chunk — and the merged results
-// found so far are returned together with ctx.Err().
-func RunCampaign(ctx context.Context, dump []byte, cfg CampaignConfig) (*Result, error) {
-	if len(dump)%BlockBytes != 0 {
-		return nil, fmt.Errorf("core: dump length %d not block aligned", len(dump))
-	}
-	return RunCampaignSource(ctx, BytesSource(dump), cfg)
-}
-
-// RunCampaignSource is RunCampaign over a BlockSource: the image is read
-// one mining window / one shard at a time and never held fully resident,
-// so dumps larger than memory stream from disk (pair with dumpfile.Open).
+// RunCampaignSource executes a sharded attack over a BlockSource: the
+// image is read one mining window / one shard at a time and never held
+// fully resident, so dumps larger than memory stream from disk (pair with
+// dumpfile.Open). Cancellation stops the campaign mid-shard — each shard's
+// scan polls the context every chunk — and the merged results found so
+// far are returned together with ctx.Err().
 //
 // It is the in-process composition of the plan primitives — Plan, a
 // concurrent local shard loop over ScanShardBytes, Finalize — that
@@ -249,68 +242,53 @@ func shardBytes(src BlockSource, sh Shard, bufs chan []byte) (sub []byte, releas
 	return sub, func() { bufs <- buf }, nil
 }
 
-// shardMineView projects the global mining result onto one shard: the same
-// keys, with sighting positions rebased to shard-local block indices and
-// out-of-shard sightings dropped. The zero-block skip set the shard attack
-// derives from it is exactly what a fresh mine over the shard's bytes would
-// produce (the blocks are the same bytes), without re-paying the mining
-// pass per shard.
-func shardMineView(mine *MineResult, sh Shard) *MineResult {
-	out := &MineResult{BlocksScanned: sh.Blocks}
-	for _, k := range mine.Keys {
-		var pos []int
-		for _, p := range k.Positions {
-			if p >= sh.FirstBlock && p < sh.FirstBlock+sh.Blocks {
-				pos = append(pos, p-sh.FirstBlock)
-			}
-		}
-		if pos != nil {
-			out.BlocksPassed += len(pos)
-			out.Keys = append(out.Keys, MinedKey{Key: k.Key, Count: len(pos), Positions: pos})
-		}
-	}
-	return out
-}
-
-// scanShard runs the per-block scan of the attack pipeline over one shard,
-// using the globally mined key pool and directory. A cancelled context
+// scanShard hunts one shard's bytes with the plan's directory, skip set,
+// formats and schedule cache, recording into tracer under span. Results
+// come back rebased to full-dump coordinates. A cancelled context
 // surfaces the partial findings together with ctx.Err().
-func scanShard(ctx context.Context, sub []byte, sh Shard, mine *MineResult, directory KeyDirectory, cfg Config, span obs.Span) (ShardResult, error) {
-	shiftedDir := func(b int) [][]byte { return directory(b + sh.FirstBlock) }
-	res, err := Attack(ctx, sub, Config{
-		Variant:      cfg.Variant,
-		Formats:      cfg.Formats,
-		RepairFlips:  cfg.RepairFlips,
-		Workers:      cfg.Workers,
-		KeysForBlock: shiftedDir,
-		Mine:         shardMineView(mine, sh),
-		// All shards share the campaign's schedule cache: a master
-		// re-sighted in an overlap region expands once, not once per shard.
-		ScheduleCache: cfg.ScheduleCache,
-		Tracer:        cfg.Tracer,
-		Span:          span,
-		// Tagging and filtering happen after the cross-shard merge.
-		skipFormatFilter: true,
-	})
+func (p *CampaignPlan) scanShard(ctx context.Context, sub []byte, sh Shard, tracer obs.Tracer, span obs.Span) (ShardResult, error) {
 	out := ShardResult{Shard: sh}
-	if res == nil {
-		return out, err
+	if sh.FirstBlock < 0 || sh.Blocks < 0 || sh.FirstBlock+sh.Blocks > p.TotalBlocks || len(sub) != sh.Blocks*BlockBytes {
+		return out, fmt.Errorf("core: shard %+v with %d bytes does not fit a %d-block plan", sh, len(sub), p.TotalBlocks)
 	}
-	for _, k := range res.Keys {
-		k.TableStart += sh.FirstBlock * BlockBytes
+	first := sh.FirstBlock
+	run := &huntRun{
+		dump:      sub,
+		first:     first,
+		cfg:       p.attackCfg,
+		directory: func(b int) [][]byte { return p.directory(b + first) },
+		skip:      p.skip,
+		tracer:    tracer,
+		schedules: p.schedules,
+		memo:      make(map[string]*verifyOutcome),
+		rf:        p.rf,
+		found:     make(map[string]*FoundKey),
+		foundF:    make(map[string]*FoundKey),
+		volumes:   make(map[int]format.Volume),
+	}
+	if g := p.attackCfg.GroundDump; g != nil {
+		run.ground = g[first*BlockBytes : first*BlockBytes+len(sub)]
+	}
+	defer run.wipe()
+	huntSpan := span.Child("hunt")
+	err := run.hunt(ctx, huntSpan)
+	huntSpan.End()
+	keys, vols := run.assemble()
+	for _, k := range keys {
+		k.TableStart += first * BlockBytes
 		out.Keys = append(out.Keys, k)
 	}
-	for _, v := range res.Volumes {
-		v.Offset += sh.FirstBlock * BlockBytes
+	for _, v := range vols {
+		v.Offset += first * BlockBytes
 		out.Volumes = append(out.Volumes, v)
 	}
-	out.Pairs = res.PairsTested
+	out.Pairs = run.pairs
 	return out, err
 }
 
 // MergeShardResults deduplicates findings across shards (overlap regions
 // produce the same key twice) using the same best-score-per-region,
-// per-format rule as the single-dump attack's alias suppression.
+// per-format rule as each shard's own alias suppression.
 func MergeShardResults(keys []FoundKey, schedBytes int) []FoundKey {
 	sortFoundKeys(keys)
 	return suppressAliases(keys, schedBytes)

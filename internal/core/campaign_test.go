@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 		mu    sync.Mutex
 		ticks []int64
 	)
-	camp, err := RunCampaign(context.Background(), dump, CampaignConfig{
+	camp, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{
 		ShardBlocks: 4096, // 256 KiB shards: the table straddles boundaries
 		Parallel:    4,
 		Attack: Config{Tracer: &obs.Funcs{OnProgress: func(stage string, done, total int64) {
@@ -71,10 +72,16 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(camp.Keys) != len(single.Keys) {
-		t.Fatalf("campaign found %d keys, single attack %d", len(camp.Keys), len(single.Keys))
+	if !reflect.DeepEqual(camp.Keys, single.Keys) {
+		t.Fatalf("campaign keys differ from the single attack's:\n campaign %+v\n single   %+v", camp.Keys, single.Keys)
 	}
-	if !bytes.Equal(camp.Keys[0].Master, master) {
+	if camp.Stride != single.Stride || camp.Coverage != single.Coverage {
+		t.Errorf("campaign stride %d coverage %v, single attack %d %v", camp.Stride, camp.Coverage, single.Stride, single.Coverage)
+	}
+	if !reflect.DeepEqual(camp.Mine.Keys, single.Mine.Keys) {
+		t.Errorf("campaign mined %d keys, single attack %d, or their pools differ", len(camp.Mine.Keys), len(single.Mine.Keys))
+	}
+	if len(camp.Keys) == 0 || !bytes.Equal(camp.Keys[0].Master, master) {
 		t.Error("campaign recovered wrong key")
 	}
 	if camp.Keys[0].TableStart != tableStart {
@@ -102,7 +109,7 @@ func TestCampaignTableStraddlingShardBoundary(t *testing.T) {
 	shardBlocks := 4096
 	tableStart := shardBlocks*64 - 128 // straddles the first boundary
 	dump := buildAttackDump(t, 2<<20, 31, workload.LightSystem, master, tableStart)
-	camp, err := RunCampaign(context.Background(), dump, CampaignConfig{ShardBlocks: shardBlocks})
+	camp, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{ShardBlocks: shardBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +128,7 @@ func TestCampaignCancellation(t *testing.T) {
 	dump := buildAttackDump(t, 1<<20, 32, workload.LightSystem, testMaster(302, 32), 4096*64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first shard
-	res, err := RunCampaign(ctx, dump, CampaignConfig{ShardBlocks: 1024})
+	res, err := RunCampaignSource(ctx, BytesSource(dump), CampaignConfig{ShardBlocks: 1024})
 	if err == nil {
 		t.Error("cancelled campaign reported success")
 	}
@@ -134,23 +141,90 @@ func TestCampaignCancellation(t *testing.T) {
 }
 
 func TestCampaignRejectsUnalignedDump(t *testing.T) {
-	if _, err := RunCampaign(context.Background(), make([]byte, 100), CampaignConfig{}); err == nil {
+	if _, err := Attack(context.Background(), make([]byte, 100), Config{}); err == nil {
 		t.Error("unaligned dump accepted")
+	}
+	if _, err := ReaderAtSource(readerAtOver(make([]byte, 100)), 100); err == nil {
+		t.Error("unaligned streaming source accepted")
 	}
 }
 
-// TestCampaignRejectsGroundDump: shard scans cannot run ground-state
-// repair, so a campaign asked for it must fail up front instead of
-// silently scanning without it.
+// TestCampaignRejectsGroundDump: a ground dump is only usable beside a
+// memory-resident dump of the same length, so a streaming campaign or a
+// mismatched ground dump must fail up front instead of silently scanning
+// without it.
 func TestCampaignRejectsGroundDump(t *testing.T) {
 	dump, groundDump, _, _ := buildGroundScenario(t, 2)
-	cfg := CampaignConfig{Attack: Config{GroundDump: groundDump}}
-	if plan, err := PlanCampaignSource(context.Background(), BytesSource(dump), cfg); err == nil {
-		plan.Close()
-		t.Error("PlanCampaignSource accepted a ground dump")
+	src, err := ReaderAtSource(readerAtOver(dump), int64(len(dump)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res, err := RunCampaign(context.Background(), dump, cfg); err == nil {
-		t.Errorf("RunCampaign accepted a ground dump and returned %d keys", len(res.Keys))
+	cfg := CampaignConfig{Attack: Config{GroundDump: groundDump}}
+	if plan, err := PlanCampaignSource(context.Background(), src, cfg); err == nil {
+		plan.Close()
+		t.Error("PlanCampaignSource accepted a ground dump over a streaming source")
+	}
+	if res, err := RunCampaignSource(context.Background(), src, cfg); err == nil {
+		t.Errorf("RunCampaignSource accepted a ground dump over a streaming source and returned %d keys", len(res.Keys))
+	}
+	cfg.Attack.GroundDump = groundDump[:len(groundDump)-BlockBytes]
+	if res, err := RunCampaignSource(context.Background(), BytesSource(dump), cfg); err == nil {
+		t.Errorf("RunCampaignSource accepted a short ground dump and returned %d keys", len(res.Keys))
+	}
+}
+
+// TestCampaignShardsRepairAgainstGroundSlices: over a resident dump, each
+// shard repairs against its own slice of the ground dump, so a sharded
+// campaign recovers what the one-shard Attack does.
+func TestCampaignShardsRepairAgainstGroundSlices(t *testing.T) {
+	dump, groundDump, master, _ := buildGroundScenario(t, 2)
+	single, err := Attack(context.Background(), dump, Config{GroundDump: groundDump})
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{
+		ShardBlocks: len(dump) / BlockBytes / 4, Parallel: 2,
+		Attack: Config{GroundDump: groundDump},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(camp.Keys, single.Keys) {
+		t.Fatalf("sharded ground repair found %+v, Attack %+v", camp.Keys, single.Keys)
+	}
+	found := false
+	for _, k := range camp.Keys {
+		found = found || bytes.Equal(k.Master, master)
+	}
+	if !found {
+		t.Fatal("sharded ground repair lost the planted master")
+	}
+}
+
+// TestCampaignCountersOnce: the mining counters come from the one global
+// mine and assemble.keys from the one merge, however many shards scan.
+func TestCampaignCountersOnce(t *testing.T) {
+	dump := buildAttackDump(t, 2<<20, 30, workload.LightSystem, testMaster(300, 32), 4096*64+96)
+	for _, shardBlocks := range []int{4096, 8192} {
+		col := obs.NewCollector()
+		res, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{
+			ShardBlocks: shardBlocks, Parallel: 2, Attack: Config{Tracer: col},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := col.Report().Counters
+		want := map[string]int64{
+			"mine.keys":           int64(len(res.Mine.Keys)),
+			"mine.blocks_scanned": int64(res.Mine.BlocksScanned),
+			"mine.blocks_passed":  int64(res.Mine.BlocksPassed),
+			"assemble.keys":       int64(len(res.Keys)),
+		}
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("shard blocks %d: %s = %d, want %d", shardBlocks, name, got[name], w)
+			}
+		}
 	}
 }
 
@@ -178,7 +252,7 @@ func TestCampaignXTSPair(t *testing.T) {
 	s := scramble.NewSkylakeDDR4(1234)
 	dump := make([]byte, len(plain))
 	s.Scramble(dump, plain, 0)
-	camp, err := RunCampaign(context.Background(), dump, CampaignConfig{ShardBlocks: 2048, Parallel: 8})
+	camp, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{ShardBlocks: 2048, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func (v *descrambleView) ReadDescrambled(off int, buf []byte) bool {
 // recordFinding registers one prober finding: nil-Key findings are volume
 // sightings, keyed findings join the candidate pool deduplicated by
 // (format, key bytes).
-func (run *attackRun) recordFinding(f format.Finding) {
+func (run *huntRun) recordFinding(f format.Finding) {
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	if f.Key == nil {

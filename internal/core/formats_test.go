@@ -202,7 +202,7 @@ func TestCampaignMultiFormat(t *testing.T) {
 	ck := testMaster(9104, 32)
 	dump := buildMultiFormatDump(t, 2<<20, 91, vera, ld, lt, ck)
 
-	res, err := RunCampaign(context.Background(), dump, CampaignConfig{
+	res, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{
 		ShardBlocks: 8192, // 512 KiB shards: every planted target in a different shard
 	})
 	if err != nil {

@@ -100,8 +100,8 @@ func FuzzMineKeys(f *testing.F) {
 
 // FuzzPlanFromWire: a frame DecodeWirePlan accepts holds the miner's
 // invariants, re-encodes to a frame that decodes to the same plan, and
-// builds a worker-side plan. Seeds are a mined plan's frame and its
-// truncations.
+// builds a worker-side plan that can scan a shard. Seeds are a mined
+// plan's frame and its truncations.
 func FuzzPlanFromWire(f *testing.F) {
 	dump := make([]byte, 64*BlockBytes)
 	s := scramble.NewSkylakeDDR4(9)
@@ -150,6 +150,14 @@ func FuzzPlanFromWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted plan does not build: %v", err)
 		}
-		p.Close()
+		defer p.Close()
+		// A small plan also scans: its skip set and directory come from the
+		// decoded positions, which must index the shard safely.
+		if w.TotalBlocks <= 64 {
+			sh := Shard{Blocks: w.TotalBlocks}
+			if _, err := p.ScanShardBytes(context.Background(), make([]byte, sh.Blocks*BlockBytes), sh, nil); err != nil {
+				t.Fatalf("accepted plan does not scan: %v", err)
+			}
+		}
 	})
 }

@@ -508,16 +508,13 @@ func refAttack(dump []byte, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	res := &Result{BlocksScanned: len(dump) / BlockBytes}
 
-	mine := cfg.Mine
-	if mine == nil {
-		mine = refMineKeys(dump, MineOptions{Tolerance: DefaultLitmusTolerance})
-	}
+	mine := refMineKeys(dump, MineOptions{Tolerance: DefaultLitmusTolerance})
 	res.Mine = mine
 
 	directory := cfg.KeysForBlock
 	if directory == nil {
 		res.Stride = mine.InferStride()
-		if cfg.Exhaustive || res.Stride == 0 {
+		if res.Stride == 0 {
 			directory = AllKeysDirectory(mine)
 		} else {
 			res.Coverage = refCoverage(mine, res.Stride)

@@ -480,9 +480,9 @@ func TestVerifyRepairParity(t *testing.T) {
 			if wm := refMasterFromHit(descrambled, hit, v); !reflect.DeepEqual(gm, wm) {
 				t.Fatalf("hit master parity: got % x want % x", gm, wm)
 			}
-			gs := VerifySchedule(dump, directory, gm, hit.TableStart(headBlock), v)
+			gs := scheduleScore(dump, directory, aes.ExpandKeyBytes(gm), hit.TableStart(headBlock))
 			if ws := refVerifySchedule(dump, directory, gm, hit.TableStart(headBlock), v); gs != ws {
-				t.Fatalf("VerifySchedule parity: got %v want %v", gs, ws)
+				t.Fatalf("scheduleScore parity: got %v want %v", gs, ws)
 			}
 
 			var scratch repairScratch
@@ -553,7 +553,7 @@ func TestAttackPipelineParity(t *testing.T) {
 		{"exhaustive_small", func(t *testing.T) ([]byte, Config) {
 			dump := buildAttackDump(t, 256<<10, 64, workload.LightSystem,
 				testMaster(604, 32), 512*BlockBytes)
-			return dump, Config{Workers: 1, Exhaustive: true}
+			return dump, Config{Workers: 1, KeysForBlock: AllKeysDirectory(refMineKeys(dump, MineOptions{Tolerance: DefaultLitmusTolerance}))}
 		}},
 		// Built like the decay-repair benchmark workload (16 masters,
 		// -25 °C / 0.5 s retention decay), where almost every repair call

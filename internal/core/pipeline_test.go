@@ -81,7 +81,7 @@ func TestAttackMidScanCancellation(t *testing.T) {
 func TestCampaignMidShardCancellation(t *testing.T) {
 	dump := buildAttackDump(t, 1<<20, 42, workload.LightSystem, testMaster(402, 32), 4096*64)
 
-	full, err := RunCampaign(context.Background(), dump, CampaignConfig{
+	full, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{
 		ShardBlocks: 4096, Parallel: 1, Attack: Config{Workers: 1},
 	})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestCampaignMidShardCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr := &huntCancelTracer{cancel: cancel}
-	res, err := RunCampaign(ctx, dump, CampaignConfig{
+	res, err := RunCampaignSource(ctx, BytesSource(dump), CampaignConfig{
 		ShardBlocks: 4096, Parallel: 1,
 		Attack: Config{Workers: 1, Tracer: tr},
 	})
@@ -126,7 +126,7 @@ func TestCampaignSourceStreamingParity(t *testing.T) {
 	master := testMaster(403, 32)
 	dump := buildAttackDump(t, 1<<20, 43, workload.LightSystem, master, 4096*64+128)
 
-	resident, err := RunCampaign(context.Background(), dump, CampaignConfig{ShardBlocks: 4096})
+	resident, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{ShardBlocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAttackStagesTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := col.Report()
-	want := []string{"attack", "mine", "directory", "hunt", "hunt.worker", "assemble"}
+	want := []string{"campaign", "campaign.mine", "shard", "hunt", "hunt.worker", "campaign.merge"}
 	if len(rep.Stages) != len(want) {
 		t.Fatalf("got %d stages, want %d: %+v", len(rep.Stages), len(want), rep.Stages)
 	}
@@ -194,7 +194,7 @@ func TestAttackStagesTraced(t *testing.T) {
 		t.Errorf("mine.blocks_scanned = %d, want %d", rep.Counters["mine.blocks_scanned"], len(dump)/BlockBytes)
 	}
 	// The verify latency histogram must have sampled (a planted key always
-	// reaches VerifySchedule at least once).
+	// reaches verification at least once).
 	var names []string
 	for _, h := range rep.Histograms {
 		names = append(names, h.Name)
@@ -213,65 +213,14 @@ func TestAttackStagesTraced(t *testing.T) {
 	}
 }
 
-// TestAttackSpanTree checks the attack builds a causal span tree: stage
-// spans parent under the attack root, worker spans under the hunt stage.
-func TestAttackSpanTree(t *testing.T) {
-	dump := buildAttackDump(t, 1<<20, 44, workload.LightSystem, testMaster(404, 32), 4096*64)
-	col := obs.NewCollector()
-	if _, err := Attack(context.Background(), dump, Config{Tracer: col, Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	spans := col.Spans()
+// checkCampaignSpanTree asserts the one span tree every attack entry point
+// traces: campaign → {campaign.mine, shard → hunt → hunt.worker,
+// campaign.merge}, with shards shard spans and workers hunt.worker spans
+// per hunt, and nothing else.
+func checkCampaignSpanTree(t *testing.T, spans []obs.SpanRecord, shards, workers int) {
+	t.Helper()
 	byID := map[uint64]obs.SpanRecord{}
 	var root obs.SpanRecord
-	for _, s := range spans {
-		byID[s.ID] = s
-		if s.Name == "attack" {
-			root = s
-		}
-	}
-	if root.ID == 0 {
-		t.Fatalf("no attack root span: %+v", spans)
-	}
-	if root.Parent != 0 {
-		t.Errorf("attack root has parent %d, want none", root.Parent)
-	}
-	workers := 0
-	for _, s := range spans {
-		if s.Root != root.ID {
-			t.Errorf("span %s not rooted at the attack span: %+v", s.Name, s)
-		}
-		switch s.Name {
-		case "mine", "directory", "hunt", "assemble":
-			if s.Parent != root.ID {
-				t.Errorf("stage %s parent = %d, want attack %d", s.Name, s.Parent, root.ID)
-			}
-		case "hunt.worker":
-			workers++
-			if byID[s.Parent].Name != "hunt" {
-				t.Errorf("hunt.worker parent is %q, want hunt", byID[s.Parent].Name)
-			}
-		}
-	}
-	if workers != 2 {
-		t.Errorf("got %d hunt.worker spans, want 2", workers)
-	}
-}
-
-// TestCampaignSpanTree checks sharded runs nest per-shard attack trees
-// under the campaign root.
-func TestCampaignSpanTree(t *testing.T) {
-	dump := buildAttackDump(t, 1<<20, 45, workload.LightSystem, testMaster(405, 32), 4096*64)
-	col := obs.NewCollector()
-	if _, err := RunCampaign(context.Background(), dump, CampaignConfig{
-		ShardBlocks: 8192, Parallel: 1, Attack: Config{Workers: 1, Tracer: col},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	spans := col.Spans()
-	byID := map[uint64]obs.SpanRecord{}
-	var root obs.SpanRecord
-	shardSpans, attacks := 0, 0
 	for _, s := range spans {
 		byID[s.ID] = s
 		if s.Name == "campaign" {
@@ -281,27 +230,69 @@ func TestCampaignSpanTree(t *testing.T) {
 	if root.ID == 0 {
 		t.Fatalf("no campaign root span: %+v", spans)
 	}
+	if root.Parent != 0 {
+		t.Errorf("campaign root has parent %d, want none", root.Parent)
+	}
+	parentOf := map[string]string{
+		"campaign.mine":  "campaign",
+		"shard":          "campaign",
+		"campaign.merge": "campaign",
+		"hunt":           "shard",
+		"hunt.worker":    "hunt",
+	}
+	count := map[string]int{}
 	for _, s := range spans {
-		switch s.Name {
-		case "campaign.mine", "campaign.merge", "shard":
-			if s.Parent != root.ID {
-				t.Errorf("%s parent = %d, want campaign %d", s.Name, s.Parent, root.ID)
-			}
-			if s.Name == "shard" {
-				shardSpans++
-			}
-		case "attack":
-			attacks++
-			if byID[s.Parent].Name != "shard" {
-				t.Errorf("attack parent is %q, want shard", byID[s.Parent].Name)
-			}
-		}
+		count[s.Name]++
 		if s.Root != root.ID {
 			t.Errorf("span %s escaped the campaign tree", s.Name)
 		}
+		if s.ID == root.ID {
+			continue
+		}
+		want, ok := parentOf[s.Name]
+		if !ok {
+			t.Errorf("unexpected span %q in the campaign tree", s.Name)
+			continue
+		}
+		if got := byID[s.Parent].Name; got != want {
+			t.Errorf("%s parent is %q, want %q", s.Name, got, want)
+		}
 	}
-	wantShards := len(Shards(len(dump)/BlockBytes, 8192, 0))
-	if shardSpans < wantShards || attacks != shardSpans {
-		t.Errorf("got %d shard spans and %d attack spans, want >=%d and equal", shardSpans, attacks, wantShards)
+	for name, want := range map[string]int{
+		"campaign.mine": 1, "campaign.merge": 1,
+		"shard": shards, "hunt": shards, "hunt.worker": shards * workers,
+	} {
+		if count[name] != want {
+			t.Errorf("got %d %s spans, want %d", count[name], name, want)
+		}
 	}
+}
+
+// TestAttackSpanTree checks Attack traces the campaign tree with its one
+// shard, the hunt's worker spans under it.
+func TestAttackSpanTree(t *testing.T) {
+	dump := buildAttackDump(t, 1<<20, 44, workload.LightSystem, testMaster(404, 32), 4096*64)
+	col := obs.NewCollector()
+	if _, err := Attack(context.Background(), dump, Config{Tracer: col, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	checkCampaignSpanTree(t, col.Spans(), 1, 2)
+}
+
+// TestCampaignSpanTree checks sharded runs trace the same tree as Attack,
+// one shard → hunt branch per shard.
+func TestCampaignSpanTree(t *testing.T) {
+	dump := buildAttackDump(t, 1<<20, 45, workload.LightSystem, testMaster(405, 32), 4096*64)
+	col := obs.NewCollector()
+	if _, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{
+		ShardBlocks: 8192, Parallel: 1, Attack: Config{Workers: 1, Tracer: col},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{ShardBlocks: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Close()
+	checkCampaignSpanTree(t, col.Spans(), len(plan.Shards), 1)
 }

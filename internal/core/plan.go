@@ -19,7 +19,7 @@ import (
 //
 //	Plan      mine the scrambler-key pool once globally, infer the
 //	          stride, build the per-block key directory, cut shards;
-//	Scan      run the per-shard attack over one shard's bytes — anywhere:
+//	Scan      hunt one shard's bytes with the plan's products — anywhere:
 //	          the plan's Wire projection carries everything a remote
 //	          worker needs to reproduce a shard scan byte-for-byte;
 //	Finalize  merge shard results, apply LUKS2 pair tagging and format
@@ -56,15 +56,19 @@ type CampaignPlan struct {
 	// only in the minting process's collector.
 	Trace obs.TraceContext
 
-	cfg          CampaignConfig
-	attackCfg    Config
-	rf           resolvedFormats
-	directory    KeyDirectory
-	tracer       obs.Tracer
-	root         obs.Span
-	res          *Result
-	privateCache bool
-	closed       bool
+	cfg       CampaignConfig
+	attackCfg Config
+	rf        resolvedFormats
+	directory KeyDirectory
+	// skip is the zero-block bitset over the full dump (zeroBlocks).
+	skip []uint64
+	// schedules is the plan's schedule cache, shared by every shard scan
+	// and wiped by Close.
+	schedules *ScheduleCache
+	tracer    obs.Tracer
+	root      obs.Span
+	res       *Result
+	closed    bool
 
 	mu         sync.Mutex
 	doneBlocks int // guarded by mu
@@ -74,35 +78,37 @@ type CampaignPlan struct {
 // mining pass, stride inference, directory construction, and the shard
 // cut. On a mining error (including cancellation) the returned plan
 // carries the partial Result and the error; the caller decides whether
-// to scan anyway. Close the plan when finished with it. Ground-state
-// repair is not sharded: a config with Attack.GroundDump set is rejected.
+// to scan anyway. Close the plan when finished with it. A ground dump
+// (Attack.GroundDump) is accepted only over a memory-resident source of
+// the same length: each shard repairs against its own slice of it.
 func PlanCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig) (*CampaignPlan, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil dump source")
 	}
-	if cfg.Attack.GroundDump != nil {
-		return nil, fmt.Errorf("core: campaigns cannot use a ground dump; run Attack over the whole dump instead")
+	totalBlocks := src.Blocks()
+	if g := cfg.Attack.GroundDump; g != nil {
+		if _, resident := src.(sliceSource); !resident {
+			return nil, fmt.Errorf("core: a ground dump needs a memory-resident dump, not a streaming source")
+		}
+		if len(g) != totalBlocks*BlockBytes {
+			return nil, fmt.Errorf("core: ground dump length %d != dump length %d", len(g), totalBlocks*BlockBytes)
+		}
 	}
 	cfg = cfg.withDefaults()
-	privateCache := cfg.Attack.ScheduleCache == nil
 	attackCfg := cfg.Attack.withDefaults()
 	rf, err := resolveFormats(attackCfg.Formats)
 	if err != nil {
-		if privateCache {
-			attackCfg.ScheduleCache.Wipe()
-		}
 		return nil, err
 	}
 	tracer := obs.OrNop(attackCfg.Tracer)
-	totalBlocks := src.Blocks()
 
 	p := &CampaignPlan{
-		TotalBlocks:  totalBlocks,
-		cfg:          cfg,
-		attackCfg:    attackCfg,
-		rf:           rf,
-		tracer:       tracer,
-		privateCache: privateCache,
+		TotalBlocks: totalBlocks,
+		cfg:         cfg,
+		attackCfg:   attackCfg,
+		rf:          rf,
+		schedules:   NewScheduleCache(0),
+		tracer:      tracer,
 	}
 	p.root = startCampaignSpan(tracer, attackCfg.Span, totalBlocks)
 	p.Trace = obs.TraceContext{TraceID: cfg.TraceID}
@@ -118,19 +124,26 @@ func PlanCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig
 	tracer.Progress("campaign", 0, int64(totalBlocks))
 
 	// Global mining pass: keys repeat across the whole image, so one pass
-	// yields the best pool and the true stride.
+	// yields the best pool and the true stride. Its counters are the
+	// campaign's, emitted once here — shard scans never re-emit them.
 	mineTimer := p.root.Child("campaign.mine")
 	mine, err := MineKeysSource(ctx, src, MineOptions{})
+	tracer.Count("mine.blocks_scanned", int64(mine.BlocksScanned))
+	tracer.Count("mine.blocks_passed", int64(mine.BlocksPassed))
+	tracer.Count("mine.keys", int64(len(mine.Keys)))
 	mineTimer.End()
 	p.Mine = mine
 	p.res = &Result{Mine: mine, BlocksScanned: totalBlocks}
 	if err != nil {
 		return p, err
 	}
-	p.Stride = mine.InferStride()
+	if attackCfg.KeysForBlock == nil {
+		p.Stride = mine.InferStride()
+	}
 	p.res.Stride = p.Stride
 	p.directory, p.Coverage = chooseDirectory(mine, p.Stride, attackCfg)
 	p.res.Coverage = p.Coverage
+	p.skip = zeroBlocks(mine, totalBlocks)
 
 	p.Overlap = attackCfg.Variant.ScheduleBytes()/BlockBytes + 1
 	p.Shards = Shards(totalBlocks, cfg.ShardBlocks, p.Overlap)
@@ -174,17 +187,18 @@ func (p *CampaignPlan) shardAttrs(sh Shard) []obs.Attr {
 	return attrs
 }
 
-// ScanShardBytes runs the attack pipeline over one shard's raw bytes
-// (sub must hold exactly sh.Blocks blocks starting at sh.FirstBlock of
-// the dump). Results come back rebased to full-dump coordinates,
-// untagged and unfiltered — Finalize owns tagging — so a local goroutine
-// and a remote worker produce interchangeable ShardResults.
+// ScanShardBytes hunts one shard's raw bytes (sub must hold exactly
+// sh.Blocks blocks starting at sh.FirstBlock of the dump) under span, or
+// under a fresh shard span when span is nil. Results come back rebased to
+// full-dump coordinates, untagged and unfiltered — Finalize owns tagging —
+// so a local goroutine and a remote worker produce interchangeable
+// ShardResults.
 func (p *CampaignPlan) ScanShardBytes(ctx context.Context, sub []byte, sh Shard, span obs.Span) (ShardResult, error) {
 	if span == nil {
 		span = p.ShardSpan(sh)
 		defer span.End()
 	}
-	return scanShard(ctx, sub, sh, p.Mine, p.directory, p.attackCfg, span)
+	return p.scanShard(ctx, sub, sh, p.tracer, span)
 }
 
 // ScanShardBytesTraced is ScanShardBytes with the tracer overridden for
@@ -197,9 +211,7 @@ func (p *CampaignPlan) ScanShardBytesTraced(ctx context.Context, sub []byte, sh 
 	tracer = obs.OrNop(tracer)
 	span := tracer.StartSpan("shard", p.shardAttrs(sh)...)
 	defer span.End()
-	cfg := p.attackCfg
-	cfg.Tracer = tracer
-	return scanShard(ctx, sub, sh, p.Mine, p.directory, cfg, span)
+	return p.scanShard(ctx, sub, sh, tracer, span)
 }
 
 // ShardDone records that the shard with the given index finished: the
@@ -270,8 +282,9 @@ func (p *CampaignPlan) keyBytes(k FoundKey) int {
 
 // Finalize merges the collected shard results into the plan's Result:
 // cross-shard dedup, LUKS2 schedule-pair tagging, format filtering, and
-// per-format counters — the exact post-merge path of a single-process
-// campaign, so N workers' shards assemble into the same bytes.
+// the assemble.keys and per-format counters — the exact post-merge path
+// of a single-process campaign, so N workers' shards assemble into the
+// same bytes.
 func (p *CampaignPlan) Finalize(collected []FoundKey, vols []format.Volume, pairs int64) *Result {
 	mergeTimer := p.root.Child("campaign.merge")
 	schedBytes := p.attackCfg.Variant.ScheduleBytes()
@@ -285,12 +298,13 @@ func (p *CampaignPlan) Finalize(collected []FoundKey, vols []format.Volume, pair
 	}
 	p.res.Keys = filterFormats(p.res.Keys, p.rf)
 	mergeTimer.End()
+	p.tracer.Count("assemble.keys", int64(len(p.res.Keys)))
 	emitFormatCounts(p.tracer, p.rf, p.res)
 	p.root.SetAttr("keys", strconv.Itoa(len(p.res.Keys)))
 	return p.res
 }
 
-// Close ends the campaign span and retires a plan-owned schedule cache.
+// Close ends the campaign span and retires the plan's schedule cache.
 // Idempotent.
 func (p *CampaignPlan) Close() {
 	if p.closed {
@@ -300,15 +314,13 @@ func (p *CampaignPlan) Close() {
 	if p.root != nil {
 		p.root.End()
 	}
-	if p.privateCache {
-		p.attackCfg.ScheduleCache.Wipe()
-	}
+	p.schedules.Wipe()
 }
 
 // WirePlan is the shippable projection of a CampaignPlan: everything a
 // remote worker needs to reproduce a shard scan byte-for-byte. It
-// deliberately excludes host-local state (KeysForBlock closures, tracer,
-// schedule cache); mining already ran on the coordinator. It travels as
+// deliberately excludes host-local state (KeysForBlock closures, ground
+// dump, tracer, schedule cache); mining already ran on the coordinator. It travels as
 // one EncodeWirePlan frame.
 //
 // The mined Keys ride along raw: they are scrambler keystream blocks
@@ -319,7 +331,6 @@ type WirePlan struct {
 	Variant     aes.Variant
 	Formats     []string
 	RepairFlips int
-	Exhaustive  bool
 	Workers     int
 	Stride      int
 	TotalBlocks int
@@ -336,7 +347,6 @@ func (p *CampaignPlan) Wire() *WirePlan {
 		Variant:     p.attackCfg.Variant,
 		Formats:     p.attackCfg.Formats,
 		RepairFlips: p.attackCfg.RepairFlips,
-		Exhaustive:  p.attackCfg.Exhaustive,
 		Workers:     p.attackCfg.Workers,
 		Stride:      p.Stride,
 		TotalBlocks: p.TotalBlocks,
@@ -347,7 +357,7 @@ func (p *CampaignPlan) Wire() *WirePlan {
 }
 
 // PlanFromWire reconstructs a scan-capable plan on a remote worker: the
-// same directory-construction rules as PlanCampaignSource, minus the
+// same directory and skip-set rules as PlanCampaignSource, minus the
 // mining pass (the coordinator already paid it). The resulting plan can
 // ScanShardBytes; it cannot Finalize a campaign it did not plan.
 func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
@@ -358,26 +368,25 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 		Variant:     w.Variant,
 		Formats:     w.Formats,
 		RepairFlips: w.RepairFlips,
-		Exhaustive:  w.Exhaustive,
 		Workers:     w.Workers,
 		Tracer:      tracer,
 	}.withDefaults()
 	rf, err := resolveFormats(attackCfg.Formats)
 	if err != nil {
-		attackCfg.ScheduleCache.Wipe()
 		return nil, err
 	}
 	p := &CampaignPlan{
-		Mine:         w.Mine,
-		Stride:       w.Stride,
-		TotalBlocks:  w.TotalBlocks,
-		Overlap:      w.Overlap,
-		Trace:        w.Trace,
-		attackCfg:    attackCfg,
-		rf:           rf,
-		tracer:       obs.OrNop(tracer),
-		res:          &Result{Mine: w.Mine, Stride: w.Stride, BlocksScanned: w.TotalBlocks},
-		privateCache: true,
+		Mine:        w.Mine,
+		Stride:      w.Stride,
+		TotalBlocks: w.TotalBlocks,
+		Overlap:     w.Overlap,
+		Trace:       w.Trace,
+		attackCfg:   attackCfg,
+		rf:          rf,
+		skip:        zeroBlocks(w.Mine, w.TotalBlocks),
+		schedules:   NewScheduleCache(0),
+		tracer:      obs.OrNop(tracer),
+		res:         &Result{Mine: w.Mine, Stride: w.Stride, BlocksScanned: w.TotalBlocks},
 	}
 	p.directory, p.Coverage = chooseDirectory(w.Mine, w.Stride, attackCfg)
 	p.res.Coverage = p.Coverage
@@ -389,7 +398,7 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 // where its last key does:
 //
 //	"CBWP" version
-//	variant  nformats {len name}  repair_flips  exhaustive  workers
+//	variant  nformats {len name}  repair_flips  workers
 //	stride  total_blocks  overlap  {len trace_id}  parent_span
 //	blocks_scanned  blocks_passed  nkeys
 //	{key[64]  count  first_position  {position delta}}
@@ -400,7 +409,7 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 // pool from a field it did not check.
 const (
 	wirePlanMagic   = "CBWP"
-	wirePlanVersion = 1
+	wirePlanVersion = 2
 	// maxWireBlocks bounds TotalBlocks: a 16 GiB image, sixteen times
 	// the default upload cap. It also bounds the decoder's position
 	// bitset, TotalBlocks/8 bytes.
@@ -450,12 +459,7 @@ func appendWirePlan(b []byte, w *WirePlan) []byte {
 		u(len(f))
 		b = append(b, f...)
 	}
-	exhaustive := 0
-	if w.Exhaustive {
-		exhaustive = 1
-	}
 	u(w.RepairFlips)
-	u(exhaustive)
 	u(w.Workers)
 	u(w.Stride)
 	u(w.TotalBlocks)
@@ -510,7 +514,6 @@ func DecodeWirePlan(frame []byte) (*WirePlan, error) {
 		}
 	}
 	w.RepairFlips = d.uint("repair flips", maxWireSmall)
-	w.Exhaustive = d.uint("exhaustive", 1) == 1
 	w.Workers = d.uint("workers", maxWireWorkers)
 	w.Stride = d.uint("stride", maxWireBlocks)
 	w.TotalBlocks = d.uint("total blocks", maxWireBlocks)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"reflect"
 	"runtime"
@@ -75,7 +76,8 @@ func TestDecodeWirePlanRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            nil,
 		"bad magic":        append([]byte("CBWQ"), valid[4:]...),
-		"unknown version":  append(append([]byte("CBWP"), 2), valid[5:]...),
+		"unknown version":  append(append([]byte("CBWP"), wirePlanVersion+1), valid[5:]...),
+		"retired version":  append(append([]byte("CBWP"), 1), valid[5:]...),
 		"unknown variant":  mutated(func(w *WirePlan) { w.Variant = 100 }),
 		"unknown format":   mutated(func(w *WirePlan) { w.Formats = []string{"nosuch"} }),
 		"trailing byte":    append(bytes.Clone(valid), 0),
@@ -168,5 +170,32 @@ func TestPlanFromWireLongStride(t *testing.T) {
 	// Both sightings fall in residue 0.
 	if p.Coverage != 1/float64(w.Stride) {
 		t.Fatalf("coverage %v, want 1 residue of %d", p.Coverage, w.Stride)
+	}
+}
+
+// TestScanShardBytesRejectsMisfit: a shard that does not lie inside the
+// plan's blocks, or bytes that are not exactly the shard, are refused
+// rather than indexing the plan's skip set out of range — a fleet worker
+// takes both from the coordinator.
+func TestScanShardBytesRejectsMisfit(t *testing.T) {
+	p, err := PlanFromWire(smallWirePlan(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for name, sh := range map[string]Shard{
+		"past the end": {FirstBlock: 60, Blocks: 8},
+		"negative":     {FirstBlock: -8, Blocks: 8},
+	} {
+		if _, err := p.ScanShardBytes(context.Background(), make([]byte, sh.Blocks*BlockBytes), sh, nil); err == nil {
+			t.Errorf("%s: shard %+v scanned", name, sh)
+		}
+	}
+	sh := Shard{FirstBlock: 8, Blocks: 8}
+	if _, err := p.ScanShardBytes(context.Background(), make([]byte, 7*BlockBytes), sh, nil); err == nil {
+		t.Error("short shard bytes scanned")
+	}
+	if _, err := p.ScanShardBytes(context.Background(), make([]byte, 8*BlockBytes), sh, nil); err != nil {
+		t.Errorf("fitting shard refused: %v", err)
 	}
 }

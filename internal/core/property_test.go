@@ -122,13 +122,13 @@ func TestPropertyMinedKeysSatisfyLitmus(t *testing.T) {
 	}
 }
 
-// TestPropertyVerifyScoreBounds: VerifySchedule is always within [0, 1].
+// TestPropertyVerifyScoreBounds: scheduleScore is always within [0, 1].
 func TestPropertyVerifyScoreBounds(t *testing.T) {
 	dump, _, _ := buildScrambledDump(t, 256<<10, 78, workloadLight())
 	mine, _ := MineKeys(context.Background(), dump, MineOptions{})
 	dir := AllKeysDirectory(mine)
 	f := func(master [32]byte, start uint16) bool {
-		s := VerifySchedule(dump, dir, master[:], int(start), aes.AES256)
+		s := scheduleScore(dump, dir, aes.ExpandKeyBytes(master[:]), int(start))
 		return s >= 0 && s <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

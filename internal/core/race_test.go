@@ -96,7 +96,7 @@ func TestCampaignParallelShardRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCampaign(context.Background(), dump, CampaignConfig{
+	res, err := RunCampaignSource(context.Background(), BytesSource(dump), CampaignConfig{
 		ShardBlocks: 2048, // 128 KiB shards: many shards in flight at once
 		Parallel:    4,
 	})

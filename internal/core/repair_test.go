@@ -109,7 +109,7 @@ func collectFailingHits(t testing.TB, dump []byte, starts []int) ([]failingHit, 
 				if windowDegenerate(desc[:], hit, v.Nk()) || start < 0 || start+v.ScheduleBytes() > len(dump) {
 					continue
 				}
-				if VerifySchedule(dump, dir, hitMaster(desc[:], hit, v), start, v) >= 0.8 {
+				if scheduleScore(dump, dir, aes.ExpandKeyBytes(hitMaster(desc[:], hit, v)), start) >= 0.8 {
 					continue
 				}
 				out = append(out, failingHit{block: desc, blockIdx: b, hit: hit, planted: onPlanted(start)})

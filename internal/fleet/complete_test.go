@@ -16,7 +16,7 @@ import (
 // board's settle step, the board stays settling, and its campaign never
 // finishes.
 const malformedBucketCompletion = `{"campaign":"c1","lease":"l1",` +
-	`"shard":{"Index":0,"FirstBlock":0,"Blocks":128},"pairs":1,"worker":"w1",` +
+	`"shard":{"Index":0,"FirstBlock":0,"Blocks":128},"pairs":1,` +
 	`"telemetry":{"histograms":[{"name":"hunt.chunk_ns","count":1,"sum":0,"p50":0,"p90":0,"p99":0,` +
 	`"buckets":[{"le":-1,"count":1}]}]}}`
 
@@ -26,7 +26,7 @@ const malformedBucketCompletion = `{"campaign":"c1","lease":"l1",` +
 func validCompletion() completeRequest {
 	sh := core.Shard{Index: 0, FirstBlock: 0, Blocks: 128}
 	return completeRequest{
-		Campaign: "c1", Lease: "l1", Shard: sh, Pairs: 42, Worker: "w1",
+		Campaign: "c1", Lease: "l1", Shard: sh, Pairs: 42,
 		Keys: []core.FoundKey{
 			{Master: bytes.Repeat([]byte{1}, 32), Variant: aes.AES256, TableStart: 640, Score: 1, Anchors: 2, Format: core.FormatAESXTS},
 			{Master: bytes.Repeat([]byte{2}, 32), TableStart: 1024, Score: 1, Anchors: 1, Format: "chacha20"},

@@ -66,9 +66,6 @@ type completeRequest struct {
 	Keys     []core.FoundKey `json:"keys"`
 	Volumes  []format.Volume `json:"volumes"`
 	Pairs    int64           `json:"pairs"`
-	// Worker names the completing worker; grafted spans render on a track
-	// of this name in the merged timeline.
-	Worker string `json:"worker,omitempty"`
 	// ClockOffsetNs is the worker's best estimate of (coordinator obs.Now -
 	// worker obs.Now), applied to shipped span timestamps at graft time.
 	ClockOffsetNs int64 `json:"clock_offset_ns,omitempty"`
@@ -202,6 +199,9 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 // core.RunCampaignSource and returns the identical Result. Cancellation
 // returns the context error; shards completed so far are merged.
 func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.CampaignConfig) (*core.Result, error) {
+	if cfg.Attack.KeysForBlock != nil || cfg.Attack.GroundDump != nil {
+		return nil, fmt.Errorf("fleet: KeysForBlock overrides and ground dumps are process-local and cannot be distributed")
+	}
 	if cfg.Attack.Tracer == nil {
 		cfg.Attack.Tracer = c.tracer
 	}
@@ -212,9 +212,6 @@ func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.Ca
 	defer plan.Close()
 	if err != nil {
 		return plan.Result(), err
-	}
-	if cfg.Attack.KeysForBlock != nil {
-		return plan.Result(), fmt.Errorf("fleet: KeysForBlock overrides are process-local and cannot be distributed")
 	}
 	wire, err := core.EncodeWirePlan(plan.Wire())
 	if err != nil {
@@ -370,6 +367,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad lease request", http.StatusBadRequest)
 		return
 	}
+	if !validWorkerName(req.Worker) {
+		http.Error(w, "bad worker name", http.StatusBadRequest)
+		return
+	}
 	// Read the body to its end: only then does the server watch the
 	// connection, and cancel the request context when the caller hangs up
 	// during the hold.
@@ -385,6 +386,26 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, resp)
 	}
+}
+
+// maxWorkerName bounds a worker's name in bytes.
+const maxWorkerName = 64
+
+// validWorkerName reports whether name may identify a worker: 1 to
+// maxWorkerName bytes of [A-Za-z0-9._-]. The name becomes a trace track
+// and a /metrics label value, so it must not carry a label separator
+// (";", "=") or a quote that would forge another series.
+func validWorkerName(name string) bool {
+	if name == "" || len(name) > maxWorkerName {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // awaitLease leases worker a shard from the oldest campaign that has one,
@@ -524,32 +545,28 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 // campaign's collector: the span tree grafts under the winning lease
 // span (clock-corrected, floored at the grant time so the merged tree
 // stays monotonic under any worker skew), and each shipped histogram also
-// folds into a per-worker labelled series for /metrics. Only the winning
-// completion reaches here, so a stolen shard's timeline shows exactly one
-// worker's spans.
+// folds into a per-worker labelled series for /metrics. Both are labelled
+// with the worker the lease was granted to — a name handleLease checked —
+// never with one the completion body claims. Only the winning completion
+// reaches here, so a stolen shard's timeline shows exactly one worker's
+// spans.
 func (s *session) graftTelemetry(req *completeRequest, info CompleteInfo) {
 	col := s.col
 	if col == nil {
 		return
 	}
-	worker := req.Worker
-	if worker == "" {
-		worker = info.Worker
-	}
 	parent, root := col.SpanContext(info.Span)
 	col.Graft(req.Telemetry, obs.GraftOptions{
 		Parent:   parent,
 		Root:     root,
-		Track:    worker,
+		Track:    info.Worker,
 		OffsetNs: req.ClockOffsetNs,
 		MinNs:    info.GrantedNs,
 	})
-	if worker != "" {
-		// Per-worker breakdown alongside the fleet-wide aggregate Graft
-		// already merged.
-		for _, h := range req.Telemetry.Histograms {
-			col.MergeHistogram(h.Name+";worker="+worker, h)
-		}
+	// Per-worker breakdown alongside the fleet-wide aggregate Graft
+	// already merged.
+	for _, h := range req.Telemetry.Histograms {
+		col.MergeHistogram(h.Name+";worker="+info.Worker, h)
 	}
 }
 

@@ -712,3 +712,20 @@ func TestWorkerOutlivesCoordinatorRestart(t *testing.T) {
 		t.Fatalf("fleet result after the coordinator restart diverged from the local campaign:\nlocal: %s\nfleet: %s", localJSON, fleetJSON)
 	}
 }
+
+// TestRunRefusesProcessLocalConfig: a KeysForBlock override and a ground
+// dump live in the coordinator's memory and cannot ride the wire plan, so
+// a fleet campaign refuses them up front instead of scanning without them.
+func TestRunRefusesProcessLocalConfig(t *testing.T) {
+	c := NewCoordinator(time.Minute, nil)
+	defer c.Close()
+	dump := make([]byte, 64*core.BlockBytes)
+	for name, attack := range map[string]core.Config{
+		"KeysForBlock": {KeysForBlock: func(int) [][]byte { return nil }},
+		"GroundDump":   {GroundDump: make([]byte, len(dump))},
+	} {
+		if res, err := c.Run(context.Background(), core.BytesSource(dump), core.CampaignConfig{Attack: attack}); err == nil {
+			t.Errorf("%s: fleet campaign accepted it and returned %+v", name, res)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -123,7 +124,7 @@ func TestCompleteGraftsSkewedWorkerClock(t *testing.T) {
 	tel := workerTelemetry(5) // worker clock ~0: far before coordinator grant time
 	accepted, _ := h.complete(t, completeRequest{
 		Campaign: "c1", Lease: l.ID, Shard: l.Shard,
-		Worker: "w1", ClockOffsetNs: 0, Telemetry: tel,
+		ClockOffsetNs: 0, Telemetry: tel,
 	})
 	if !accepted {
 		t.Fatal("completion rejected")
@@ -190,7 +191,7 @@ func TestLastCompletionSettlesBeforeDone(t *testing.T) {
 	tel := workerTelemetry(100)
 	accepted := make(chan bool)
 	go func() {
-		ok, _ := h.complete(t, completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: tel})
+		ok, _ := h.complete(t, completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Telemetry: tel})
 		accepted <- ok
 	}()
 	<-entered
@@ -262,14 +263,14 @@ func TestStolenShardAttribution(t *testing.T) {
 	fastTel := workerTelemetry(100)
 	if accepted, _ := h.complete(t, completeRequest{
 		Campaign: "c1", Lease: fast.ID, Shard: fast.Shard,
-		Worker: "w-fast", Telemetry: fastTel,
+		Telemetry: fastTel,
 	}); !accepted {
 		t.Fatal("winning completion rejected")
 	}
 	slowTel := workerTelemetry(200)
 	if accepted, _ := h.complete(t, completeRequest{
 		Campaign: "c1", Lease: slow.ID, Shard: slow.Shard,
-		Worker: "w-slow", Telemetry: slowTel,
+		Telemetry: slowTel,
 	}); accepted {
 		t.Fatal("losing duplicate accepted")
 	}
@@ -292,7 +293,7 @@ func TestDuplicateCompletionGraftsOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("no lease")
 	}
-	req := completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: workerTelemetry(100)}
+	req := completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Telemetry: workerTelemetry(100)}
 	if accepted, _ := h.complete(t, req); !accepted {
 		t.Fatal("completion rejected")
 	}
@@ -328,7 +329,7 @@ func TestExpiredLeaseTelemetryDiscarded(t *testing.T) {
 	clk.advance(int64(2 * time.Second)) // lease expires
 	b.Expire()                          // the coordinator's expiry tick
 	if accepted, _ := h.complete(t, completeRequest{
-		Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: tel,
+		Campaign: "c1", Lease: l.ID, Shard: l.Shard, Telemetry: tel,
 	}); accepted {
 		t.Fatal("expired lease completion accepted")
 	}
@@ -375,5 +376,52 @@ func TestStragglerDetection(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `coldbootd_pipeline_fleet_shard_seconds_count{worker="w1"} 9`) {
 		t.Fatalf("per-worker labelled series missing from exposition:\n%s", buf.String())
+	}
+}
+
+// TestLeaseRefusesBadWorkerNames: a lease call must name its worker with
+// 1 to 64 bytes of [A-Za-z0-9._-]; any other name is refused with 400
+// before it can become a trace track or a /metrics label.
+func TestLeaseRefusesBadWorkerNames(t *testing.T) {
+	h := newTracingHarness(t, 1)
+	lease := func(name string) int {
+		body, _ := json.Marshal(leaseRequest{Worker: name})
+		wr := httptest.NewRecorder()
+		h.coord.handleLease(wr, httptest.NewRequest("POST", "/v1/shards/lease", bytes.NewReader(body)))
+		return wr.Code
+	}
+	for _, name := range []string{"", strings.Repeat("w", maxWorkerName+1), "w;job=x", `w"}`, "w 1", "w\n", "wé"} {
+		if code := lease(name); code != 400 {
+			t.Errorf("lease as %q: status %d, want 400", name, code)
+		}
+	}
+	if code := lease(strings.Repeat("w", maxWorkerName-5) + "-1._Z"); code != 200 {
+		t.Errorf("lease with a valid 64-byte name: status %d, want 200", code)
+	}
+}
+
+// TestForgedCompletionNameIgnored: the grafted spans and per-worker
+// series are labelled with the worker the lease was granted to; a
+// completion body that names another worker changes nothing.
+func TestForgedCompletionNameIgnored(t *testing.T) {
+	h := newTracingHarness(t, 1)
+	l, ok := h.sess.board.Lease("w1")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	body, _ := json.Marshal(completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Telemetry: workerTelemetry(100)})
+	forged := append(bytes.TrimSuffix(body, []byte("}")), `,"worker":"w1;job=x"}`...)
+	if accepted, code := h.post(forged); !accepted {
+		t.Fatalf("completion rejected (status %d)", code)
+	}
+	if shards := trackedSpans(h.col, "shard"); len(shards) != 1 || shards[0].Track != "w1" {
+		t.Errorf("grafted shard spans %+v, want one on track w1", shards)
+	}
+	var names []string
+	for _, hist := range h.col.Report().Histograms {
+		names = append(names, hist.Name)
+	}
+	if !slices.Contains(names, "hunt.chunk_ns;worker=w1") || slices.ContainsFunc(names, func(n string) bool { return strings.Contains(n, "job") }) {
+		t.Errorf("histogram series %v, want hunt.chunk_ns;worker=w1 and no forged label", names)
 	}
 }

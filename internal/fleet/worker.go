@@ -26,7 +26,8 @@ import (
 type Worker struct {
 	// Base is the coordinator's URL prefix, e.g. "http://host:7133".
 	Base string
-	// Name identifies this worker in leases and /metrics (required).
+	// Name identifies this worker in leases and /metrics: required, 1-64
+	// bytes of [A-Za-z0-9._-] (the coordinator refuses any other name).
 	Name string
 	// Client is the HTTP client (nil means http.DefaultClient). Its
 	// timeout, if any, must exceed the coordinator's lease hold, a quarter
@@ -89,8 +90,8 @@ const leaseRetry = 250 * time.Millisecond
 // Run leases and scans shards until ctx is cancelled. It returns
 // ctx.Err() on cancellation; it never gives up on transport errors.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.Name == "" {
-		return fmt.Errorf("fleet: worker needs a name")
+	if !validWorkerName(w.Name) {
+		return fmt.Errorf("fleet: worker name %q is not 1-%d bytes of [A-Za-z0-9._-]", w.Name, maxWorkerName)
 	}
 	tracer := obs.OrNop(w.Tracer)
 	w.plans = make(map[string]*core.CampaignPlan)
@@ -274,7 +275,6 @@ func (w *Worker) complete(ctx context.Context, lease leaseResponse, sr core.Shar
 		Keys:          sr.Keys,
 		Volumes:       sr.Volumes,
 		Pairs:         sr.Pairs,
-		Worker:        w.Name,
 		ClockOffsetNs: w.clock.Offset(),
 		Telemetry:     col.Telemetry(),
 	}, nil)

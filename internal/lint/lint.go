@@ -7,7 +7,7 @@
 //   - hotxor: hot-path XOR must use the word-level bitutil kernels (PR 1).
 //   - ctxthread: exported dump-scanning APIs must thread context.Context
 //     and must not manufacture their own background context (PR 2).
-//   - keyatmut: Scrambler.KeyAt / shardMineView results are read-only
+//   - keyatmut: Scrambler.KeyAt results are read-only
 //     (PR 1: None.KeyAt returns a shared block; PR 2: shards share the
 //     global mine pool).
 //   - noweakrand: math/rand only in internal/randtest and tests.

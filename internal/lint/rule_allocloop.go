@@ -14,10 +14,9 @@ import (
 // The rule also covers per-candidate verify/repair retry loops in the core
 // package: any loop that re-invokes one of the hunt's verification kernels
 // (xorDistance, predictAndCompare, scheduleScore, scheduleMismatch, the
-// repairer's chunkMismatch — directly or through helpers like try or
-// VerifySchedule) runs once per candidate master
-// times the repair search fan-out, so allocations there multiply just as
-// badly as in the block loops. Accumulator appends (out = append(out, x))
+// repairer's chunkMismatch — directly or through helpers like try) runs
+// once per candidate master times the repair search fan-out, so
+// allocations there multiply just as badly as in the block loops. Accumulator appends (out = append(out, x))
 // are fine; a rare-path allocation that is genuinely wanted (e.g. a Finding
 // copying its Master out of the image) takes an ignore directive.
 type allocloopRule struct{}

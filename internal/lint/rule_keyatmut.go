@@ -5,22 +5,20 @@ import (
 	"go/types"
 )
 
-// keyatmutRule enforces the read-only contract on Scrambler.KeyAt results
-// and shardMineView projections. PR 1 made scramble.None.KeyAt return a
-// shared zero block and documented every KeyAt result as read-only; PR 2's
-// campaign shares one global mine pool across shards through shardMineView,
-// whose MinedKey.Key slices alias the pool. A write through either corrupts
-// state shared across goroutines and shards.
+// keyatmutRule enforces the read-only contract on Scrambler.KeyAt results.
+// PR 1 made scramble.None.KeyAt return a shared zero block and documented
+// every KeyAt result as read-only; a write through one corrupts state
+// shared across goroutines.
 //
 // The check is a forward intra-function taint pass: values produced by a
-// KeyAt or shardMineView call (and slices/fields derived from them) must
-// not appear as the target of an assignment, ++/--, or copy destination.
+// KeyAt call (and slices/fields derived from them) must not appear as the
+// target of an assignment, ++/--, or copy destination.
 type keyatmutRule struct{}
 
 func (keyatmutRule) ID() string { return "keyatmut" }
 
 func (keyatmutRule) Doc() string {
-	return "KeyAt/shardMineView results are read-only shared state and must not be written through"
+	return "KeyAt results are read-only shared state and must not be written through"
 }
 
 func (r keyatmutRule) Check(m *Module, p *Package) []Finding {
@@ -43,7 +41,7 @@ func (r keyatmutRule) Check(m *Module, p *Package) []Finding {
 			tainted := make(map[types.Object]string) // var -> source func name
 
 			// taintSource reports whether e is (or derives from) a call to
-			// KeyAt/shardMineView or a tainted variable.
+			// KeyAt or a tainted variable.
 			var taintSource func(e ast.Expr) string
 			taintSource = func(e ast.Expr) string {
 				switch e := ast.Unparen(e).(type) {
@@ -127,13 +125,5 @@ func (r keyatmutRule) Check(m *Module, p *Package) []Finding {
 }
 
 // readOnlyProducer reports whether fn's results carry the read-only
-// contract: any method named KeyAt, or core's shardMineView projection.
-func readOnlyProducer(fn *types.Func) bool {
-	switch fn.Name() {
-	case "KeyAt":
-		return true
-	case "shardMineView":
-		return true
-	}
-	return false
-}
+// contract: any method named KeyAt.
+func readOnlyProducer(fn *types.Func) bool { return fn.Name() == "KeyAt" }

@@ -324,9 +324,14 @@ func TestCoordinatorRoleEndToEnd(t *testing.T) {
 	for _, st := range final["stages"].([]any) {
 		stages[st.(map[string]any)["name"].(string)] = true
 	}
-	for _, want := range []string{"job", "campaign", "fleet.lease", "shard", "attack", "hunt", "campaign.merge", "fleet.merge"} {
+	for _, want := range []string{"job", "campaign", "campaign.mine", "fleet.lease", "shard", "hunt", "hunt.worker", "campaign.merge", "fleet.merge"} {
 		if !stages[want] {
 			t.Errorf("fleet job status lacks stage %q (have %v)", want, stages)
+		}
+	}
+	for _, gone := range []string{"attack", "mine", "directory", "assemble"} {
+		if stages[gone] {
+			t.Errorf("fleet job status has stage %q outside the campaign span tree", gone)
 		}
 	}
 	if done, total := final["progress_done"], final["progress_total"]; done != total || total != float64(1<<20/64) {

@@ -116,9 +116,14 @@ func TestEventsStreamEndToEnd(t *testing.T) {
 			lastSeq = ln.Seq
 		}
 	}
-	for _, want := range []string{"job", "campaign", "campaign.mine", "attack", "hunt"} {
+	for _, want := range []string{"job", "campaign", "campaign.mine", "shard", "hunt", "hunt.worker", "campaign.merge"} {
 		if !spanStarts[want] {
 			t.Errorf("no span_start for %q in stream (have %v)", want, spanStarts)
+		}
+	}
+	for _, gone := range []string{"attack", "mine", "directory", "assemble"} {
+		if spanStarts[gone] {
+			t.Errorf("span_start for %q, outside the campaign span tree", gone)
 		}
 	}
 	if !sawProgress || !sawObserve {
