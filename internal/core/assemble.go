@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"coldboot/internal/aes"
 )
@@ -238,6 +239,9 @@ type repairer struct {
 	fixed     int
 	totalBits int
 	budget    int
+	// rationed marks a ground search, whose budget charges every
+	// consistent candidate.
+	rationed bool
 	// score is the accepted candidate's score once try succeeds; its
 	// master is then in rs.best.
 	score float64
@@ -391,11 +395,147 @@ func (r *repairer) chunkMismatch(ch schedChunk, limit int) int {
 	return best
 }
 
+// reachTable records how far a change in one window byte spreads through
+// the key expansion. The schedule's diffusion is byte-level and slow:
+// w[i] = w[i-Nk] ^ f(w[i-1]), where f is SubWord (which keeps each byte
+// in its lane), RotWord (which rotates the lanes by one) or the identity,
+// plus a constant. So a changed byte can change, in each schedule word,
+// only the lanes that the union of its two inputs' changed lanes (the
+// second rotated where f rotates) reaches, forward and backward alike.
+// lanes holds, for the window at schedule index a and window byte j (byte
+// j%4, big-endian, of window word j/4), one lane set per schedule word i
+// at lanes[(a*4*nk+j)*sw+i]: bit p set when big-endian byte p of word i
+// may change. A byte outside the set is the same for every candidate that
+// changes only byte j. On average 70 % of an AES-256 schedule's bytes
+// stay outside it, and never fewer than a quarter.
+type reachTable struct {
+	nk, sw int
+	lanes  []uint8
+}
+
+// reachTables holds one lazily built reachTable per variant (indexed
+// (Nk-4)/2), so only an attack that repairs pays for them.
+var reachTables [3]struct {
+	once sync.Once
+	t    *reachTable
+}
+
+// reachFor returns v's reach table, building it on first use.
+func reachFor(v aes.Variant) *reachTable {
+	e := &reachTables[(v.Nk()-4)/2]
+	e.once.Do(func() { e.t = newReachTable(v) })
+	return e.t
+}
+
+// newReachTable propagates each window byte's lane through the expansion
+// recurrence in both directions.
+func newReachTable(v aes.Variant) *reachTable {
+	nk, sw := v.Nk(), v.ScheduleWords()
+	t := &reachTable{nk: nk, sw: sw, lanes: make([]uint8, (sw-nk+1)*4*nk*sw)}
+	// f maps the lanes of f's input word to the lanes it can change in
+	// f(w, i): RotWord moves big-endian byte p to p-1 (mod 4).
+	f := func(m uint8, i int) uint8 {
+		if i%nk == 0 {
+			return (m>>1 | m<<3) & 0xf
+		}
+		return m
+	}
+	for a := 0; a+nk <= sw; a++ {
+		for j := 0; j < 4*nk; j++ {
+			m := t.window(a, j)
+			m[a+j/4] = 1 << uint(j%4)
+			for i := a + nk; i < sw; i++ {
+				m[i] = m[i-nk] | f(m[i-1], i)
+			}
+			for i := a - 1; i >= 0; i-- {
+				m[i] = m[i+nk] | f(m[i+nk-1], i+nk)
+			}
+		}
+	}
+	return t
+}
+
+// window returns the per-word lane sets of window byte j at schedule
+// index a.
+func (t *reachTable) window(a, j int) []uint8 {
+	off := (a*4*t.nk + j) * t.sw
+	return t.lanes[off : off+t.sw]
+}
+
+// laneBytes maps a lane set to the word bits it covers.
+var laneBytes = func() (m [16]uint32) {
+	for s := range m {
+		for p := 0; p < 4; p++ {
+			if s>>uint(p)&1 != 0 {
+				m[s] |= 0xff << uint(8*(3-p))
+			}
+		}
+	}
+	return m
+}()
+
+// bound fills rs.lb[j], for every window byte j, with a lower bound on
+// mismatch() for every candidate whose changes from the current (unflipped)
+// window lie in byte j alone: fixed, plus for each chunk the minimum over
+// the block's keys of the mismatch on the bytes byte j cannot reach. Those
+// bytes are the same in every such candidate's schedule as in the
+// unflipped one, so each key's count is at least its count there, and so
+// is the chunk's minimum. A candidate with lb[j] > budget cannot be
+// accepted and need not be scored.
+func (r *repairer) bound() {
+	a, nk, v := r.hit.ScheduleIndex, r.nk, r.v
+	w := r.rs.cand[:]
+	copy(w[a:a+nk], r.words[r.hit.WordOffset:])
+	aes.ExtendForwardInto(w, 0, a+nk, v.ScheduleWords(), v)
+	aes.ExtendBackwardInto(w, 0, 0, a, v)
+	reach := reachFor(v)
+	lb := r.rs.lb[:4*nk]
+	for j := range lb {
+		lb[j] = r.fixed
+	}
+	var diff [BlockBytes / 4]uint32
+	var chunkLB [32]int
+	for _, ch := range r.chunks {
+		if ch.keys == 0 {
+			continue
+		}
+		n := ch.hi - ch.lo
+		for j := range lb {
+			chunkLB[j] = math.MaxInt
+		}
+		for k := 0; k < ch.keys; k++ {
+			obs := r.rs.obs[ch.obs+k*n : ch.obs+(k+1)*n]
+			total := 0
+			for i, o := range obs {
+				diff[i] = w[ch.lo+i] ^ o
+				total += bits.OnesCount32(diff[i])
+			}
+			for j := range lb {
+				unreached := total
+				for i, l := range reach.window(a, j)[ch.lo:ch.hi] {
+					unreached -= bits.OnesCount32(diff[i] & laneBytes[l])
+				}
+				chunkLB[j] = min(chunkLB[j], unreached)
+			}
+		}
+		for j := range lb {
+			lb[j] += chunkLB[j]
+		}
+	}
+}
+
 // Ground repair bounds: up to groundRepairFlips suspect bits flipped at
 // once, and at most repairScoreBudget candidates scored per call.
 const (
 	groundRepairFlips = 3
 	repairScoreBudget = 1500
+)
+
+// Values of repairer.search's flipped argument that name no window byte:
+// no flip made yet, or flips in two or more bytes.
+const (
+	noFlips    = -1
+	mixedBytes = -2
 )
 
 // repairWindowScratch attempts to fix bit decay inside a hit's schedule
@@ -412,6 +552,13 @@ const (
 //   - ground (see groundrepair.go): only the window's suspect bits are
 //     positions, searched to depth 1, then 2, up to groundRepairFlips in
 //     turn, with at most repairScoreBudget candidates scored in all.
+//
+// Once the unflipped window fails, bound sets a lower bound on the count of
+// every flip in each window byte, and a flip whose bound is over the
+// budget is rejected unscored: it cannot pass. Blind repair rejects it
+// before the prediction check; ground repair still runs the check and
+// charges a consistent candidate to its budget first, so the budget runs
+// out where it would if the candidate were scored.
 //
 // The first candidate to score >= minVerifyScore is returned with its
 // exact score and ok; when none does, ok is false. block is the
@@ -441,14 +588,16 @@ func repairWindowScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDir
 		}
 	}
 	rs.flipBits = positions
+	r.bound()
 	// Blind repair makes one unbudgeted single-flip pass; ground repair
 	// deepens from one flip under the score budget.
 	maxFlips, budget := 1, math.MaxInt
 	if groundDump != nil {
 		maxFlips, budget = groundRepairFlips, repairScoreBudget
+		r.rationed = true
 	}
 	for depth := 1; depth <= maxFlips && budget > 0; depth++ {
-		if r.search(positions, 0, depth, &budget) {
+		if r.search(positions, 0, depth, &budget, noFlips) {
 			return rs.best[:v.KeyBytes()], r.score, true
 		}
 	}
@@ -457,22 +606,34 @@ func repairWindowScratch(rs *repairScratch, dump, groundDump []byte, keys KeyDir
 
 // search enumerates every combination of 1 to remaining more flips from
 // positions[startIdx:], depth-first in ascending position order, with the
-// in-block prediction as a pruner and *budget as the hard cost bound. It
+// in-block prediction as a pruner, the byte bounds rs.lb as a second one
+// and *budget as the hard cost bound. flipped is the window byte holding
+// every flip made so far, or noFlips or mixedBytes. It
 // reports whether a candidate was accepted (its master is then in
 // rs.best).
-func (r *repairer) search(positions []int, startIdx, remaining int, budget *int) bool {
+func (r *repairer) search(positions []int, startIdx, remaining int, budget *int, flipped int) bool {
 	for i := startIdx; i < len(positions) && *budget > 0; i++ {
-		r.flip(positions[i])
-		if r.consistent() {
+		p := positions[i]
+		r.flip(p)
+		inByte := p/8 - 4*r.hit.WordOffset
+		if flipped != noFlips && flipped != inByte {
+			inByte = mixedBytes
+		}
+		doomed := inByte >= 0 && r.rs.lb[inByte] > r.budget
+		if doomed && !r.rationed {
+			r.rs.boundRejects++
+		} else if r.consistent() {
 			*budget--
-			if r.try() {
+			if doomed {
+				r.rs.boundRejects++
+			} else if r.try() {
 				return true
 			}
 		}
-		if remaining > 1 && r.search(positions, i+1, remaining-1, budget) {
+		if remaining > 1 && r.search(positions, i+1, remaining-1, budget, inByte) {
 			return true
 		}
-		r.flip(positions[i])
+		r.flip(p)
 	}
 	return false
 }

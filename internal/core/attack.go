@@ -278,7 +278,7 @@ func (run *huntRun) hunt(ctx context.Context, span obs.Span) error {
 	nBlocks := len(dump) / BlockBytes
 	nk := cfg.Variant.Nk()
 
-	var pairs, hits, repairs, repairCands, repairExits int64
+	var pairs, hits, repairs, repairCands, repairExits, repairRejects int64
 	var done atomic.Int64
 	var cancelled atomic.Bool
 	verifyBudget := mismatchBudget(cfg.Variant.ScheduleBytes()*8, minVerifyScore)
@@ -422,6 +422,7 @@ func (run *huntRun) hunt(ctx context.Context, span obs.Span) error {
 			repairs += sc.repair.repairs
 			repairCands += sc.repair.candidates
 			repairExits += sc.repair.earlyExits
+			repairRejects += sc.repair.boundRejects
 			run.mu.Unlock()
 		}(lo, hi)
 	}
@@ -432,6 +433,7 @@ func (run *huntRun) hunt(ctx context.Context, span obs.Span) error {
 	run.tracer.Count("repair.calls", repairs)
 	run.tracer.Count("repair.candidates", repairCands)
 	run.tracer.Count("repair.early_exits", repairExits)
+	run.tracer.Count("repair.bound_rejects", repairRejects)
 	run.mu.Lock()
 	candidates := int64(len(run.found))
 	run.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coldboot/internal/aes"
+	"coldboot/internal/bitutil"
 	"coldboot/internal/scramble"
 )
 
@@ -159,5 +160,50 @@ func FuzzPlanFromWire(f *testing.F) {
 				t.Fatalf("accepted plan does not scan: %v", err)
 			}
 		}
+	})
+}
+
+// FuzzRepairBound: on fuzzed dumps, hits and variants, every window
+// byte's repair bound is at most the exact mismatch of each single flip in
+// that byte, under a directory that lists zero to two keys per block. The
+// seed is a dump holding a lightly decayed AES-256 schedule, scrambled
+// with the directory's first key of each block.
+func FuzzRepairBound(f *testing.F) {
+	s := scramble.NewSkylakeDDR4(5)
+	ring := make([][]byte, 5)
+	for i := range ring {
+		ring[i] = s.KeyAt(uint64(i%3) * BlockBytes)
+	}
+	dump := make([]byte, 8*BlockBytes)
+	copy(dump[100:], aes.ExpandKeyBytes(testMaster(26, 32)))
+	decayBits(dump, 26, 6)
+	for b := 0; b < 8; b++ {
+		bitutil.XORBlock64(dump[b*BlockBytes:], dump[b*BlockBytes:], ring[b%3])
+	}
+	// The window at word 9 of block 2 is schedule word 9 + (2*64-100)/4.
+	f.Add(dump, uint8(2), uint8(9), uint8(16), uint8(2), uint8(1))
+	f.Add(dump, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(dump[:2*BlockBytes], uint8(1), uint8(12), uint8(40), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, dump []byte, blockSel, wordOffset, schedIndex, variant, keySel uint8) {
+		dump = dump[:min(len(dump), 64*BlockBytes)&^(BlockBytes-1)]
+		if len(dump) == 0 {
+			return
+		}
+		dir := func(b int) [][]byte {
+			return ring[b%3 : b%3+(b+int(keySel))%3]
+		}
+		v := litmusVariants[int(variant)%len(litmusVariants)]
+		nk := v.Nk()
+		b := int(blockSel) % (len(dump) / BlockBytes)
+		hit := ScheduleHit{
+			WordOffset:    int(wordOffset) % (BlockBytes/4 - nk + 1),
+			ScheduleIndex: int(schedIndex) % (v.ScheduleWords() - nk + 1),
+		}
+		block := append([]byte(nil), dump[b*BlockBytes:(b+1)*BlockBytes]...)
+		if keys := dir(b); len(keys) > 0 {
+			bitutil.XORBlock64(block, block, keys[0])
+		}
+		var rs repairScratch
+		checkRepairBound(t, &rs, dump, dir, block, b, hit, v, v.ScheduleBytes()*8)
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -169,11 +170,12 @@ func TestRepairMatchesFrozenSearch(t *testing.T) {
 		ground []byte
 		// every sample-th application-data hit joins every planted window
 		sample int
-		// want is {repair.calls, repair.candidates, repair.early_exits}
-		want [3]int64
+		// want is {repair.calls, repair.candidates, repair.early_exits,
+		// repair.bound_rejects}
+		want [4]int64
 	}{
-		{"blind", nil, 16, [3]int64{222, 48148, 43565}},
-		{"ground", fx.ground, 64, [3]int64{81, 94795, 83890}},
+		{"blind", nil, 16, [4]int64{222, 20228, 16579, 30392}},
+		{"ground", fx.ground, 64, [4]int64{81, 89420, 78731, 5375}},
 	}
 	for _, m := range modes {
 		var planted, app, accepted int
@@ -204,20 +206,22 @@ func TestRepairMatchesFrozenSearch(t *testing.T) {
 		if planted == 0 || app == 0 || accepted == 0 {
 			t.Fatalf("%s: fixture exercised too little: %d planted windows, %d application hits, %d repaired", m.name, planted, app, accepted)
 		}
-		if effort := [3]int64{rs.repairs, rs.candidates, rs.earlyExits}; effort != m.want {
-			t.Errorf("%s: repair effort (calls, candidates, early exits) = %v, want %v", m.name, effort, m.want)
+		if effort := [4]int64{rs.repairs, rs.candidates, rs.earlyExits, rs.boundRejects}; effort != m.want {
+			t.Errorf("%s: repair effort (calls, candidates, early exits, bound rejects) = %v, want %v", m.name, effort, m.want)
 		}
 		t.Logf("%s: %d planted windows, %d application hits, %d repaired", m.name, planted, app, accepted)
 	}
 }
 
-// TestOutwardScoreMatchesScheduleScore drives the repairer's outward,
-// budgeted count against scheduleScore on random and planted windows,
-// under both directories (the exhaustive one with several keys per block)
-// and with table starts at the dump's edges: under budget the count must
-// be exact, and it may stop early only when scheduleScore is below the
-// threshold.
-func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
+// forEachRepairWindow calls check on repair inputs drawn from a 1 MiB
+// AES-256 decay fixture: windows on every planted schedule, at both dump
+// edges and at random table starts, under the residue directory, the
+// exhaustive one (several keys per block) and a thinned residue one that
+// leaves every fifth block keyless. Each window is the dump descrambled
+// there (planted windows then carry real decay), with random flips, or
+// replaced by noise.
+func forEachRepairWindow(t *testing.T, check func(name string, dump []byte, dir KeyDirectory, block []byte, b int, hit ScheduleHit)) {
+	t.Helper()
 	dump, _, starts := buildDecayRepairDump(t, 1<<20, 16, 1702)
 	mine, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
@@ -231,7 +235,6 @@ func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
 	if len(mine.Keys) < 3 {
 		t.Fatalf("exhaustive directory has %d keys, want >= 3", len(mine.Keys))
 	}
-	// A thinned directory leaves some blocks keyless (fully mismatched).
 	residue := dirs["residue"]
 	dirs["sparse"] = func(b int) [][]byte {
 		if b%5 == 0 {
@@ -242,11 +245,9 @@ func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
 	v := aes.AES256
 	nk := v.Nk()
 	schedBytes := v.ScheduleBytes()
-	totalBits := schedBytes * 8
 	rng := rand.New(rand.NewSource(17))
-	var rs repairScratch
-	for name, dir := range dirs {
-		// Table starts: every planted schedule, both dump edges, random.
+	for _, name := range []string{"residue", "exhaustive", "sparse"} {
+		dir := dirs[name]
 		var tables []int
 		tables = append(tables, starts...)
 		tables = append(tables, 0, 4, len(dump)-schedBytes, len(dump)-schedBytes-4)
@@ -255,10 +256,8 @@ func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
 		}
 		for _, start := range tables {
 			for trial := 0; trial < 6; trial++ {
-				// Pick the block holding schedule word a and its key; the
-				// window there is the dump descrambled (planted windows
-				// then carry real decay), optionally with random flips or
-				// replaced by noise.
+				// The block holding schedule word a, descrambled with one
+				// of its keys.
 				a := rng.Intn(v.ScheduleWords() - nk - MinVerifyWords + 1)
 				addr := start + 4*a
 				b := addr / BlockBytes
@@ -285,35 +284,129 @@ func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
 				if hit.TableStart(b) != start {
 					t.Fatalf("hit table start %d != %d", hit.TableStart(b), start)
 				}
-				want := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(hitMaster(block[:], hit, v)), start, totalBits)
-				for _, minScore := range []float64{0.5, 0.8, 0.95, 1, matchScore(want, totalBits)} {
-					r := newRepairer(&rs, dump, dir, block[:], b, hit, v, minScore)
-					got := r.mismatch()
-					wantPass := matchScore(want, totalBits) >= minScore
-					switch {
-					case got <= r.budget && got != want:
-						t.Fatalf("%s start %d a %d minScore %v: count %d, scheduleScore's %d", name, start, a, minScore, got, want)
-					case got > r.budget && wantPass:
-						t.Fatalf("%s start %d a %d minScore %v: stopped at %d (budget %d) but scheduleScore passes with %d", name, start, a, minScore, got, r.budget, want)
-					case (got <= r.budget) != wantPass:
-						t.Fatalf("%s start %d a %d minScore %v: pass %v, scheduleScore's %v", name, start, a, minScore, got <= r.budget, wantPass)
-					}
-					if r.try() != wantPass {
-						t.Fatalf("%s: try disagrees with the count", name)
-					}
-					if wantPass {
-						if !bytes.Equal(rs.best[:32], hitMaster(block[:], hit, v)) || r.score != matchScore(want, totalBits) {
-							t.Fatalf("%s: accepted candidate's master or score differs", name)
+				check(name, dump, dir, block[:], b, hit)
+			}
+		}
+	}
+}
+
+// TestOutwardScoreMatchesScheduleScore drives the repairer's outward,
+// budgeted count against scheduleScore on forEachRepairWindow's windows:
+// under budget the count must be exact, and it may stop early only when
+// scheduleScore is below the threshold.
+func TestOutwardScoreMatchesScheduleScore(t *testing.T) {
+	v := aes.AES256
+	totalBits := v.ScheduleBytes() * 8
+	var rs repairScratch
+	forEachRepairWindow(t, func(name string, dump []byte, dir KeyDirectory, block []byte, b int, hit ScheduleHit) {
+		start := hit.TableStart(b)
+		want := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(hitMaster(block, hit, v)), start, totalBits)
+		for _, minScore := range []float64{0.5, 0.8, 0.95, 1, matchScore(want, totalBits)} {
+			r := newRepairer(&rs, dump, dir, block, b, hit, v, minScore)
+			got := r.mismatch()
+			wantPass := matchScore(want, totalBits) >= minScore
+			switch {
+			case got <= r.budget && got != want:
+				t.Fatalf("%s start %d a %d minScore %v: count %d, scheduleScore's %d", name, start, hit.ScheduleIndex, minScore, got, want)
+			case got > r.budget && wantPass:
+				t.Fatalf("%s start %d a %d minScore %v: stopped at %d (budget %d) but scheduleScore passes with %d", name, start, hit.ScheduleIndex, minScore, got, r.budget, want)
+			case (got <= r.budget) != wantPass:
+				t.Fatalf("%s start %d a %d minScore %v: pass %v, scheduleScore's %v", name, start, hit.ScheduleIndex, minScore, got <= r.budget, wantPass)
+			}
+			if r.try() != wantPass {
+				t.Fatalf("%s: try disagrees with the count", name)
+			}
+			if wantPass {
+				if !bytes.Equal(rs.best[:32], hitMaster(block, hit, v)) || r.score != matchScore(want, totalBits) {
+					t.Fatalf("%s: accepted candidate's master or score differs", name)
+				}
+			}
+		}
+		// The plain budgeted kernel obeys the same contract.
+		for _, budget := range []int{-1, 0, want - 1, want, want + 1, totalBits} {
+			got := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(hitMaster(block, hit, v)), start, budget)
+			if (got <= budget || want <= budget) && got != want {
+				t.Fatalf("%s start %d: scheduleMismatch budget %d gave %d, exact %d", name, start, budget, got, want)
+			}
+		}
+	})
+}
+
+// TestRepairBoundSound holds the repair search's byte bounds to what they
+// claim. First, for every variant, schedule index and window byte, the
+// reach table covers every schedule byte that any single flip in that
+// byte changes, on random masters. Then, on forEachRepairWindow's windows,
+// each window byte's lb is at most scheduleScore's exact mismatch for all
+// eight flips of that byte. An exact count under the exhaustive directory
+// walks every mined key per block, so only every tenth of its windows is
+// checked.
+func TestRepairBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, v := range []aes.Variant{aes.AES128, aes.AES192, aes.AES256} {
+		nk, sw := v.Nk(), v.ScheduleWords()
+		reach := reachFor(v)
+		unreached, minUnreached, windows := 0, sw, 0
+		for a := 0; a+nk <= sw; a++ {
+			for j := 0; j < 4*nk; j++ {
+				lanes := reach.window(a, j)
+				n := 0
+				for _, l := range lanes {
+					n += 4 - bits.OnesCount8(l)
+				}
+				unreached += n
+				minUnreached = min(minUnreached, n)
+				windows++
+				for trial := 0; trial < 3; trial++ {
+					sched := aes.ExpandKey(testMaster(rng.Int63(), v.KeyBytes()))
+					for bit := 0; bit < 8; bit++ {
+						win := append([]uint32(nil), sched[a:a+nk]...)
+						win[j/4] ^= 1 << uint(8*(3-j%4)+bit)
+						flipped := aes.ExpandKey(aes.RecoverMasterKey(win, a, v))
+						for i := range sched {
+							for p := 0; p < 4; p++ {
+								lane := uint32(0xff) << uint(8*(3-p))
+								if sched[i]&lane != flipped[i]&lane && lanes[i]>>uint(p)&1 == 0 {
+									t.Fatalf("%v a %d byte %d bit %d: schedule word %d byte %d changed outside the reach set", v, a, j, bit, i, p)
+								}
+							}
 						}
 					}
 				}
-				// The plain budgeted kernel obeys the same contract.
-				for _, budget := range []int{-1, 0, want - 1, want, want + 1, totalBits} {
-					got := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(hitMaster(block[:], hit, v)), start, budget)
-					if (got <= budget || want <= budget) && got != want {
-						t.Fatalf("%s start %d: scheduleMismatch budget %d gave %d, exact %d", name, start, budget, got, want)
-					}
-				}
+			}
+		}
+		t.Logf("%v: a window byte leaves %.0f%% of schedule bytes unreached on average, at least %.0f%%",
+			v, 100*float64(unreached)/float64(windows*4*sw), 100*float64(minUnreached)/float64(4*sw))
+	}
+
+	v := aes.AES256
+	totalBits := v.ScheduleBytes() * 8
+	var rs repairScratch
+	exhaustive := 0
+	forEachRepairWindow(t, func(name string, dump []byte, dir KeyDirectory, block []byte, b int, hit ScheduleHit) {
+		if name == "exhaustive" {
+			if exhaustive++; exhaustive%10 != 0 {
+				return
+			}
+		}
+		checkRepairBound(t, &rs, dump, dir, block, b, hit, v, totalBits)
+	})
+}
+
+// checkRepairBound checks that every lb[j] of a repair of hit is at most
+// the exact mismatch of each single flip in window byte j.
+func checkRepairBound(t *testing.T, rs *repairScratch, dump []byte, dir KeyDirectory, block []byte, b int, hit ScheduleHit, v aes.Variant, totalBits int) {
+	t.Helper()
+	r := newRepairer(rs, dump, dir, block, b, hit, v, minVerifyScore)
+	r.bound()
+	work := append([]byte(nil), block...)
+	for j := 0; j < 4*v.Nk(); j++ {
+		for bit := 0; bit < 8; bit++ {
+			i := 4*hit.WordOffset + j
+			work[i] ^= 1 << uint(bit)
+			exact := scheduleMismatch(dump, dir, aes.ExpandKeyBytes(hitMaster(work, hit, v)), hit.TableStart(b), totalBits)
+			work[i] ^= 1 << uint(bit)
+			if rs.lb[j] > exact {
+				t.Fatalf("table start %d a %d: byte %d bound %d over bit %d's exact mismatch %d", hit.TableStart(b), hit.ScheduleIndex, j, rs.lb[j], bit, exact)
 			}
 		}
 	}

@@ -47,13 +47,17 @@ type repairScratch struct {
 	// per-block layout of obs (both grown once, reused across repairs).
 	obs    []uint32
 	chunks []schedChunk
+	// lb holds a repair's per-window-byte lower bounds on a flip's
+	// mismatch count (repairer.bound).
+	lb [32]int
 	// flipBits accumulates a repair's flip positions (grown once, reused
 	// across hits).
 	flipBits []int
-	// repairs, candidates and earlyExits tally the repair searches run, the
-	// candidates they scored and the scores stopped at the budget before
-	// the whole schedule, for the hunt's repair.* counters.
-	repairs, candidates, earlyExits int64
+	// repairs, candidates, earlyExits and boundRejects tally the repair
+	// searches run, the candidates they scored, the scores stopped at the
+	// budget before the whole schedule and the flips rejected unscored by
+	// their byte bound, for the hunt's repair.* counters.
+	repairs, candidates, earlyExits, boundRejects int64
 }
 
 // wipe zeroes every candidate- and key-bearing buffer. Owners call it when

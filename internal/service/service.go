@@ -297,10 +297,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // the daemon collector, then wipe and delete the spooled container (only
 // needed while the job can still run). The stream ends first, so a client
 // waiting for it does not also wait for the wipe. The wipe still runs on
-// the pool's goroutine, so Drain returns only after it. The dump is
-// overwritten with zeros before the unlink — it holds the victim's memory,
-// key schedules included, and a bare unlink leaves those bytes recoverable
-// from the backing store.
+// the pool's goroutine, so Drain returns only after it.
 func (s *Server) jobDone(j *jobs.Job) {
 	if pl, ok := j.Payload().(*dumpJob); ok {
 		if pl.tel != nil {
@@ -310,10 +307,20 @@ func (s *Server) jobDone(j *jobs.Job) {
 			s.jmu.Unlock()
 		}
 		if pl.Path != "" {
-			secret.WipeFile(pl.Path)
-			os.Remove(pl.Path)
+			discardSpool(pl.Path)
 		}
 	}
+}
+
+// discardSpool overwrites a spooled container with zeros, then unlinks it.
+// A spool holds the victim's memory, key schedules included, and a bare
+// unlink leaves those bytes recoverable from the backing store, so every
+// path that drops a spool goes through here: a finished job, a failed
+// upload and a refused submit. A failed wipe still unlinks: no caller can
+// do more with the file.
+func discardSpool(path string) {
+	_ = secret.WipeFile(path)
+	os.Remove(path)
 }
 
 // handleSubmit streams the posted container to disk and enqueues its
@@ -398,7 +405,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		err = errInvalidAlignment(imageBytes)
 	}
 	if err != nil {
-		os.Remove(pl.Path)
+		discardSpool(pl.Path)
 		var maxBytes *http.MaxBytesError
 		var sink *dumpfile.SinkError
 		switch {
@@ -419,7 +426,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	snap, err := s.pool.Submit(pl, priority)
 	if err != nil {
-		os.Remove(pl.Path)
+		discardSpool(pl.Path)
 		if errors.Is(err, jobs.ErrDraining) {
 			httpError(w, http.StatusServiceUnavailable, "server is draining")
 			return

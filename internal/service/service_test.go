@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -310,6 +311,64 @@ func TestDrainWaitsForSpoolWipe(t *testing.T) {
 	}
 	if n := spooled(t, dataDir); n != 0 {
 		t.Fatalf("Drain returned with %d spooled dumps left", n)
+	}
+}
+
+// failingBody serves data up to failAt, then calls onFail and reports a
+// broken upload.
+type failingBody struct {
+	data   []byte
+	failAt int
+	onFail func()
+}
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if b.failAt == 0 {
+		b.onFail()
+		return 0, errors.New("client went away")
+	}
+	n := copy(p, b.data[:b.failAt])
+	b.data, b.failAt = b.data[n:], b.failAt-n
+	return n, nil
+}
+
+// TestFailedUploadWipesSpool: an upload that breaks part-way is zeroed
+// before its spool is unlinked. When the body fails, the test hard-links
+// the spool, whose first half of the dump is then on disk; after the
+// handler has unlinked its own name, the link shows what the file held
+// at the unlink: zeros only.
+func TestFailedUploadWipesSpool(t *testing.T) {
+	container := buildFixtureContainer(t, 1<<20, 47, testMaster(47), 4096*64, false)
+	dataDir := t.TempDir()
+	svc, _ := testServer(t, Config{Workers: 1, DataDir: dataDir})
+	kept := filepath.Join(t.TempDir(), "spool")
+	body := &failingBody{data: container, failAt: len(container) / 2, onFail: func() {
+		spools, err := filepath.Glob(filepath.Join(dataDir, "coldbootd-*.cbdump"))
+		if err != nil || len(spools) != 1 {
+			t.Fatalf("spools mid-upload: %v, %v", spools, err)
+		}
+		if err := os.Link(spools[0], kept); err != nil {
+			t.Fatal(err)
+		}
+		held, err := os.ReadFile(kept)
+		if err != nil || !bytes.Equal(held, container[:len(held)]) || len(held) < len(container)/4 {
+			t.Fatalf("spool mid-upload holds %d bytes, not the upload's first half (%v)", len(held), err)
+		}
+	}}
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", body))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("broken upload: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	if n := spooled(t, dataDir); n != 0 {
+		t.Fatalf("%d spooled dumps left after a broken upload", n)
+	}
+	held, err := os.ReadFile(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held) < len(container)/4 || !bytes.Equal(held, make([]byte, len(held))) {
+		t.Fatalf("the unlinked spool (%d bytes) was not zeroed", len(held))
 	}
 }
 
