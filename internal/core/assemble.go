@@ -161,9 +161,9 @@ func mismatchBudget(totalBits int, minScore float64) int {
 // budget, with some count above budget: a caller that passes the largest
 // count that could still change its decision learns the exact count
 // whenever it matters. A schedule that does not fit the dump counts as
-// fully mismatched (score 0). The hunt calls it with cached schedule bytes
-// (ScheduleCache) or scratch-expanded candidates, so the per-candidate
-// path performs no allocation.
+// fully mismatched (score 0). The hunt calls it with each candidate
+// expanded into its worker's scratch, so the per-candidate path performs
+// no allocation.
 func scheduleMismatch(dump []byte, keys KeyDirectory, schedule []byte, tableStart, budget int) int {
 	if tableStart < 0 || tableStart+len(schedule) > len(dump) {
 		return len(schedule) * 8

@@ -118,9 +118,6 @@ type huntRun struct {
 	pairs int64
 
 	tracer obs.Tracer
-	// schedules memoizes candidate schedule expansions across every shard
-	// of the plan (a master re-sighted in an overlap region expands once).
-	schedules *ScheduleCache
 	// memo caches completed verify→refine outcomes per (pre-repair master,
 	// table start): re-sighting an already-verified master at another anchor
 	// window replays the recorded outcome instead of re-running the full
@@ -376,19 +373,12 @@ func (run *huntRun) hunt(ctx context.Context, span obs.Span) error {
 						verifyStart := obs.Now()
 						// Almost every candidate master is garbage derived from
 						// application data and will never be sighted again, so
-						// the miss path expands into scratch (no allocation, no
-						// cache churn); verified masters are promoted below.
-						sched, cached := run.schedules.Lookup(master)
-						if !cached {
-							sched = aes.ExpandKeyBytesInto(sc.repair.sched[:0], master)
-						}
+						// it expands into scratch: no allocation per candidate.
+						sched := aes.ExpandKeyBytesInto(sc.repair.sched[:0], master)
 						// Only pass/fail matters here (refine rescores a
 						// verified master), so scoring stops at the budget.
 						initialVerified := scheduleMismatch(dump, run.directory, sched, start, verifyBudget) <= verifyBudget
 						run.tracer.Observe("hunt.verify_ns", obs.Since(verifyStart))
-						if initialVerified && !cached {
-							run.schedules.Insert(master, sched)
-						}
 						verified := initialVerified
 						if !verified && run.ground != nil && groundRepairsLeft > 0 {
 							groundRepairsLeft--
@@ -454,7 +444,9 @@ func (run *huntRun) record(master []byte, start int, score float64, v aes.Varian
 	k := string(master)
 	if f, ok := run.found[k]; ok {
 		f.Anchors++
-		if score > f.Score {
+		// Equal scores keep the lower table start, so the outcome does not
+		// depend on which hunt worker sighted the master first.
+		if score > f.Score || (score == f.Score && start < f.TableStart) {
 			f.Score = score
 			f.TableStart = start
 		}

@@ -239,6 +239,39 @@ func TestAttackFindsBothXTSKeys(t *testing.T) {
 	}
 }
 
+// TestAttackDuplicateScheduleTieIsWidthFree: one master's schedule sits
+// twice in memory, the copies verifying with equal scores. The copy at
+// the lower offset is the one reported, however many hunt workers split
+// the dump: the upper copy sits at the start of the second worker's
+// range, where that worker reaches it before the first reaches the lower.
+func TestAttackDuplicateScheduleTieIsWidthFree(t *testing.T) {
+	m := testMaster(109, 32)
+	const size = 1 << 20
+	lo, hi := size/2-4*BlockBytes+16, size/2+16
+	plain := make([]byte, size)
+	workload.Fill(plain, 11, workload.LightSystem)
+	copy(plain[lo:], aes.ExpandKeyBytes(m))
+	copy(plain[hi:], aes.ExpandKeyBytes(m))
+	dump := make([]byte, size)
+	scramble.NewSkylakeDDR4(889).Scramble(dump, plain, 0)
+
+	for _, workers := range []int{1, 2} {
+		res, err := Attack(context.Background(), dump, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, k := range res.Keys {
+			if bytes.Equal(k.Master, m) {
+				got = append(got, k.TableStart)
+			}
+		}
+		if len(got) != 1 || got[0] != lo {
+			t.Fatalf("%d hunt workers: master reported at %v, want once at %d", workers, got, lo)
+		}
+	}
+}
+
 func TestAttackNoFalsePositivesOnKeylessDump(t *testing.T) {
 	// A dump with no AES schedule must yield no keys.
 	plain := make([]byte, 1<<20)

@@ -242,10 +242,10 @@ func shardBytes(src BlockSource, sh Shard, bufs chan []byte) (sub []byte, releas
 	return sub, func() { bufs <- buf }, nil
 }
 
-// scanShard hunts one shard's bytes with the plan's directory, skip set,
-// formats and schedule cache, recording into tracer under span. Results
-// come back rebased to full-dump coordinates. A cancelled context
-// surfaces the partial findings together with ctx.Err().
+// scanShard hunts one shard's bytes with the plan's directory, skip set
+// and formats, recording into tracer under span. Results come back
+// rebased to full-dump coordinates. A cancelled context surfaces the
+// partial findings together with ctx.Err().
 func (p *CampaignPlan) scanShard(ctx context.Context, sub []byte, sh Shard, tracer obs.Tracer, span obs.Span) (ShardResult, error) {
 	out := ShardResult{Shard: sh}
 	if sh.FirstBlock < 0 || sh.Blocks < 0 || sh.FirstBlock+sh.Blocks > p.TotalBlocks || len(sub) != sh.Blocks*BlockBytes {
@@ -259,7 +259,6 @@ func (p *CampaignPlan) scanShard(ctx context.Context, sub []byte, sh Shard, trac
 		directory: func(b int) [][]byte { return p.directory(b + first) },
 		skip:      p.skip,
 		tracer:    tracer,
-		schedules: p.schedules,
 		memo:      make(map[string]*verifyOutcome),
 		rf:        p.rf,
 		found:     make(map[string]*FoundKey),

@@ -114,7 +114,7 @@ func FuzzPlanFromWire(f *testing.F) {
 		f.Fatal(err)
 	}
 	frame, err := EncodeWirePlan(&WirePlan{
-		Variant: aes.AES256, Formats: []string{FormatAESXTS}, Workers: 1,
+		Variant: aes.AES256, Formats: []string{FormatAESXTS},
 		Stride: mine.InferStride(), TotalBlocks: 64, Overlap: 4, Mine: mine,
 	})
 	if err != nil {

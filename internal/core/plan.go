@@ -61,14 +61,11 @@ type CampaignPlan struct {
 	rf        resolvedFormats
 	directory KeyDirectory
 	// skip is the zero-block bitset over the full dump (zeroBlocks).
-	skip []uint64
-	// schedules is the plan's schedule cache, shared by every shard scan
-	// and wiped by Close.
-	schedules *ScheduleCache
-	tracer    obs.Tracer
-	root      obs.Span
-	res       *Result
-	closed    bool
+	skip   []uint64
+	tracer obs.Tracer
+	root   obs.Span
+	res    *Result
+	closed bool
 
 	mu         sync.Mutex
 	doneBlocks int // guarded by mu
@@ -107,7 +104,6 @@ func PlanCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig
 		cfg:         cfg,
 		attackCfg:   attackCfg,
 		rf:          rf,
-		schedules:   NewScheduleCache(0),
 		tracer:      tracer,
 	}
 	p.root = startCampaignSpan(tracer, attackCfg.Span, totalBlocks)
@@ -304,8 +300,7 @@ func (p *CampaignPlan) Finalize(collected []FoundKey, vols []format.Volume, pair
 	return p.res
 }
 
-// Close ends the campaign span and retires the plan's schedule cache.
-// Idempotent.
+// Close ends the campaign span. Idempotent.
 func (p *CampaignPlan) Close() {
 	if p.closed {
 		return
@@ -314,14 +309,14 @@ func (p *CampaignPlan) Close() {
 	if p.root != nil {
 		p.root.End()
 	}
-	p.schedules.Wipe()
 }
 
-// WirePlan is the shippable projection of a CampaignPlan: everything a
-// remote worker needs to reproduce a shard scan byte-for-byte. It
-// deliberately excludes host-local state (KeysForBlock closures, ground
-// dump, tracer, schedule cache); mining already ran on the coordinator. It travels as
-// one EncodeWirePlan frame.
+// WirePlan is the shippable projection of a CampaignPlan: what the plan
+// decides, which is everything a remote worker needs to reproduce a shard
+// scan byte-for-byte. It deliberately excludes host-local state
+// (KeysForBlock closures, ground dump, tracer, and the hunt's width: a
+// worker scans on its own CPUs); mining already ran on the coordinator.
+// It travels as one EncodeWirePlan frame.
 //
 // The mined Keys ride along raw: they are scrambler keystream blocks
 // recovered FROM the attacker-held dump, not recovered secrets — the
@@ -331,7 +326,6 @@ type WirePlan struct {
 	Variant     aes.Variant
 	Formats     []string
 	RepairFlips int
-	Workers     int
 	Stride      int
 	TotalBlocks int
 	Overlap     int
@@ -347,7 +341,6 @@ func (p *CampaignPlan) Wire() *WirePlan {
 		Variant:     p.attackCfg.Variant,
 		Formats:     p.attackCfg.Formats,
 		RepairFlips: p.attackCfg.RepairFlips,
-		Workers:     p.attackCfg.Workers,
 		Stride:      p.Stride,
 		TotalBlocks: p.TotalBlocks,
 		Overlap:     p.Overlap,
@@ -358,8 +351,9 @@ func (p *CampaignPlan) Wire() *WirePlan {
 
 // PlanFromWire reconstructs a scan-capable plan on a remote worker: the
 // same directory and skip-set rules as PlanCampaignSource, minus the
-// mining pass (the coordinator already paid it). The resulting plan can
-// ScanShardBytes; it cannot Finalize a campaign it did not plan.
+// mining pass (the coordinator already paid it). Its hunt runs one worker
+// per local CPU. The resulting plan can ScanShardBytes; it cannot
+// Finalize a campaign it did not plan.
 func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 	if w == nil || w.Mine == nil {
 		return nil, fmt.Errorf("core: wire plan missing mine pool")
@@ -368,7 +362,6 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 		Variant:     w.Variant,
 		Formats:     w.Formats,
 		RepairFlips: w.RepairFlips,
-		Workers:     w.Workers,
 		Tracer:      tracer,
 	}.withDefaults()
 	rf, err := resolveFormats(attackCfg.Formats)
@@ -384,7 +377,6 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 		attackCfg:   attackCfg,
 		rf:          rf,
 		skip:        zeroBlocks(w.Mine, w.TotalBlocks),
-		schedules:   NewScheduleCache(0),
 		tracer:      obs.OrNop(tracer),
 		res:         &Result{Mine: w.Mine, Stride: w.Stride, BlocksScanned: w.TotalBlocks},
 	}
@@ -398,24 +390,22 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 // where its last key does:
 //
 //	"CBWP" version
-//	variant  nformats {len name}  repair_flips  workers
+//	variant  nformats {len name}  repair_flips
 //	stride  total_blocks  overlap  {len trace_id}  parent_span
 //	blocks_scanned  blocks_passed  nkeys
 //	{key[64]  count  first_position  {position delta}}
 //
 // A key's positions are ascending, so each delta after the first is at
 // least 1. The decoder holds the frame to the bounds below and to the
-// miner's invariants, so a worker never sizes an allocation or a worker
-// pool from a field it did not check.
+// miner's invariants, so a worker never sizes an allocation from a field
+// it did not check.
 const (
 	wirePlanMagic   = "CBWP"
-	wirePlanVersion = 2
+	wirePlanVersion = 3
 	// maxWireBlocks bounds TotalBlocks: a 16 GiB image, sixteen times
 	// the default upload cap. It also bounds the decoder's position
 	// bitset, TotalBlocks/8 bytes.
 	maxWireBlocks = 1 << 28
-	// maxWireWorkers bounds the scan goroutines a plan may ask for.
-	maxWireWorkers = 1 << 10
 	// maxWireSmall bounds the short fields: the format count, each
 	// format name's and the trace ID's length, and RepairFlips.
 	maxWireSmall = 1 << 8
@@ -433,8 +423,6 @@ func EncodeWirePlan(w *WirePlan) ([]byte, error) {
 		return nil, fmt.Errorf("core: wire plan: unknown variant %d", w.Variant)
 	case w.TotalBlocks < 0 || w.TotalBlocks > maxWireBlocks:
 		return nil, fmt.Errorf("core: wire plan: %d blocks, over the %d-block bound", w.TotalBlocks, maxWireBlocks)
-	case w.Workers < 0 || w.Workers > maxWireWorkers:
-		return nil, fmt.Errorf("core: wire plan: %d workers, over the bound of %d", w.Workers, maxWireWorkers)
 	case w.RepairFlips < 0 || w.RepairFlips > maxWireSmall || len(w.Formats) > maxWireSmall || len(w.Trace.TraceID) > maxWireSmall:
 		return nil, fmt.Errorf("core: wire plan: repair flips, formats or trace ID over their bounds")
 	}
@@ -460,7 +448,6 @@ func appendWirePlan(b []byte, w *WirePlan) []byte {
 		b = append(b, f...)
 	}
 	u(w.RepairFlips)
-	u(w.Workers)
 	u(w.Stride)
 	u(w.TotalBlocks)
 	u(w.Overlap)
@@ -514,7 +501,6 @@ func DecodeWirePlan(frame []byte) (*WirePlan, error) {
 		}
 	}
 	w.RepairFlips = d.uint("repair flips", maxWireSmall)
-	w.Workers = d.uint("workers", maxWireWorkers)
 	w.Stride = d.uint("stride", maxWireBlocks)
 	w.TotalBlocks = d.uint("total blocks", maxWireBlocks)
 	w.Overlap = d.uint("overlap", w.TotalBlocks)

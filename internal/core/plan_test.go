@@ -21,7 +21,6 @@ func smallWirePlan() *WirePlan {
 		Variant:     aes.AES256,
 		Formats:     []string{FormatAESXTS},
 		RepairFlips: 1,
-		Workers:     2,
 		Stride:      8,
 		TotalBlocks: 64,
 		Overlap:     4,
@@ -77,11 +76,9 @@ func TestDecodeWirePlanRejects(t *testing.T) {
 		"empty":            nil,
 		"bad magic":        append([]byte("CBWQ"), valid[4:]...),
 		"unknown version":  append(append([]byte("CBWP"), wirePlanVersion+1), valid[5:]...),
-		"retired version":  append(append([]byte("CBWP"), 1), valid[5:]...),
 		"unknown variant":  mutated(func(w *WirePlan) { w.Variant = 100 }),
 		"unknown format":   mutated(func(w *WirePlan) { w.Formats = []string{"nosuch"} }),
 		"trailing byte":    append(bytes.Clone(valid), 0),
-		"workers":          mutated(func(w *WirePlan) { w.Workers = maxWireWorkers + 1 }),
 		"total blocks":     mutated(func(w *WirePlan) { w.TotalBlocks = maxWireBlocks + 1 }),
 		"overlap":          mutated(func(w *WirePlan) { w.Overlap = w.TotalBlocks + 1 }),
 		"scanned":          mutated(func(w *WirePlan) { w.Mine.BlocksScanned = w.TotalBlocks + 1 }),
@@ -99,6 +96,9 @@ func TestDecodeWirePlanRejects(t *testing.T) {
 		"short key":    mutated(func(w *WirePlan) { w.Mine.Keys[0].Key = w.Mine.Keys[0].Key[:63] }),
 		"long key":     mutated(func(w *WirePlan) { w.Mine.Keys[1].Key = append(w.Mine.Keys[1].Key, 0) }),
 		"wrong stride": mutated(func(w *WirePlan) { w.Stride = 4 }),
+	}
+	for v := byte(1); v < wirePlanVersion; v++ {
+		cases["retired version "+strconv.Itoa(int(v))] = append(append([]byte("CBWP"), v), valid[5:]...)
 	}
 	for n := range len(valid) {
 		cases["truncated to "+strconv.Itoa(n)] = valid[:n]
@@ -119,7 +119,6 @@ func TestEncodeWirePlanRejects(t *testing.T) {
 	for name, edit := range map[string]func(w *WirePlan){
 		"no mine":     func(w *WirePlan) { w.Mine = nil },
 		"variant":     func(w *WirePlan) { w.Variant = 0 },
-		"workers":     func(w *WirePlan) { w.Workers = maxWireWorkers + 1 },
 		"blocks":      func(w *WirePlan) { w.TotalBlocks = maxWireBlocks + 1 },
 		"short key":   func(w *WirePlan) { w.Mine.Keys[0].Key = w.Mine.Keys[0].Key[:63] },
 		"count":       func(w *WirePlan) { w.Mine.Keys[0].Count = 4 },

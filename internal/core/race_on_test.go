@@ -8,6 +8,6 @@ package core
 // implementations (Workers: 1 and verbatim seed copies), so the detector
 // can find nothing there while multiplying the runtime past the package
 // test timeout. Concurrency coverage for the same code lives in the
-// dedicated race tests (race_test.go, TestScheduleCacheConcurrent, the
-// worker-pool attack tests), which do run under -race.
+// dedicated race tests (race_test.go, the worker-pool attack tests),
+// which do run under -race.
 const raceEnabled = true

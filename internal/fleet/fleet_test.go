@@ -210,6 +210,19 @@ func TestFleetParityWithLocalCampaign(t *testing.T) {
 		t.Fatalf("fleet result diverged from local campaign:\nlocal: %s\nfleet: %s", localJSON, fleetJSON)
 	}
 
+	// The wire plan carries no hunt width: the fleet workers hunt on
+	// their own CPUs, and a local campaign one hunt worker wide must
+	// still report the same keys.
+	serialCfg := parityConfig()
+	serialCfg.Attack.Workers = 1
+	serial, err := core.RunCampaignSource(context.Background(), core.BytesSource(dump), serialCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial.Keys, fleet.Keys) || !reflect.DeepEqual(serial.Volumes, fleet.Volumes) {
+		t.Fatalf("keys differ across hunt widths:\none worker: %+v\nfleet:      %+v", serial.Keys, fleet.Keys)
+	}
+
 	// The planted LUKS2 data key must carry the volume UUID in both.
 	tagged := false
 	for _, k := range fleet.Keys {

@@ -203,7 +203,8 @@ func (w *Worker) planFor(ctx context.Context, campaign string, tracer obs.Tracer
 		return nil, err
 	}
 	// Retire plans from finished campaigns: a worker outlives many
-	// campaigns, and each plan pins a schedule cache.
+	// campaigns, and each plan pins its campaign's mine pool and key
+	// directory.
 	for id, old := range w.plans {
 		if id != campaign {
 			old.Close()

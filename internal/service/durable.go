@@ -13,11 +13,11 @@ import (
 	"coldboot/internal/wal"
 )
 
-// defaultCompactEvery is the snapshot compaction threshold: once the WAL
+// compactEvery is the snapshot compaction threshold: once the WAL
 // holds this many events past the last snapshot, the reduced ledger is
 // written out and the log reset. Job lifecycle events are small, so this
 // bounds boot-time replay without snapshotting on every hunt.
-const defaultCompactEvery = 256
+const compactEvery = 256
 
 // walDirName is the durability subdirectory inside Config.DataDir.
 const walDirName = "wal"
@@ -32,13 +32,12 @@ const walDirName = "wal"
 // own mutex exists only so the metrics handler can read the gauges while
 // jobs are moving.
 type walStore struct {
-	mu           sync.Mutex
-	log          *wal.Log
-	ledger       *jobs.Ledger
-	compactEvery int
-	compactErrs  int
-	torn         bool
-	tornBytes    int64
+	mu          sync.Mutex
+	log         *wal.Log
+	ledger      *jobs.Ledger
+	compactErrs int
+	torn        bool
+	tornBytes   int64
 }
 
 // walStoreStats is the store's /metrics gauge set.
@@ -55,10 +54,7 @@ type walStoreStats struct {
 
 // openStore opens (creating if needed) the WAL under dataDir and replays
 // it into the reduced per-job entries the caller restores into the pool.
-func openStore(dataDir string, compactEvery int) (*walStore, []jobs.LedgerEntry, error) {
-	if compactEvery <= 0 {
-		compactEvery = defaultCompactEvery
-	}
+func openStore(dataDir string) (*walStore, []jobs.LedgerEntry, error) {
 	wlog, rec, err := wal.Open(filepath.Join(dataDir, walDirName), wal.Options{})
 	if err != nil {
 		return nil, nil, err
@@ -69,11 +65,10 @@ func openStore(dataDir string, compactEvery int) (*walStore, []jobs.LedgerEntry,
 		return nil, nil, err
 	}
 	st := &walStore{
-		log:          wlog,
-		ledger:       ledger,
-		compactEvery: compactEvery,
-		torn:         rec.Torn,
-		tornBytes:    rec.TornBytes,
+		log:       wlog,
+		ledger:    ledger,
+		torn:      rec.Torn,
+		tornBytes: rec.TornBytes,
 	}
 	// Compact at boot when the log carried events: replay cost stays
 	// bounded no matter how abruptly previous processes died.
@@ -98,7 +93,7 @@ func (st *walStore) Record(e jobs.Event) error {
 		return err
 	}
 	st.ledger.Apply(e)
-	if st.log.AppendedSinceSnapshot() >= st.compactEvery {
+	if st.log.AppendedSinceSnapshot() >= compactEvery {
 		st.compactLocked()
 	}
 	return nil
@@ -208,8 +203,11 @@ func decodeResult(raw json.RawMessage) *ResultReport {
 // drain — go back on the queue to run again, provided their spooled dump
 // still exists. A job whose spool vanished is settled as failed, and that
 // settlement is journaled so the next boot does not retry a lost dump.
+// Before any restored job runs, every other spool in the data dir is
+// discarded (sweepSpools).
 func (s *Server) restore(entries []jobs.LedgerEntry) error {
 	restored := make([]jobs.Restored, 0, len(entries))
+	owned := make(map[string]bool)
 	for _, e := range entries {
 		r := jobs.Restored{
 			ID:       e.ID,
@@ -236,6 +234,7 @@ func (s *Server) restore(entries []jobs.LedgerEntry) error {
 				// status, trace and stream endpoints follow the resumed run.
 				pl.tel = s.newTelemetry()
 				s.addTelemetry(e.ID, pl.tel)
+				owned[filepath.Base(pl.Path)] = true
 			}
 			if r.State == jobs.StateFailed {
 				s.store.Record(jobs.Event{Op: jobs.OpFailed, ID: e.ID, Attempts: e.Attempts, Error: r.Error})
@@ -247,7 +246,23 @@ func (s *Server) restore(entries []jobs.LedgerEntry) error {
 		}
 		restored = append(restored, r)
 	}
+	sweepSpools(s.cfg.DataDir, owned)
 	return s.pool.Restore(restored)
+}
+
+// sweepSpools discards every upload spool in dataDir whose file name
+// owned does not hold. A process that dies mid-upload, or between a
+// job's terminal journal record and its spool wipe, leaves the victim's
+// memory on disk with no job left to discard it; the next boot's sweep
+// is that spool's last owner. Only a DataDir is swept: the OS temp dir a
+// server without one spools to is shared with other processes.
+func sweepSpools(dataDir string, owned map[string]bool) {
+	spools, _ := filepath.Glob(filepath.Join(dataDir, spoolPattern))
+	for _, path := range spools {
+		if !owned[filepath.Base(path)] {
+			discardSpool(path)
+		}
+	}
 }
 
 // spoolMissing reports whether a journaled spool path no longer resolves

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -178,6 +179,57 @@ func TestDurableRevealPersistence(t *testing.T) {
 	}
 	if k["fingerprint"] != secret.Fingerprint(master) {
 		t.Errorf("fingerprint lost: %v", k)
+	}
+}
+
+// TestBootSweepsOrphanSpools: a spool that no restored job owns — left
+// by a process that died between a job's terminal record and its wipe —
+// is zeroed and unlinked at the next boot, while the spools of jobs that
+// will run again stay for those jobs.
+func TestBootSweepsOrphanSpools(t *testing.T) {
+	dir := t.TempDir()
+	hold := make(chan struct{}) // never closed: server 1's jobs stay active at "crash"
+	_, ts1 := bootServer(t, Config{Workers: 1, DataDir: dir, Runner: blockingRunner(hold, testMaster(17))})
+	code, doc := postDump(t, ts1, "", tinyContainer(t))
+	if code != http.StatusCreated {
+		t.Fatalf("submit A: HTTP %d: %v", code, doc)
+	}
+	idA := doc["id"].(string)
+	pollUntil(t, ts1, idA, 10*time.Second, inState("running"))
+	code, doc = postDump(t, ts1, "", tinyContainer(t))
+	if code != http.StatusCreated {
+		t.Fatalf("submit B: HTTP %d: %v", code, doc)
+	}
+	idB := doc["id"].(string)
+
+	// "Crash" server 1 and plant an orphan next to the jobs' spools; a
+	// hard link outlives the unlink, so the test can read what the sweep
+	// left in the file.
+	victim := bytes.Repeat([]byte{0xa5}, 4096)
+	orphan := filepath.Join(dir, "coldbootd-orphan.cbdump")
+	if err := os.WriteFile(orphan, victim, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	kept := filepath.Join(t.TempDir(), "orphan")
+	if err := os.Link(orphan, kept); err != nil {
+		t.Fatal(err)
+	}
+
+	// Server 2 runs the real analysis, which reads each restored job's
+	// spool: a sweep that took them fails the jobs.
+	_, ts2 := testServer(t, Config{Workers: 1, DataDir: dir})
+	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("orphan spool survived the boot: %v", err)
+	}
+	held, err := os.ReadFile(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != len(victim) || !bytes.Equal(held, make([]byte, len(held))) {
+		t.Fatalf("the swept orphan (%d bytes) was not zeroed", len(held))
+	}
+	for _, id := range []string{idA, idB} {
+		pollUntil(t, ts2, id, 30*time.Second, inState("done"))
 	}
 }
 

@@ -181,8 +181,11 @@ func (s *Server) runAnalysis(ctx context.Context, j *jobs.Job) (any, error) {
 			Span:        root,
 		},
 		ShardBlocks: s.cfg.ShardBlocks,
-		Parallel:    s.cfg.Parallel,
-		TraceID:     pl.tel.traceID,
+		// One shard at a time within a job: concurrent jobs already fill
+		// the CPU budget, and sequential shards keep per-job progress
+		// strictly ordered.
+		Parallel: 1,
+		TraceID:  pl.tel.traceID,
 	}
 	// A coordinator-role server hands the campaign to the worker fleet;
 	// both paths are compositions of the same Plan/Scan/Finalize pipeline,

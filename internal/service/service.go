@@ -70,8 +70,6 @@ type Config struct {
 	// survive kill -9. Key material rides the journal only as fingerprints
 	// unless a job was submitted with ?reveal=keys.
 	DataDir string
-	// CompactEvery overrides the WAL snapshot threshold (0 = default).
-	CompactEvery int
 	// Role selects the daemon's fleet role: "" or RoleStandalone runs
 	// campaigns in-process; RoleCoordinator additionally mounts the fleet
 	// lease endpoints and runs every campaign through the worker fleet
@@ -81,16 +79,12 @@ type Config struct {
 	// LeaseTTL is the coordinator's shard lease lifetime (0 = fleet
 	// default). Ignored unless Role is RoleCoordinator.
 	LeaseTTL time.Duration
-	// MaxAttempts and RetryBackoff configure retry of transiently failing
-	// jobs (defaults: no retries; 250ms first backoff).
-	MaxAttempts  int
-	RetryBackoff time.Duration
+	// MaxAttempts configures retry of transiently failing jobs (default:
+	// no retries; the pool's backoff starts at 250ms).
+	MaxAttempts int
 	// ShardBlocks overrides the campaign shard size (tests shrink it to
 	// see many progress ticks on small fixtures).
 	ShardBlocks int
-	// Parallel overrides per-job shard concurrency (default: one shard at
-	// a time per job — cross-job parallelism comes from Workers).
-	Parallel int
 	// EventBuffer caps each job's telemetry journal — the ring of recent
 	// events behind GET /v1/jobs/{id}/events (0 = obs default). Slow
 	// stream consumers see a gap record, never a stalled pipeline.
@@ -144,12 +138,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = DefaultMaxUploadBytes
 	}
-	if cfg.Parallel <= 0 {
-		// One shard at a time within a job: concurrent jobs already fill
-		// the CPU budget, and sequential shards keep per-job progress
-		// strictly ordered.
-		cfg.Parallel = 1
-	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 10 * time.Second
 	}
@@ -173,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 	var entries []jobs.LedgerEntry
 	if cfg.DataDir != "" {
 		var err error
-		s.store, entries, err = openStore(cfg.DataDir, cfg.CompactEvery)
+		s.store, entries, err = openStore(cfg.DataDir)
 		if err != nil {
 			return nil, err
 		}
@@ -183,12 +171,11 @@ func New(cfg Config) (*Server, error) {
 		run = s.runAnalysis
 	}
 	opts := jobs.Options{
-		Workers:      cfg.Workers,
-		JobTimeout:   cfg.JobTimeout,
-		MaxAttempts:  cfg.MaxAttempts,
-		RetryBackoff: cfg.RetryBackoff,
-		Tracer:       s.collector,
-		OnJobDone:    s.jobDone,
+		Workers:     cfg.Workers,
+		JobTimeout:  cfg.JobTimeout,
+		MaxAttempts: cfg.MaxAttempts,
+		Tracer:      s.collector,
+		OnJobDone:   s.jobDone,
 	}
 	if s.store != nil {
 		opts.Journal = s.store
@@ -312,6 +299,10 @@ func (s *Server) jobDone(j *jobs.Job) {
 	}
 }
 
+// spoolPattern names upload spools (os.CreateTemp pattern and
+// filepath.Glob pattern alike).
+const spoolPattern = "coldbootd-*.cbdump"
+
 // discardSpool overwrites a spooled container with zeros, then unlinks it.
 // A spool holds the victim's memory, key schedules included, and a bare
 // unlink leaves those bytes recoverable from the backing store, so every
@@ -389,7 +380,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		pl.Formats = specs
 	}
 
-	tmp, err := os.CreateTemp(s.cfg.DataDir, "coldbootd-*.cbdump")
+	tmp, err := os.CreateTemp(s.cfg.DataDir, spoolPattern)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "spooling upload: %v", err)
 		return
