@@ -41,24 +41,26 @@
 #                       unrestarted; a dead worker's leased shard comes
 #                       back through lease expiry or a straggler steal)
 #   make bench          run the paper-figure benchmarks once
-#   make bench-hotpath  regenerate BENCH_hotpath.json (attack hot-path
-#                       kernels, machine-readable; commit the result so the
-#                       perf trajectory is tracked across PRs)
 #   make bench-guard    run the instrumented-hot-path benchmarks 100 times
 #                       and fail if any reports allocs/op > 0 — the Nop tracer
 #                       fast path, window repair and master recovery must
 #                       stay allocation-free —
-#                       then re-run the end-to-end attack benchmark and fail
-#                       if it regresses past the throughput floor / alloc
-#                       ceiling recorded in BENCH_hotpath.json, then mine an
-#                       8 MiB dump at 0.3 % flips once and fail if B/op
-#                       exceeds 6x the dump size — the near-duplicate merge
-#                       index must stay sized to the canonical keys, not to
-#                       every decayed group
+#                       then run core's BenchmarkAttackDump2MiB (the whole
+#                       attack over a 2 MiB dump with every registered format
+#                       on, as coldbootd serves it) and fail if it reads
+#                       under ATTACK_MIN_MB_S or over ATTACK_MAX_ALLOCS, then
+#                       mine an 8 MiB dump at 0.3 % flips once and fail if
+#                       B/op exceeds 6x the dump size — the near-duplicate
+#                       merge index must stay sized to the canonical keys,
+#                       not to every decayed group
 
 GO ?= go
 
-.PHONY: test race lint lint-json lint-fixtures fmt perfbench-check check fuzz-smoke serve-smoke crash-smoke bench bench-hotpath bench-guard all
+# bench-guard's bounds on BenchmarkAttackDump2MiB.
+ATTACK_MIN_MB_S = 60
+ATTACK_MAX_ALLOCS = 1000
+
+.PHONY: test race lint lint-json lint-fixtures fmt perfbench-check check fuzz-smoke serve-smoke crash-smoke bench bench-guard all
 
 all: check
 
@@ -114,18 +116,19 @@ crash-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-bench-hotpath:
-	$(GO) run ./cmd/encbench -hotpath BENCH_hotpath.json
-
 # The guarded benchmarks drive the full telemetry hook surface (spans,
 # counters, histograms, progress) through the Nop tracer inside the scan
 # hot loops, and the per-candidate repair and master-recovery kernels.
 # They run 100 iterations: allocs/op is total allocations over the
 # iteration count, rounded down, so a one-off runtime allocation (a map
 # growth or timer inside the runtime) reads 0 while an allocation made on
-# every operation still reads at least 1 and fails the gate. The mining ceiling sits well above the ~3.2x of the
-# 8 MiB dump that mining allocates (each distinct content copied once per
-# scan range, the merge index sized to the canonical keys).
+# every operation still reads at least 1 and fails the gate. The attack
+# bounds are loose against what the benchmark reads on a 2-CPU host
+# (roughly 100-130 MB/s and about 700 allocs/op), so scheduler noise does
+# not flake while a per-candidate allocation in any format's prober (a few
+# thousand per op) still fails. The mining ceiling sits well above the
+# ~3.2x of the 8 MiB dump that mining allocates (each distinct content
+# copied once per scan range, the merge index sized to the canonical keys).
 bench-guard:
 	@set -e; \
 	for spec in \
@@ -141,7 +144,16 @@ bench-guard:
 		echo "$$out" | awk '/allocs\/op/ { for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 != 0) { print "bench-guard: " $$1 " allocates: " $$(i-1) " allocs/op"; bad = 1 } } END { exit bad }'; \
 	done; \
 	echo "bench-guard: all hot-path benchmarks allocation-free"
-	$(GO) run ./cmd/encbench -guard BENCH_hotpath.json
+	@set -e; \
+	out=$$($(GO) test ./internal/core -run '^$$' -bench '^BenchmarkAttackDump2MiB$$' -benchmem) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk -v floor=$(ATTACK_MIN_MB_S) -v ceil=$(ATTACK_MAX_ALLOCS) ' \
+		/^BenchmarkAttackDump2MiB/ { for (i = 2; i <= NF; i++) { if ($$i == "MB/s") mbs = $$(i-1) + 0; if ($$i == "allocs/op") allocs = $$(i-1) + 0 }; seen = 1 } \
+		END { \
+			if (!seen) { print "bench-guard: BenchmarkAttackDump2MiB did not run"; exit 1 } \
+			if (mbs < floor) { printf "bench-guard: attack reads %.1f MB/s, under the %g MB/s floor\n", mbs, floor; exit 1 } \
+			if (allocs > ceil) { printf "bench-guard: attack allocates %d allocs/op, over the %d ceiling\n", allocs, ceil; exit 1 } \
+			printf "bench-guard: attack reads %.1f MB/s at %d allocs/op, within %g MB/s and %d allocs/op\n", mbs, allocs, floor, ceil }'
 	@set -e; \
 	out=$$($(GO) test ./internal/core -run '^$$' -bench '^BenchmarkMineKeysDecayed$$' -benchtime 1x -benchmem) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \

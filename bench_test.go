@@ -102,8 +102,8 @@ func BenchmarkKeyfindScanParallel(b *testing.B) {
 }
 
 // BenchmarkKeyfindScanSerial is the single-worker reference (Scan with
-// workers=1) for the parallel-scan speedup factor recorded in
-// BENCH_hotpath.json.
+// workers=1) for BenchmarkKeyfindScanParallel: their ns/op ratio is the
+// parallel scan's speedup on the host's cores.
 func BenchmarkKeyfindScanSerial(b *testing.B) {
 	img := make([]byte, 4<<20)
 	if err := workload.Fill(img, 5, workload.LoadedSystem); err != nil {

@@ -7,9 +7,11 @@
 //	encbench -table2
 //	encbench -figure6
 //	encbench -figure7
+//	encbench -traffic
 //	encbench -all
-//	encbench -hotpath BENCH_hotpath.json
-//	encbench -guard BENCH_hotpath.json
+//
+// The attack's hot-path benchmarks are plain `go test` benchmarks;
+// `make bench-guard` gates them.
 package main
 
 import (
@@ -28,27 +30,13 @@ func main() {
 	figure7 := flag.Bool("figure7", false, "print the Figure 7 overheads")
 	traffic := flag.Bool("traffic", false, "print the command-level traffic cross-validation")
 	all := flag.Bool("all", false, "print everything")
-	hotpath := flag.String("hotpath", "", "run the attack hot-path benchmarks and write machine-readable JSON to this file (conventionally BENCH_hotpath.json)")
-	guard := flag.String("guard", "", "re-run the end-to-end attack benchmark and fail if it regresses past the gate recorded in this BENCH_hotpath.json")
 	flag.Parse()
 	if *all {
 		*table2, *figure6, *figure7, *traffic = true, true, true, true
 	}
-	if !*table2 && !*figure6 && !*figure7 && !*traffic && *hotpath == "" && *guard == "" {
+	if !*table2 && !*figure6 && !*figure7 && !*traffic {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *hotpath != "" {
-		if err := writeHotpath(*hotpath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *guard != "" {
-		if err := runGuard(*guard); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 	if *table2 {
 		printTable2()

@@ -18,9 +18,12 @@
 //     require partial per-format results, then require a clean SIGTERM
 //     drain (exit 0).
 //   - kill-standalone: submit two jobs (one mid-hunt, one queued behind
-//     it), SIGKILL the daemon mid-campaign, restart it on the same data
-//     dir, and require the write-ahead log replay to finish both jobs with
-//     their planted masters: kill -9 must lose no submitted job.
+//     it), stream half of a third container through a body that never
+//     ends, and SIGKILL the daemon once that upload's spool holds bytes.
+//     Restart it on the same data dir and require the half-uploaded spool
+//     gone, every spool left owned by a restored job, and the write-ahead
+//     log replay to finish both jobs with their planted masters: kill -9
+//     must lose no submitted job and leave no victim memory behind.
 //   - kill-coordinator: the same against a coordinator with two worker
 //     processes. The coordinator restarts on the same data dir and
 //     address; the workers are never restarted and must re-attach.
@@ -159,7 +162,11 @@ func killStandalone(r *rig) error {
 	if err != nil {
 		return err
 	}
-	jobs, err := crashMidHunt(d, 510)
+	jobs, err := submitMidHunt(d, 510)
+	if err != nil {
+		return err
+	}
+	jobSpools, err := killMidUpload(d, r.dir, 512)
 	if err != nil {
 		return err
 	}
@@ -168,6 +175,16 @@ func killStandalone(r *rig) error {
 		return err
 	}
 	log.Printf("daemon #2 up at %s (same data dir)", d2.base())
+	left, err := spools(r.dir)
+	if err != nil {
+		return err
+	}
+	for _, path := range left {
+		if !slices.Contains(jobSpools, path) {
+			return fmt.Errorf("spool %s survived the restart with no restored job to own it", filepath.Base(path))
+		}
+	}
+	log.Printf("boot sweep left %d spool(s), all owned by restored jobs", len(left))
 	if err := finishAll(d2.base(), jobs, r.trace); err != nil {
 		return err
 	}
@@ -195,10 +212,12 @@ func killCoordinator(r *rig) error {
 		workers = append(workers, w)
 	}
 	log.Printf("coordinator up at %s with workers w1, w2", c.base())
-	jobs, err := crashMidHunt(c, 520)
+	jobs, err := submitMidHunt(c, 520)
 	if err != nil {
 		return err
 	}
+	log.Printf("sending SIGKILL")
+	c.kill()
 	c2, err := r.start("coordinator", "-listen", c.addr)
 	if err != nil {
 		return err
@@ -448,12 +467,12 @@ type job struct {
 	fx fixture
 }
 
-// crashMidHunt submits the two jobs of a kill scenario to d — a 64 MiB
+// submitMidHunt submits the two jobs of a kill scenario to d — a 64 MiB
 // dump that is mid-campaign for a comfortable stretch at the gated scan
-// rate, and a 2 MiB one queued behind it on the single job slot — waits
-// until the first is demonstrably mid-campaign, and then pulls the rug:
-// SIGKILL, no drain, no flush.
-func crashMidHunt(d *proc, seed int64) ([]job, error) {
+// rate, and a 2 MiB one queued behind it on the single job slot — and
+// waits until the first is demonstrably mid-campaign. The caller then
+// pulls the rug: SIGKILL, no drain, no flush.
+func submitMidHunt(d *proc, seed int64) ([]job, error) {
 	jobs := []job{{fx: buildFixture(seed, 64<<20)}, {fx: buildFixture(seed+1, 2<<20)}}
 	for i := range jobs {
 		var err error
@@ -465,9 +484,62 @@ func crashMidHunt(d *proc, seed int64) ([]job, error) {
 	if err := waitProgress(d, jobs[0].id, 4096); err != nil {
 		return nil, err
 	}
-	log.Printf("job %s mid-hunt; sending SIGKILL", jobs[0].id)
-	d.kill()
+	log.Printf("job %s mid-hunt", jobs[0].id)
 	return jobs, nil
+}
+
+// spoolPattern names coldbootd's upload spools in its data dir.
+const spoolPattern = "coldbootd-*.cbdump"
+
+// spools lists the upload spools in dataDir.
+func spools(dataDir string) ([]string, error) {
+	return filepath.Glob(filepath.Join(dataDir, spoolPattern))
+}
+
+// killMidUpload streams the first half of a container to d through a
+// pipe that never delivers the rest, waits until the upload's spool in
+// dataDir holds bytes, and SIGKILLs d with the upload in flight. It
+// returns the spools that existed before the upload began: those of the
+// jobs already submitted.
+func killMidUpload(d *proc, dataDir string, seed int64) ([]string, error) {
+	jobSpools, err := spools(dataDir)
+	if err != nil {
+		return nil, err
+	}
+	fx := buildFixture(seed, 2<<20)
+	pr, pw := io.Pipe()
+	// The write returns once the daemon has read the half, or with an
+	// error once the pipe is closed below.
+	go pw.Write(fx.container[:len(fx.container)/2])
+	posted := make(chan struct{})
+	go func() {
+		defer close(posted)
+		if resp, err := http.Post(d.base()+"/v1/jobs", "application/octet-stream", pr); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	var orphan string
+	err = poll("the upload's spool to hold bytes", 30*time.Second, 5*time.Millisecond, func() (bool, error) {
+		if !d.alive() {
+			return false, fmt.Errorf("daemon exited mid-upload: %v", d.err)
+		}
+		now, err := spools(dataDir)
+		for _, path := range now {
+			if fi, statErr := os.Stat(path); statErr == nil && fi.Size() > 0 && !slices.Contains(jobSpools, path) {
+				orphan = path
+			}
+		}
+		return orphan != "", err
+	})
+	d.kill()
+	pr.Close()
+	<-posted
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("SIGKILLed mid-upload with %d job spool(s) and the half-uploaded %s on disk",
+		len(jobSpools), filepath.Base(orphan))
+	return jobSpools, nil
 }
 
 // finishAll requires every job to survive the kill under its ID and finish

@@ -33,7 +33,7 @@ const keyBytes = 32
 
 // DefaultTolerance is the bit-flip budget across the four sigma words
 // when the caller passes no tolerance. Random data matches 128 known
-// bits within 8 flips with probability ~2^-94, so false positives are
+// bits within 8 flips with probability ~2^-88, so false positives are
 // not a concern even on multi-GiB dumps.
 const DefaultTolerance = 8
 
@@ -55,8 +55,10 @@ func (Scanner) KeyBytes() int { return keyBytes }
 
 // ProbeBlock probes one descrambled 64-byte block for state starts at
 // every word alignment. tolerance <= 0 selects DefaultTolerance. The
-// no-hit path performs no allocations: the word-0 quick filter rejects
-// random words with probability ~1-2^-18 before any buffering happens.
+// no-hit path performs no allocations. At the default tolerance the word-0
+// quick filter still passes about 0.35 % (~2^-8) of random words; those
+// candidates are rejected by the sigma words inside the block before any
+// cross-block tail is buffered.
 func (s Scanner) ProbeBlock(block []byte, absOff int, view format.View, tolerance int, emit func(format.Finding)) {
 	if tolerance <= 0 {
 		tolerance = DefaultTolerance
@@ -71,23 +73,26 @@ func (s Scanner) ProbeBlock(block []byte, absOff int, view format.View, toleranc
 }
 
 // tryState checks the full sigma prefix for a candidate state starting at
-// in-block offset o, pulling the cross-block tail through view when the
-// state straddles the boundary, and emits a Finding carrying the 32-byte
-// key (state words 4–11).
+// in-block offset o and emits a Finding carrying the 32-byte key (state
+// words 4–11). The sigma words inside the block are checked first; only a
+// candidate that survives them and straddles the boundary pulls its tail
+// through view. The tail buffer escapes through that interface call, so it
+// is declared in that branch alone.
 func tryState(block []byte, o, absOff int, view format.View, tol int, emit func(format.Finding)) {
-	var tail [StateBytes]byte
 	st := block[o:]
+	inBlock := min(len(st)/4, len(sigma))
+	d, ok := sigmaDistance(st, 0, inBlock, 0, tol)
+	if !ok {
+		return
+	}
 	if len(st) < StateBytes {
+		var tail [StateBytes]byte
 		n := copy(tail[:], st)
 		if view == nil || !view.ReadDescrambled(absOff+len(block), tail[n:]) {
 			return
 		}
 		st = tail[:]
-	}
-	d := 0
-	for i := 0; i < 4; i++ {
-		d += bits.OnesCount32(binary.LittleEndian.Uint32(st[4*i:]) ^ sigma[i])
-		if d > tol {
+		if d, ok = sigmaDistance(st, inBlock, len(sigma), d, tol); !ok {
 			return
 		}
 	}
@@ -100,4 +105,16 @@ func tryState(block []byte, o, absOff int, view format.View, tol int, emit func(
 		Score:    1 - float64(d)/128,
 		Distance: d,
 	})
+}
+
+// sigmaDistance adds the Hamming distance of state words [from, to) from
+// their sigma constants to d, stopping with false once it exceeds tol.
+func sigmaDistance(st []byte, from, to, d, tol int) (int, bool) {
+	for i := from; i < to; i++ {
+		d += bits.OnesCount32(binary.LittleEndian.Uint32(st[4*i:]) ^ sigma[i])
+		if d > tol {
+			return d, false
+		}
+	}
+	return d, true
 }
