@@ -2,8 +2,8 @@
 #
 #   make test           tier-1 gate: build everything, run every test
 #   make race           vet + race-detector pass over every package (the
-#                       staged pipeline, campaign pool, and keyfind pool
-#                       all run goroutines), then the fleet's lease-board
+#                       staged pipeline and campaign pool run
+#                       goroutines), then the fleet's lease-board
 #                       and long-poll tests 20 times more under the
 #                       detector, so a lost-wakeup race fails here
 #   make lint           project static-analysis suite (cmd/coldbootlint):
@@ -117,8 +117,8 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # The guarded benchmarks drive the full telemetry hook surface (spans,
-# counters, histograms, progress) through the Nop tracer inside the scan
-# hot loops, and the per-candidate repair and master-recovery kernels.
+# counters, histograms, progress) through the Nop tracer, and the
+# per-candidate repair and master-recovery kernels.
 # They run 100 iterations: allocs/op is total allocations over the
 # iteration count, rounded down, so a one-off runtime allocation (a map
 # growth or timer inside the runtime) reads 0 while an allocation made on
@@ -133,7 +133,6 @@ bench-guard:
 	@set -e; \
 	for spec in \
 		"./internal/obs ^BenchmarkNopOverhead$$|^BenchmarkCollectorObserve$$" \
-		"./internal/keyfind ^BenchmarkScanChunkNop$$" \
 		"./internal/core ^BenchmarkRepairWindow$$" \
 		"./internal/aes ^BenchmarkRecoverMasterKey$$"; do \
 		set -- $$spec; pkg=$$1; pat=$$2; \

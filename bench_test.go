@@ -19,7 +19,6 @@ import (
 	"coldboot/internal/dram"
 	"coldboot/internal/dumpfile"
 	"coldboot/internal/engine"
-	"coldboot/internal/keyfind"
 	"coldboot/internal/machine"
 	"coldboot/internal/memimg"
 	"coldboot/internal/obs"
@@ -77,48 +76,6 @@ func BenchmarkXORBlock64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bitutil.XORBlock64(buf, buf, key)
-	}
-}
-
-// BenchmarkKeyfindScanParallel measures the Halderman-baseline schedule scan
-// over a 4 MiB image with the machine-sized worker pool (the default Scan
-// path).
-func BenchmarkKeyfindScanParallel(b *testing.B) {
-	img := make([]byte, 4<<20)
-	if err := workload.Fill(img, 5, workload.LoadedSystem); err != nil {
-		b.Fatal(err)
-	}
-	key := make([]byte, 32)
-	rand.New(rand.NewSource(6)).Read(key)
-	copy(img[3<<20:], aes.ExpandKeyBytes(key))
-	b.SetBytes(int64(len(img)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if fs, err := keyfind.Scan(context.Background(), img, aes.AES256, 0, 0, nil); err != nil || len(fs) != 1 {
-			b.Fatal("planted key not found")
-		}
-	}
-}
-
-// BenchmarkKeyfindScanSerial is the single-worker reference (Scan with
-// workers=1) for BenchmarkKeyfindScanParallel: their ns/op ratio is the
-// parallel scan's speedup on the host's cores.
-func BenchmarkKeyfindScanSerial(b *testing.B) {
-	img := make([]byte, 4<<20)
-	if err := workload.Fill(img, 5, workload.LoadedSystem); err != nil {
-		b.Fatal(err)
-	}
-	key := make([]byte, 32)
-	rand.New(rand.NewSource(6)).Read(key)
-	copy(img[3<<20:], aes.ExpandKeyBytes(key))
-	b.SetBytes(int64(len(img)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if fs, err := keyfind.Scan(context.Background(), img, aes.AES256, 0, 1, nil); err != nil || len(fs) != 1 {
-			b.Fatal("planted key not found")
-		}
 	}
 }
 

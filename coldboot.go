@@ -13,10 +13,13 @@
 //     published byte-pair invariants), and a VeraCrypt-style XTS-AES-256
 //     disk volume whose mount leaves expanded round keys in simulated RAM.
 //
-//   - The attack (internal/core, internal/keyfind): scrambler-key mining
-//     via the litmus test, the single-block AES key litmus test, full
-//     schedule reconstruction with decay tolerance, plus the DDR3 baseline
-//     and the classic Halderman scan.
+//   - The attack (internal/core): scrambler-key mining via the litmus
+//     test, the single-block AES key litmus test, full schedule
+//     reconstruction with decay tolerance, plus the DDR3 baseline. The
+//     attack is Halderman et al.'s expanded-key scan changed to work one
+//     descrambled 64-byte block at a time, so a plaintext dump needs no
+//     second scanner: its zero blocks mine as an all-zero key, and the
+//     hunt over that key searches the plaintext.
 //
 //   - The defense (internal/engine): cycle-level cipher-engine models
 //     (Table II), the DDR4 read-path queueing analysis (Figure 6), the
@@ -40,7 +43,6 @@ import (
 	"coldboot/internal/core"
 	"coldboot/internal/dram"
 	"coldboot/internal/engine"
-	"coldboot/internal/keyfind"
 	"coldboot/internal/machine"
 	"coldboot/internal/obs"
 	"coldboot/internal/veracrypt"
@@ -360,74 +362,44 @@ func capture(s Scenario) ([]byte, *Outcome, *veracrypt.Volume, machine.CPUModel,
 // mid-attack returns the partial Outcome together with ctx.Err().
 func analyze(ctx context.Context, s Scenario, dump []byte, out *Outcome, vol *veracrypt.Volume, cpu machine.CPUModel) (*Outcome, error) {
 	tracer := obs.OrNop(s.Tracer)
-	if cpu.Memory == dram.DDR3 && s.Protection == StockScrambler {
+	cfg := core.Config{RepairFlips: s.RepairFlips, Tracer: s.Tracer}
+	ddr3 := cpu.Memory == dram.DDR3 && s.Protection == StockScrambler
+	if ddr3 {
 		// DDR3 baseline (Bauer et al.): 16-key frequency analysis, then the
-		// schedule hunt with the known per-class keys. The classic
-		// Halderman scan (internal/keyfind) finds the same keys on clean
-		// dumps; the anchored hunt adds the decay-tolerant window
-		// consensus.
+		// schedule hunt with the known per-class keys — the expanded-key
+		// search over the descrambled image, with the decay-tolerant
+		// window consensus on top.
 		keys, err := core.MineDDR3Keys(ctx, dump)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Attack(ctx, dump, core.Config{
-			RepairFlips: s.RepairFlips,
-			KeysForBlock: func(b int) [][]byte {
-				return [][]byte{keys[b%core.DDR3KeyCount]}
-			},
-			Tracer: s.Tracer,
-		})
-		if res == nil {
-			return nil, err
+		cfg.KeysForBlock = func(b int) [][]byte {
+			return [][]byte{keys[b%core.DDR3KeyCount]}
 		}
+	} else {
+		// Everything else mines its own keys. That includes the plaintext
+		// dumps of a disabled scrambler or a seed-reusing BIOS (§III-B
+		// observation 2): their zero blocks mine as the all-zero key, and
+		// the hunt over it is the classic Halderman scan.
+		cfg.GroundDump = out.GroundDump
+		cfg.Formats = s.Formats
+	}
+	res, err := core.Attack(ctx, dump, cfg)
+	if res == nil {
+		return nil, err
+	}
+	if ddr3 {
 		out.MinedKeys = core.DDR3KeyCount
 		out.Stride = core.DDR3KeyCount
 		out.Coverage = 1
-		out.RecoveredMasters = res.Masters()
-		if err != nil {
-			return out, err
-		}
-		// Cross-check with the prior-art scan on the descrambled image
-		// (adds any finding the anchored hunt missed).
-		if plainDump, err := core.DescrambleDDR3(ctx, dump, keys); err == nil {
-			if fs, err := keyfind.Scan(ctx, plainDump, aes.AES256, keyfind.DefaultTolerance, 0, tracer); err == nil {
-				for _, f := range fs {
-					out.RecoveredMasters = append(out.RecoveredMasters, f.Master)
-				}
-			}
-		}
 	} else {
-		res, err := core.Attack(ctx, dump, core.Config{
-			RepairFlips: s.RepairFlips,
-			GroundDump:  out.GroundDump,
-			Formats:     s.Formats,
-			Tracer:      s.Tracer,
-		})
-		if res == nil {
-			return nil, err
-		}
 		if res.Mine != nil {
 			out.MinedKeys = len(res.Mine.Keys)
 		}
 		out.Stride = res.Stride
 		out.Coverage = res.Coverage
-		out.RecoveredMasters = res.Masters()
-		if err != nil {
-			return out, err
-		}
 	}
-
-	// A real attacker also runs the classic Halderman scan on the raw dump:
-	// it wins outright whenever the dump is effectively plaintext — the
-	// scrambler disabled, or a seed-reusing BIOS whose reboot descrambles
-	// its own memory (§III-B observation 2).
-	scanTimer := tracer.StartSpan("halderman-scan")
-	findings, err := keyfind.Scan(ctx, dump, aes.AES256, keyfind.DefaultTolerance, 0, tracer)
-	scanTimer.End()
-	for _, f := range findings {
-		out.RecoveredMasters = append(out.RecoveredMasters, f.Master)
-	}
-	out.RecoveredMasters = dedupKeys(out.RecoveredMasters)
+	out.RecoveredMasters = dedupKeys(res.Masters())
 	if err != nil {
 		return out, err
 	}

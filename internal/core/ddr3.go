@@ -13,8 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"coldboot/internal/bitutil"
 )
 
 // DDR3KeyCount is the DDR3 scrambler pool size.
@@ -88,31 +86,4 @@ func UniversalRebootKey(ctx context.Context, xorDump []byte) ([]byte, error) {
 		}
 	}
 	return []byte(best), nil
-}
-
-// DescrambleDDR3 applies the recovered 16-key pool to a scrambled
-// dump, returning the plaintext memory image ready for a conventional
-// (Halderman-style) key scan. The descramble pass polls ctx every
-// ddr3PollBlocks blocks; on cancellation the partial output is discarded
-// and ctx.Err() returned.
-func DescrambleDDR3(ctx context.Context, dump []byte, keys [DDR3KeyCount][]byte) ([]byte, error) {
-	if len(dump)%BlockBytes != 0 {
-		return nil, fmt.Errorf("core: dump length %d not block aligned", len(dump))
-	}
-	for i, k := range keys {
-		if len(k) != BlockBytes {
-			return nil, fmt.Errorf("core: key %d has length %d", i, len(k))
-		}
-	}
-	out := make([]byte, len(dump))
-	for b := 0; b < len(dump)/BlockBytes; b++ {
-		if b%ddr3PollBlocks == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		key := keys[b%DDR3KeyCount]
-		bitutil.XORBlock64(out[b*BlockBytes:], dump[b*BlockBytes:], key)
-	}
-	return out, nil
 }

@@ -115,7 +115,7 @@ func FuzzPlanFromWire(f *testing.F) {
 	}
 	frame, err := EncodeWirePlan(&WirePlan{
 		Variant: aes.AES256, Formats: []string{FormatAESXTS},
-		Stride: mine.InferStride(), TotalBlocks: 64, Overlap: 4, Mine: mine,
+		Stride: mine.InferStride(), TotalBlocks: 64, Mine: mine,
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -34,13 +34,6 @@ type MineOptions struct {
 	// distinct scrambler keys differ in ~256 bits, so even generous merge
 	// radii cannot conflate them).
 	MergeDistance int
-	// MinCount drops keys seen fewer than this many times; the paper notes
-	// candidates "that occur more frequently are likely keys" (default 1,
-	// i.e. keep everything — the AES stage filters false positives anyway).
-	MinCount int
-	// MaxBytes limits mining to the first MaxBytes of the dump (0 = all).
-	// The paper mined every key from under 16 MB of a loaded system.
-	MaxBytes int
 }
 
 func (o MineOptions) withDefaults() MineOptions {
@@ -49,9 +42,6 @@ func (o MineOptions) withDefaults() MineOptions {
 	}
 	if o.MergeDistance == 0 {
 		o.MergeDistance = 16
-	}
-	if o.MinCount == 0 {
-		o.MinCount = 1
 	}
 	return o
 }
@@ -101,13 +91,8 @@ func MineKeysSource(ctx context.Context, src BlockSource, opt MineOptions) (*Min
 	if src == nil {
 		return nil, fmt.Errorf("core: nil dump source")
 	}
-	opt = opt.withDefaults()
-	limitBlocks := src.Blocks()
-	if opt.MaxBytes > 0 && opt.MaxBytes/BlockBytes < limitBlocks {
-		limitBlocks = opt.MaxBytes / BlockBytes
-	}
-	m := &miner{opt: opt, res: &MineResult{}}
-	err := m.scan(ctx, src, limitBlocks)
+	m := &miner{opt: opt.withDefaults(), res: &MineResult{}}
+	err := m.scan(ctx, src)
 	return m.finish(), err
 }
 
@@ -164,10 +149,11 @@ func (r *passRange) store(block []byte) {
 	r.pages[last] = append(r.pages[last], block...)
 }
 
-// scan runs the block pass over the first limit blocks of src and merges
-// the ranges' groups. It returns ctx.Err() when cancelled, or the first
-// read error; either way the miner keeps every window a range finished.
-func (m *miner) scan(ctx context.Context, src BlockSource, limit int) error {
+// scan runs the block pass over every block of src and merges the
+// ranges' groups. It returns ctx.Err() when cancelled, or the first read
+// error; either way the miner keeps every window a range finished.
+func (m *miner) scan(ctx context.Context, src BlockSource) error {
+	limit := src.Blocks()
 	windows := (limit + mineCancelInterval - 1) / mineCancelInterval
 	m.ranges = make([]passRange, fanOut(limit, minParallelMineBlocks))
 	var stop atomic.Bool // a read failed: every range stops at its next window
@@ -410,33 +396,21 @@ func (m *miner) finish() *MineResult {
 	}
 	flips, flipStart := bucketFlips(nCanon, append(logs, merged))
 
-	// Emit the keys that reach MinCount, in canonical order; key bytes
-	// share one slab.
-	outIdx := make([]int, nCanon)
-	nFinal := 0
-	for c := 0; c < nCanon; c++ {
-		outIdx[c] = nFinal
-		if canonTotal[c] >= m.opt.MinCount {
-			nFinal++
-		}
-	}
+	// Emit one key per canonical, in canonical order; key bytes share one
+	// slab.
 	res.Keys = nil
-	if nFinal > 0 {
-		res.Keys = make([]MinedKey, nFinal)
+	if nCanon > 0 {
+		res.Keys = make([]MinedKey, nCanon)
 	}
-	keySlab := make([]byte, nFinal*BlockBytes)
+	keySlab := make([]byte, nCanon*BlockBytes)
 	parallelRanges(nCanon, fanOut(nCanon, minParallelCanon), func(_, lo, hi int) {
 		var dis [BlockBytes * 8]int32
 		for c := lo; c < hi; c++ {
 			total := canonTotal[c]
-			if total < m.opt.MinCount {
-				continue
-			}
-			o := outIdx[c]
-			key := keySlab[o*BlockBytes : (o+1)*BlockBytes : (o+1)*BlockBytes]
+			key := keySlab[c*BlockBytes : (c+1)*BlockBytes : (c+1)*BlockBytes]
 			copy(key, cm.rep(int32(c)))
 			vote(key, flips[flipStart[c]:flipStart[c+1]], total, &dis)
-			res.Keys[o] = MinedKey{
+			res.Keys[c] = MinedKey{
 				Key:       key,
 				Count:     total,
 				Positions: posSlab[offsets[c]:offsets[c+1]:offsets[c+1]],

@@ -69,7 +69,7 @@ func TestMineKeysUnder16MB(t *testing.T) {
 	// At simulation scale: a 4 MB loaded-system dump must cover (nearly)
 	// every one of the 4096 address classes.
 	dump, _, _ := buildScrambledDump(t, 4<<20, 2, workload.LoadedSystem)
-	res, err := MineKeys(context.Background(), dump, MineOptions{MaxBytes: 4 << 20})
+	res, err := MineKeys(context.Background(), dump, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,28 +198,6 @@ func TestMineMajorityVoteRepairsDecay(t *testing.T) {
 	}
 	if !bytes.Equal(got.Key, true0) {
 		t.Error("majority vote did not recover the exact key")
-	}
-}
-
-func TestMineMinCountFilters(t *testing.T) {
-	dump, _, _ := buildScrambledDump(t, 2<<20, 6, workload.LightSystem)
-	all, _ := MineKeys(context.Background(), dump, MineOptions{MinCount: 1})
-	frequent, _ := MineKeys(context.Background(), dump, MineOptions{MinCount: 4})
-	if len(frequent.Keys) >= len(all.Keys) {
-		t.Errorf("MinCount filter did not reduce keys: %d vs %d", len(frequent.Keys), len(all.Keys))
-	}
-	for _, k := range frequent.Keys {
-		if k.Count < 4 {
-			t.Fatalf("key with count %d survived MinCount 4", k.Count)
-		}
-	}
-}
-
-func TestMineMaxBytesLimitsScan(t *testing.T) {
-	dump, _, _ := buildScrambledDump(t, 1<<20, 7, workload.LightSystem)
-	res, _ := MineKeys(context.Background(), dump, MineOptions{MaxBytes: 256 << 10})
-	if res.BlocksScanned != (256<<10)/BlockBytes {
-		t.Errorf("scanned %d blocks, want %d", res.BlocksScanned, (256<<10)/BlockBytes)
 	}
 }
 

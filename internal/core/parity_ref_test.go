@@ -20,9 +20,6 @@ import (
 func refMineKeys(dump []byte, opt MineOptions) *MineResult {
 	opt = opt.withDefaults()
 	limit := len(dump) / BlockBytes
-	if opt.MaxBytes > 0 && opt.MaxBytes/BlockBytes < limit {
-		limit = opt.MaxBytes / BlockBytes
-	}
 	res := &MineResult{}
 	exact := make(map[string][]int)
 	for b := 0; b < limit; b++ {
@@ -81,9 +78,6 @@ func refMineKeys(dump []byte, opt MineOptions) *MineResult {
 
 	res.Keys = nil
 	for _, c := range canon {
-		if c.total < opt.MinCount {
-			continue
-		}
 		key := make([]byte, BlockBytes)
 		for bit := 0; bit < BlockBytes*8; bit++ {
 			if 2*c.votes[bit] > c.total {

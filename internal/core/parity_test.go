@@ -40,8 +40,6 @@ func TestMineKeysParity(t *testing.T) {
 		{"decay_0.1pct", 512 << 10, 12, 512 << 10 / 125, MineOptions{}},
 		{"decay_1pct_merge", 256 << 10, 13, 256 << 10 * 8 / 100, MineOptions{}},
 		{"merge_distance_4", 256 << 10, 14, 256 << 10 / 50, MineOptions{MergeDistance: 4}},
-		{"min_count_3", 256 << 10, 15, 256 << 10 / 100, MineOptions{MinCount: 3}},
-		{"max_bytes_cap", 512 << 10, 16, 512 << 10 / 200, MineOptions{MaxBytes: 128 << 10}},
 		// Decayed groups far outnumber the 4096 canonicals, so the segment
 		// index grows from its initial size many times over.
 		{"decay_0.3pct_4MiB", 4 << 20, 18, 4 << 20 * 8 * 3 / 1000, MineOptions{}},
@@ -225,7 +223,7 @@ func TestMineKeysParityCancelled(t *testing.T) {
 	if want := reads * mineCancelInterval; got.BlocksScanned != want {
 		t.Fatalf("scanned %d blocks, want %d", got.BlocksScanned, want)
 	}
-	assertMineParity(t, got, refMineKeys(dump, MineOptions{MaxBytes: got.BlocksScanned * BlockBytes}))
+	assertMineParity(t, got, refMineKeys(dump[:got.BlocksScanned*BlockBytes], MineOptions{}))
 }
 
 // forceMineWorkers splits every fanned-out mining pass n ways for the
@@ -252,8 +250,6 @@ func TestMineKeysParityPartitioned(t *testing.T) {
 		{"clean", 31, 0, MineOptions{}},
 		{"decay_0.3pct", 32, 256 << 10 * 8 * 3 / 1000, MineOptions{}},
 		{"merge_distance_4", 33, 256 << 10 / 50, MineOptions{MergeDistance: 4}},
-		{"min_count_3", 34, 256 << 10 / 100, MineOptions{MinCount: 3}},
-		{"max_bytes_cap", 35, 256 << 10 / 200, MineOptions{MaxBytes: 100 << 10}},
 		{"merge_distance_64_linear", 36, 256 << 10 * 8 * 3 / 1000, MineOptions{MergeDistance: 64}},
 		{"every_block_passes", 37, 256 << 10 * 8 / 100, MineOptions{Tolerance: 256}},
 	}

@@ -141,10 +141,17 @@ func PlanCampaignSource(ctx context.Context, src BlockSource, cfg CampaignConfig
 	p.res.Coverage = p.Coverage
 	p.skip = zeroBlocks(mine, totalBlocks)
 
-	p.Overlap = attackCfg.Variant.ScheduleBytes()/BlockBytes + 1
+	p.Overlap = shardOverlap(attackCfg.Variant)
 	p.Shards = Shards(totalBlocks, cfg.ShardBlocks, p.Overlap)
 	p.root.SetAttr("shards", strconv.Itoa(len(p.Shards)))
 	return p, nil
+}
+
+// shardOverlap is the shard overlap in blocks for variant v: one schedule
+// span, so a key table straddling a shard boundary is fully visible to
+// one shard.
+func shardOverlap(v aes.Variant) int {
+	return v.ScheduleBytes()/BlockBytes + 1
 }
 
 // Result returns the plan's accumulating result document (mining stats
@@ -328,7 +335,6 @@ type WirePlan struct {
 	RepairFlips int
 	Stride      int
 	TotalBlocks int
-	Overlap     int
 	Mine        *MineResult
 	// Trace propagates the campaign's distributed trace context so worker
 	// span trees stamp the same trace ID the coordinator minted.
@@ -343,7 +349,6 @@ func (p *CampaignPlan) Wire() *WirePlan {
 		RepairFlips: p.attackCfg.RepairFlips,
 		Stride:      p.Stride,
 		TotalBlocks: p.TotalBlocks,
-		Overlap:     p.Overlap,
 		Mine:        p.Mine,
 		Trace:       p.Trace,
 	}
@@ -372,7 +377,7 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 		Mine:        w.Mine,
 		Stride:      w.Stride,
 		TotalBlocks: w.TotalBlocks,
-		Overlap:     w.Overlap,
+		Overlap:     shardOverlap(attackCfg.Variant),
 		Trace:       w.Trace,
 		attackCfg:   attackCfg,
 		rf:          rf,
@@ -391,7 +396,7 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 //
 //	"CBWP" version
 //	variant  nformats {len name}  repair_flips
-//	stride  total_blocks  overlap  {len trace_id}  parent_span
+//	stride  total_blocks  {len trace_id}  parent_span
 //	blocks_scanned  blocks_passed  nkeys
 //	{key[64]  count  first_position  {position delta}}
 //
@@ -401,7 +406,7 @@ func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
 // it did not check.
 const (
 	wirePlanMagic   = "CBWP"
-	wirePlanVersion = 3
+	wirePlanVersion = 4
 	// maxWireBlocks bounds TotalBlocks: a 16 GiB image, sixteen times
 	// the default upload cap. It also bounds the decoder's position
 	// bitset, TotalBlocks/8 bytes.
@@ -450,7 +455,6 @@ func appendWirePlan(b []byte, w *WirePlan) []byte {
 	u(w.RepairFlips)
 	u(w.Stride)
 	u(w.TotalBlocks)
-	u(w.Overlap)
 	u(len(w.Trace.TraceID))
 	b = append(b, w.Trace.TraceID...)
 	b = binary.AppendUvarint(b, w.Trace.ParentSpan)
@@ -503,7 +507,6 @@ func DecodeWirePlan(frame []byte) (*WirePlan, error) {
 	w.RepairFlips = d.uint("repair flips", maxWireSmall)
 	w.Stride = d.uint("stride", maxWireBlocks)
 	w.TotalBlocks = d.uint("total blocks", maxWireBlocks)
-	w.Overlap = d.uint("overlap", w.TotalBlocks)
 	w.Trace.TraceID = string(d.bytes(d.uint("trace ID length", maxWireSmall)))
 	w.Trace.ParentSpan = d.uint64()
 	mine := &MineResult{BlocksScanned: d.uint("blocks scanned", w.TotalBlocks)}

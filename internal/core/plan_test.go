@@ -23,7 +23,6 @@ func smallWirePlan() *WirePlan {
 		RepairFlips: 1,
 		Stride:      8,
 		TotalBlocks: 64,
-		Overlap:     4,
 		Trace:       obs.TraceContext{TraceID: "00c0ffee00c0ffee", ParentSpan: 7},
 		Mine: &MineResult{
 			BlocksScanned: 64,
@@ -80,7 +79,6 @@ func TestDecodeWirePlanRejects(t *testing.T) {
 		"unknown format":   mutated(func(w *WirePlan) { w.Formats = []string{"nosuch"} }),
 		"trailing byte":    append(bytes.Clone(valid), 0),
 		"total blocks":     mutated(func(w *WirePlan) { w.TotalBlocks = maxWireBlocks + 1 }),
-		"overlap":          mutated(func(w *WirePlan) { w.Overlap = w.TotalBlocks + 1 }),
 		"scanned":          mutated(func(w *WirePlan) { w.Mine.BlocksScanned = w.TotalBlocks + 1 }),
 		"key count":        withKeyCount(1000),
 		"passed too small": mutated(func(w *WirePlan) { w.Mine.BlocksPassed = 4 }),

@@ -440,6 +440,9 @@ func TestWirePlanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
+	if remote.Overlap != plan.Overlap {
+		t.Fatalf("worker plan overlap %d, coordinator's %d", remote.Overlap, plan.Overlap)
+	}
 
 	sh := plan.Shards[2]
 	sub := dump[sh.FirstBlock*core.BlockBytes : (sh.FirstBlock+sh.Blocks)*core.BlockBytes]

@@ -6,19 +6,19 @@ import (
 )
 
 // allocloopRule guards the zero-alloc hot loops: inside a dump-block loop
-// in the scan packages (keyfind.Scan's scanRange, core's hunt workers and
-// verification walks), a make() or an append onto a fresh composite literal
-// allocates once per block — millions of times per gigabyte — where the
-// pooled and stack buffers PR 1 introduced must be reused instead.
+// in the scan packages (core's hunt workers and verification walks), a
+// make() or an append onto a fresh composite literal allocates once per
+// block — millions of times per gigabyte — where the pooled and stack
+// buffers must be reused instead.
 //
 // The rule also covers per-candidate verify/repair retry loops in the core
 // package: any loop that re-invokes one of the hunt's verification kernels
 // (xorDistance, predictAndCompare, scheduleScore, scheduleMismatch, the
 // repairer's chunkMismatch — directly or through helpers like try) runs
 // once per candidate master times the repair search fan-out, so
-// allocations there multiply just as badly as in the block loops. Accumulator appends (out = append(out, x))
-// are fine; a rare-path allocation that is genuinely wanted (e.g. a Finding
-// copying its Master out of the image) takes an ignore directive.
+// allocations there multiply just as badly as in the block loops.
+// Accumulator appends (out = append(out, x)) are fine; a rare-path
+// allocation that is genuinely wanted takes an ignore directive.
 type allocloopRule struct{}
 
 func (allocloopRule) ID() string { return "allocloop" }
@@ -37,7 +37,6 @@ func (allocloopRule) Doc() string {
 // the scan kernels, so a per-block allocation there taxes every shard of
 // every campaign.
 var allocloopPackages = map[string]bool{
-	"internal/keyfind":         true,
 	"internal/core":            true,
 	"internal/jobs":            true,
 	"internal/service":         true,

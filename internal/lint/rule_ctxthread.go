@@ -32,7 +32,6 @@ func (ctxthreadRule) Doc() string {
 var ctxthreadPackages = map[string]bool{
 	"":                         true, // module root (coldboot)
 	"internal/core":            true,
-	"internal/keyfind":         true,
 	"internal/service":         true,
 	"internal/fleet":           true,
 	"internal/format":          true,

@@ -26,7 +26,6 @@ func (hotxorRule) Doc() string {
 var hotxorPackages = map[string]bool{
 	"internal/scramble":        true,
 	"internal/core":            true,
-	"internal/keyfind":         true,
 	"internal/engine":          true,
 	"internal/aes":             true,
 	"internal/chacha":          true,

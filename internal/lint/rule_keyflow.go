@@ -71,7 +71,6 @@ var keyflowFields = map[string]string{
 	"internal/core.repairScratch.cand":   "repair scratch schedule",
 	"internal/core.repairScratch.obs":    "repair observed schedule",
 	"internal/core.verifyOutcome.final":  "memoized master",
-	"internal/keyfind.Finding.Master":    "keyfind candidate master",
 	"internal/format.Finding.Key":        "format scanner key",
 }
 

@@ -140,7 +140,7 @@ func TestCollectorStageTable(t *testing.T) {
 	hunt := c.StartSpan("hunt")
 	c.Progress("hunt", 10, 100)
 	c.Progress("hunt", 7, 90) // a stale report must not regress either mark
-	c.Progress("keyfind", 5, 50)
+	c.Progress("campaign", 5, 50)
 
 	r := c.Summary()
 	if len(r.Stages) != 2 || r.Stages[0].Name != "mine" || r.Stages[1].Name != "hunt" {
@@ -152,8 +152,8 @@ func TestCollectorStageTable(t *testing.T) {
 	if h := r.Stages[1]; h.Done != 10 || h.Total != 100 || h.Calls != 0 {
 		t.Errorf("open hunt stage = %+v, want 10/100 with no completed call", h)
 	}
-	if r.Counters["progress.keyfind"] != 5 {
-		t.Errorf("progress.keyfind = %d, want 5", r.Counters["progress.keyfind"])
+	if r.Counters["progress.campaign"] != 5 {
+		t.Errorf("progress.campaign = %d, want 5", r.Counters["progress.campaign"])
 	}
 	if r.Spans != nil {
 		t.Errorf("Summary carries %d spans", len(r.Spans))
@@ -163,8 +163,8 @@ func TestCollectorStageTable(t *testing.T) {
 		t.Errorf("Stages() = %+v, want Summary's %+v", got, r.Stages)
 	}
 	c.Count("format.luks2", 2)
-	if got := c.Counters("progress."); !reflect.DeepEqual(got, map[string]int64{"hunt": 10, "keyfind": 5}) {
-		t.Errorf(`Counters("progress.") = %v, want hunt 10 and keyfind 5`, got)
+	if got := c.Counters("progress."); !reflect.DeepEqual(got, map[string]int64{"campaign": 5, "hunt": 10}) {
+		t.Errorf(`Counters("progress.") = %v, want campaign 5 and hunt 10`, got)
 	}
 
 	second := c.StartSpan("mine")

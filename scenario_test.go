@@ -277,7 +277,7 @@ func TestOutcomeGroundTruthMatches(t *testing.T) {
 
 func TestDDR3BaselineAttack(t *testing.T) {
 	// The prior-art DDR3 attack end to end on a SandyBridge machine:
-	// 16-key frequency analysis, full descramble, Halderman scan, unlock.
+	// 16-key frequency analysis, the schedule hunt under those keys, unlock.
 	out, err := Run(context.Background(), Scenario{Seed: 20, CPU: "i5-2540M", SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestDDR3AttackWithDIMMTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The Halderman scan's tolerance absorbs light decay.
+	// The hunt's decay tolerance absorbs light decay.
 	if !out.VolumeUnlocked {
 		t.Fatalf("DDR3 transfer attack failed (retention %f)", out.Retention)
 	}
@@ -314,14 +314,18 @@ func TestIvyBridgeAttack(t *testing.T) {
 
 func TestSeedReuseBIOSTrivialAttack(t *testing.T) {
 	// §III-B observation 2: some vendor BIOSes reuse the scrambler seed.
-	// A reboot then reads the old memory back descrambled, and the classic
-	// Halderman scan recovers the keys with no scrambler analysis at all.
+	// A reboot then reads the old memory back descrambled: its zero blocks
+	// mine as the all-zero key, and the hunt over that key is the classic
+	// Halderman scan, with no scrambler analysis at all.
 	out, err := Run(context.Background(), Scenario{Seed: 30, SeedReuseBIOS: true, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.VictimSeed != out.AttackerSeed {
 		t.Fatal("seed-reuse BIOS changed its seed")
+	}
+	if out.MinedKeys < 1 {
+		t.Fatal("no key mined from the self-descrambled dump")
 	}
 	if !out.VolumeUnlocked {
 		t.Fatal("trivial seed-reuse attack failed")
@@ -369,15 +373,19 @@ func TestCPURegisterKeysDefeatAttack(t *testing.T) {
 	}
 }
 
-func TestScramblerOffHaldermanScanWins(t *testing.T) {
-	// With scrambling disabled the raw-dump Halderman scan recovers the
-	// keys directly (the pre-DDR3 world of the 2008 paper).
+func TestScramblerOffZeroKeyHuntWins(t *testing.T) {
+	// With scrambling disabled (the pre-DDR3 world of the 2008 paper) the
+	// dump is plaintext: its zero blocks mine as the all-zero key, and the
+	// core hunt over that key recovers the keys directly.
 	out, err := Run(context.Background(), Scenario{Seed: 34, Protection: ScramblerOff, SameMachineReboot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if out.MinedKeys < 1 {
+		t.Fatal("no key mined from the unscrambled dump")
+	}
 	if !out.VolumeUnlocked {
-		t.Fatal("Halderman scan failed on unscrambled dump")
+		t.Fatal("zero-key hunt failed on unscrambled dump")
 	}
 }
 
